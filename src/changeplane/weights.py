@@ -180,12 +180,36 @@ def omega_univariate_gaussian(z_i: float, z_j: float, mu: float, sigma2: float) 
     return float(ndtr((m - mu) / np.sqrt(sigma2)))
 
 
-def _varrho_matrix(z: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    g = z @ sigma @ z.T
-    norms = np.sqrt(np.diag(g))
+def _omega_std_gaussian(z: np.ndarray) -> np.ndarray:
+    """``omega_closed_form`` of the pairwise cosines, in two n x n buffers.
+
+    Same operations, in the same order, as ``omega_closed_form`` applied to
+    the clipped cosine matrix, so the result is bit-identical to it; the
+    chain of whole-matrix temporaries is replaced by in-place ufuncs.
+    """
+    rho = z @ np.eye(z.shape[1]) @ z.T
+    norms = np.sqrt(np.diag(rho))
     if np.any(norms <= 0):
         raise DegenerateVectorError("grouping row has zero Sigma-norm")
-    return np.clip(g / np.outer(norms, norms), -1.0, 1.0)
+    out = np.multiply.outer(norms, norms)
+    np.divide(rho, out, out=rho)
+    np.clip(rho, -1.0, 1.0, out=rho)
+    np.multiply(rho, rho, out=out)
+    np.subtract(1.0, out, out=out)
+    # Where 1 - rho^2 is not above the guard, the limits at rho = +-1 (1/2
+    # and 0) replace the arctan form.
+    edge = out > _ENDPOINT_EPS
+    np.invert(edge, out=edge)
+    np.putmask(out, edge, 1.0)
+    np.sqrt(out, out=out)
+    np.divide(rho, out, out=out)
+    np.arctan(out, out=out)
+    np.divide(out, 2.0 * np.pi, out=out)
+    np.add(0.25, out, out=out)
+    np.greater(rho, 0, out=rho)
+    rho *= 0.5
+    np.copyto(out, rho, where=edge)
+    return out
 
 
 def weight_matrix(ds_or_z, spec: WeightSpec | None = None) -> np.ndarray:
@@ -204,8 +228,7 @@ def weight_matrix(ds_or_z, spec: WeightSpec | None = None) -> np.ndarray:
     n, q = z.shape
 
     if spec.variant == "std_gaussian":
-        rho = _varrho_matrix(z, np.eye(q))
-        return np.asarray(omega_closed_form(rho))
+        return _omega_std_gaussian(z)
 
     if spec.variant == "gaussian":
         mu = np.asarray(spec.mu, float)

@@ -1,12 +1,51 @@
 import numpy as np
 import pytest
 
-from changeplane import (FamilyKind, build_theta_grid, fit_null, score_psi0,
-                         score_test_at, sst_derivatives, sst_statistic,
-                         sst_test)
+from changeplane import (FamilyKind, ThetaGrid, build_theta_grid, fit_null,
+                         score_psi0, score_test_at, sst_derivatives,
+                         sst_statistic, sst_test)
+from changeplane import sst as sst_module
 from changeplane.errors import ParameterError
+from changeplane.rng import child_rng
 
 from conftest import random_dataset
+
+
+def loop_theta_grid(ds, k_directions, grid_per_direction, seed):
+    """Reference grid: one np.quantile call per (direction, level)."""
+    dirs = child_rng(seed, 0).standard_normal((k_directions, ds.q - 1))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    levels = ([0.5] if grid_per_direction == 1
+              else np.linspace(0.10, 0.90, grid_per_direction))
+    z_tail = ds.z_group[:, 1:]
+    return np.asarray([np.concatenate([[-float(np.quantile(z_tail @ d, lev))], d])
+                       for d in dirs for lev in levels])
+
+
+def loop_resampled(ds, family, thetas, n_resample, seed):
+    """Reference draws: one matrix-vector product per multiplier draw.
+
+    The whitened rows L^-1 (psi_theta - corr)' are rebuilt here from their
+    definition; planes whose V(theta) has no Cholesky factor are left out.
+    """
+    fit = fit_null(ds, family)
+    derivs = sst_derivatives(ds, family, fit)
+    psi0 = score_psi0(ds, family, fit).psi0
+    rows = []
+    for theta in thetas:
+        psi_t = psi0 * (ds.z_group @ theta >= 0)[:, None]
+        centered = psi_t - derivs.psi1 @ (derivs.k_of_theta(theta) @ derivs.j_inv).T
+        try:
+            chol = np.linalg.cholesky(centered.T @ centered / ds.n)
+        except np.linalg.LinAlgError:
+            continue
+        rows.append(np.linalg.solve(chol, centered.T))
+    stack = np.stack(rows)
+    boot = []
+    for j in range(n_resample):
+        s = stack @ child_rng(seed, 1, j).standard_normal(ds.n)
+        boot.append(np.max(np.sum(s * s, axis=1)) / ds.n)
+    return np.asarray(boot)
 
 
 class TestThetaGrid:
@@ -37,6 +76,15 @@ class TestThetaGrid:
         g1 = build_theta_grid(ds, k_directions=9, seed=8)
         g2 = build_theta_grid(ds, k_directions=9, seed=8)
         np.testing.assert_array_equal(g1.thetas, g2.thetas)
+
+    @pytest.mark.parametrize("n", [301, 1001])
+    @pytest.mark.parametrize("per_direction", [1, 4])
+    def test_matches_per_direction_quantile_loop(self, rng, n, per_direction):
+        ds = random_dataset(rng, n=n, q=3)
+        grid = build_theta_grid(ds, k_directions=200,
+                                grid_per_direction=per_direction, seed=4)
+        np.testing.assert_array_equal(
+            grid.thetas, loop_theta_grid(ds, 200, per_direction, seed=4))
 
     def test_requires_two_grouping_columns(self, rng):
         ds = random_dataset(rng, n=30, q=3)
@@ -125,6 +173,39 @@ class TestSstTest:
         small = sst_test(ds, fam, k_directions=20, n_resample=5, seed=3)
         large = sst_test(ds, fam, k_directions=80, n_resample=5, seed=3)
         assert large.statistic >= small.statistic - 1e-12
+
+    @pytest.mark.parametrize("n_resample", [1, 33])
+    def test_batched_draws_match_per_draw_loop(self, rng, n_resample):
+        ds = random_dataset(rng, n=90, family="binomial")
+        fam = FamilyKind("binomial")
+        out = sst_test(ds, fam, k_directions=40, n_resample=n_resample, seed=5)
+        thetas = build_theta_grid(ds, k_directions=40, seed=5).thetas
+        np.testing.assert_allclose(
+            out.boot_stats, loop_resampled(ds, fam, thetas, n_resample, 5),
+            rtol=1e-12, atol=0)
+
+    def test_irreparable_planes_are_skipped_and_counted(self, rng, monkeypatch):
+        # A plane with every row on its negative side has psi_theta = 0 and
+        # K(theta) = 0, so V(theta) = 0 and even the ridge cannot repair it.
+        ds = random_dataset(rng, n=70, family="gaussian")
+        fam = FamilyKind("gaussian")
+        good = build_theta_grid(ds, k_directions=12, seed=2).thetas
+        empty = np.array([-1e6, 1.0, 0.0])
+        thetas = np.vstack([empty, good[:6], empty, good[6:], empty])
+        monkeypatch.setattr(sst_module, "build_theta_grid",
+                            lambda *args: ThetaGrid(thetas=thetas, seed=2))
+        out = sst_test(ds, fam, k_directions=15, n_resample=33, seed=2)
+        assert out.diagnostics["grid_size"] == 15
+        assert out.diagnostics["grid_skipped"] == 3
+        monkeypatch.setattr(sst_module, "build_theta_grid",
+                            lambda *args: ThetaGrid(thetas=good, seed=2))
+        kept = sst_test(ds, fam, k_directions=12, n_resample=33, seed=2)
+        assert out.statistic == kept.statistic
+        np.testing.assert_allclose(out.boot_stats, kept.boot_stats,
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            out.boot_stats, loop_resampled(ds, fam, thetas, 33, 2),
+            rtol=1e-12, atol=0)
 
     def test_invalid_resample_count(self, rng):
         ds = random_dataset(rng, n=30)

@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from changeplane import (FamilyKind, PlaneBlock, beta_prior, standard_gaussian,
+from changeplane import (FamilyKind, PlaneBlock, beta_prior, bootstrap_sample,
+                         fit_null, score_psi0, standard_gaussian,
                          univariate_gaussian, wast_multi_statistic,
                          wast_statistic, wast_test, weight_matrix)
+from changeplane import wast as wast_module
 from changeplane.errors import DataError, ParameterError
+from changeplane.rng import child_rng
 
 from conftest import random_dataset
 
@@ -21,6 +26,20 @@ def double_loop_statistic(psi0, omega):
             if i != j:
                 total += omega[i, j] * float(psi0[i] @ psi0[j])
     return total / (n * (n - 1))
+
+
+def loop_boot_stats(ds, family, n_boot, seed, failed=()):
+    """Per-replicate reference: one wast_statistic call per kept refit."""
+    fit = fit_null(ds, family)
+    omega = weight_matrix(ds)
+    stats = []
+    for b in range(n_boot):
+        if b in failed:
+            continue
+        ds_b = bootstrap_sample(ds, family, fit, child_rng(seed, b))
+        psi0 = score_psi0(ds_b, family, fit_null(ds_b, family)).psi0
+        stats.append(wast_statistic(psi0, omega))
+    return np.asarray(stats)
 
 
 class TestWastStatistic:
@@ -165,6 +184,33 @@ class TestWastTest:
         out = wast_test(ds, FamilyKind("quantile", tau=0.5), n_boot=30, seed=3)
         assert np.isfinite(out.statistic)
         assert out.n_failed == 0
+
+    @pytest.mark.parametrize("n_boot, failed", [
+        (1, ()),
+        (wast_module.BOOT_BLOCK + 6, ()),
+        (wast_module.BOOT_BLOCK + 6, (0, wast_module.BOOT_BLOCK - 1,
+                                      wast_module.BOOT_BLOCK + 5)),
+    ])
+    def test_batched_bootstrap_matches_per_replicate_loop(
+            self, rng, monkeypatch, n_boot, failed):
+        ds = random_dataset(rng, n=60, family="binomial")
+        fam = FamilyKind("binomial")
+        ref = loop_boot_stats(ds, fam, n_boot, seed=11, failed=failed)
+        calls = []
+
+        def flaky_fit_null(ds_arg, family, **kwargs):
+            fit = fit_null(ds_arg, family, **kwargs)
+            replicate = len(calls) - 1  # call 0 fits the original data
+            calls.append(replicate)
+            return replace(fit, converged=False) if replicate in failed else fit
+
+        monkeypatch.setattr(wast_module, "fit_null", flaky_fit_null)
+        out = wast_test(ds, fam, n_boot=n_boot, seed=11)
+        assert len(calls) == n_boot + 1
+        assert out.n_failed == len(failed)
+        assert out.n_boot == n_boot - len(failed) == ref.size
+        np.testing.assert_allclose(out.boot_stats, ref, rtol=1e-10, atol=0)
+        assert out.p_value == np.mean(ref >= out.statistic)
 
     def test_semiparametric_end_to_end(self, rng):
         n = 100

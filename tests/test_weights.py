@@ -131,6 +131,16 @@ class TestWeightMatrix:
                                          mc_draws=10**5, seed=3))
         assert np.max(np.abs(w_cf - w_mc)) < 0.01
 
+    def test_standard_gaussian_is_closed_form_of_cosines(self, rng):
+        # Rows 3 and 4 are parallel and opposed to row 1: the rho = +-1 limits.
+        z = np.hstack([np.ones((31, 1)), rng.standard_normal((31, 2))])
+        z[3], z[4] = 2.5 * z[1], -z[1]
+        gram = z @ np.eye(3) @ z.T  # the Sigma-weighted Gram with Sigma = I
+        norms = np.sqrt(np.diag(gram))
+        rho = np.clip(gram / np.outer(norms, norms), -1.0, 1.0)
+        np.testing.assert_array_equal(weight_matrix(z, standard_gaussian()),
+                                      omega_closed_form(rho))
+
     def test_symmetry_exact(self, rng):
         z = np.hstack([np.ones((20, 1)), rng.standard_normal((20, 2))])
         for spec in (standard_gaussian(),
