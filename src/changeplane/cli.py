@@ -23,7 +23,7 @@ from .data import ColumnSpec, load_csv
 from .errors import (ChangePlaneError, DataError, NumericalError,
                      ParameterError, SingularDesignError, ValidationError)
 from .families import FamilyKind
-from .sim import Scenario, run_power, run_size
+from .sim import Scenario, run_power
 from .sst import sst_test
 from .wast import wast_test
 
@@ -39,13 +39,12 @@ def _family(args) -> FamilyKind:
     return FamilyKind(args.family, tau=getattr(args, "tau", 0.5))
 
 
-def _weight_spec(args):
-    name = getattr(args, "weight", "std_gaussian")
+def _weight_spec(args, q: int):
+    name = args.weight
     if name == "std_gaussian":
         return weights.standard_gaussian()
     if name == "gaussian":
-        # default prior mu=0, Sigma=I evaluated by Monte-Carlo
-        return None  # resolved later once q is known
+        return weights.gaussian(np.zeros(q), np.eye(q))
     if name == "beta":
         return weights.beta_prior(args.beta_lambda1, args.beta_lambda2)
     if name == "uni_gaussian":
@@ -69,12 +68,8 @@ def cmd_test(args) -> int:
     ds = load_csv(args.data, spec)
     family = _family(args)
     if args.method == "wast":
-        wspec = _weight_spec(args)
-        if wspec is None:
-            wspec = weights.gaussian(np.zeros(ds.q), np.eye(ds.q),
-                                     mc_draws=args.mc_draws, seed=args.seed)
-        out = wast_test(ds, family, weight=wspec, n_boot=args.boot,
-                        seed=args.seed)
+        out = wast_test(ds, family, weight=_weight_spec(args, ds.q),
+                        n_boot=args.boot, seed=args.seed)
         grid_info = ""
     else:
         out = sst_test(ds, family, k_directions=args.grid_k,
@@ -116,25 +111,20 @@ def _sst_kwargs(args) -> dict:
 
 def cmd_simulate(args) -> int:
     sc = _scenario(args)
-    methods = _columns(args.methods)
-    rows = []
-    for method in methods:
-        print(f"running size study: method={method} family={sc.family.name} "
-              f"n={sc.n} reps={args.reps} boot={args.boot}", file=sys.stderr)
-        res = run_size(sc, reps=args.reps, n_boot=args.boot, level=args.level,
-                       method=method, threads=args.threads,
-                       sst_kwargs=_sst_kwargs(args))
-        rows.append(res)
-        print(f"# seed={args.seed}")
-        print(f"method={method} kappa={_fmt(sc.kappa)} n={sc.n} "
-              f"rate={_fmt(res['rate'])} stderr={_fmt(res['stderr'])} "
-              f"reps={res['reps']}")
-    out = args.output or "size.csv"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("kappa,n,method,rate,reps,stderr\n")
-        for res in rows:
-            fh.write(f"{_fmt(res['kappa'])},{res['n']},{res['method']},"
-                     f"{_fmt(res['rate'])},{res['reps']},{_fmt(res['stderr'])}\n")
+    methods = tuple(_columns(args.methods))
+    print(f"running size study: methods={','.join(methods)} family={sc.family.name} "
+          f"n={sc.n} reps={args.reps} boot={args.boot}", file=sys.stderr)
+    # A size study is a power study at the scenario's own kappa.
+    table = run_power(sc, [sc.kappa], reps=args.reps, n_boot=args.boot,
+                      level=args.level, methods=methods, threads=args.threads,
+                      sst_kwargs=_sst_kwargs(args))
+    print(f"# seed={args.seed}")
+    for row in table.rows:
+        print(f"method={row['method']} kappa={_fmt(row['kappa'])} n={row['n']} "
+              f"rate={_fmt(row['rate'])} stderr={_fmt(row['stderr'])} "
+              f"reps={row['reps']}")
+    with open(args.output or "size.csv", "w", encoding="utf-8") as fh:
+        table.write_csv(fh)
     return 0
 
 
@@ -189,8 +179,8 @@ def _add_study_args(p):
                    help="key=value file supplying defaults (flags win)")
 
 
-def _load_config(path: str) -> dict:
-    values = {}
+def _config_flags(path: str) -> list[str]:
+    flags = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -199,8 +189,8 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise DataError(f"{path}:{lineno}: expected key=value")
             key, val = (s.strip() for s in line.split("=", 1))
-            values[key.replace("-", "_")] = val
-    return values
+            flags.append(f"--{key.replace('_', '-')}={val}")
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--no-intercept-grouping", action="store_true")
     p_test.add_argument("--weight", default="std_gaussian",
                         choices=["std_gaussian", "gaussian", "beta", "uni_gaussian"])
-    p_test.add_argument("--mc-draws", type=int, default=10000)
     p_test.add_argument("--beta-lambda1", type=float, default=1.0)
     p_test.add_argument("--beta-lambda2", type=float, default=1.0)
     p_test.add_argument("--weight-mu", type=float, default=0.0)
@@ -248,26 +237,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_TYPED = {"n": int, "reps": int, "boot": int, "threads": int, "seed": int,
-          "grid_k": int, "grid_per_direction": int,
-          "rho": float, "kappa": float, "level": float, "tau": float,
-          "split_quantile": float}
-
-
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    # config file supplies defaults; explicit flags override it
     pre, _ = parser.parse_known_args(argv)
     if getattr(pre, "config", None):
+        # Config entries go before the given flags: argparse converts and
+        # checks them like any flag, and a flag given on the command line
+        # wins because the last value is kept.
         try:
-            cfg = _load_config(pre.config)
-        except OSError as exc:
+            argv[1:1] = _config_flags(pre.config)
+        except (OSError, DataError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return USAGE_EXIT
-        typed = {k: _TYPED.get(k, str)(v) for k, v in cfg.items()}
-        for p in parser._subparsers._group_actions[0].choices.values():
-            known = {a.dest for a in p._actions}
-            p.set_defaults(**{k: v for k, v in typed.items() if k in known})
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 
-from .data import Dataset, validate
+from .data import Dataset
 from .errors import NumericalError, ParameterError
 from .families import FamilyKind, SstDerivatives, fit_null, score_psi0, sst_derivatives
 from .rng import child_rng
@@ -153,7 +153,6 @@ def sst_test(ds: Dataset, family: FamilyKind, k_directions: int = 1000,
     """
     if n_resample < 1:
         raise ParameterError("n_resample must be >= 1")
-    validate(ds, family.name)
     fit = fit_null(ds, family, tol=tol, max_iter=max_iter)
     if not fit.converged:
         raise NumericalError("null fit did not converge")

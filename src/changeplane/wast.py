@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, validate
+from .data import Dataset
 from .errors import DataError, NumericalError, ParameterError
 from .families import FamilyKind, bootstrap_sample, fit_null, score_psi0
 from .rng import child_rng
@@ -127,7 +127,6 @@ def wast_test(ds: Dataset, family: FamilyKind,
         raise ParameterError("n_boot must be >= 1")
     if weight is None:
         weight = standard_gaussian()
-    validate(ds, family.name)
     fit = fit_null(ds, family, tol=tol, max_iter=max_iter)
     if not fit.converged:
         raise NumericalError("null fit did not converge on the original data")

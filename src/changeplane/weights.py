@@ -6,12 +6,12 @@ that both grouping rows fall on the same side of a random hyperplane
 
     omega_ij = integral 1(Z_i' theta >= 0) 1(Z_j' theta >= 0) w(theta) d theta
 
-Under a standard Gaussian prior this is a bivariate-normal orthant
-probability with closed form 1/4 + arctan(rho / sqrt(1 - rho^2)) / (2 pi),
-where rho is the cosine between the two grouping rows.  A general Gaussian
-prior is handled by Monte-Carlo over a single shared standard-normal stream;
-scalar-threshold priors (beta, univariate Gaussian) reduce to CDF
-evaluations at min(Z_i, Z_j).
+Under a Gaussian prior N(mu, Sigma) this is the bivariate-normal orthant
+probability Phi_2(a_i, a_j; rho_ij), where rho_ij is the Sigma-cosine between
+the two grouping rows and a_k = Z_k' mu / ||Z_k||_Sigma.  At mu = 0 it has the
+closed form 1/4 + arctan(rho / sqrt(1 - rho^2)) / (2 pi); otherwise Owen's
+(1956) T-function form gives it exactly.  Scalar-threshold priors (beta,
+univariate Gaussian) reduce to CDF evaluations at min(Z_i, Z_j).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky, LinAlgError
-from scipy.special import betainc, ndtr
+from scipy.special import betainc, ndtr, owens_t
 
 from .errors import DegenerateVectorError, ParameterError
 
@@ -40,7 +40,7 @@ class WeightSpec:
 
     variant is one of:
       "std_gaussian"   closed form, mu = 0, Sigma = I (the default elsewhere)
-      "gaussian"       general (mu, sigma) via Monte-Carlo with mc_draws/seed
+      "gaussian"       general (mu, sigma), exact via Owen's T function
       "beta"           scalar threshold prior Beta(lambda1, lambda2); q must be 1
       "uni_gaussian"   scalar threshold prior N(mu, sigma2); q must be 1
     """
@@ -48,8 +48,6 @@ class WeightSpec:
     variant: str
     mu: np.ndarray | None = None
     sigma: np.ndarray | None = None
-    mc_draws: int = 10_000
-    seed: int = 0
     lambda1: float = 1.0
     lambda2: float = 1.0
     scalar_mu: float = 0.0
@@ -59,14 +57,17 @@ class WeightSpec:
         if self.variant not in ("std_gaussian", "gaussian", "beta", "uni_gaussian"):
             raise ParameterError(f"unknown weight variant {self.variant!r}")
         if self.variant == "gaussian":
-            if self.mc_draws < 1:
-                raise ParameterError("mc_draws must be >= 1")
-            if self.mu is None or self.sigma is None:
-                raise ParameterError("gaussian variant requires mu and sigma")
+            mu, sigma = np.asarray(self.mu, float), np.asarray(self.sigma, float)
+            if mu.ndim != 1 or not np.all(np.isfinite(mu)):
+                raise ParameterError("mu must be a finite vector")
+            # cholesky reads one triangle only, so symmetry is checked apart;
+            # it raises ValueError on a non-finite or non-square matrix.
+            if sigma.shape != (mu.size, mu.size) or not np.array_equal(sigma, sigma.T):
+                raise ParameterError("sigma must be a symmetric matrix matching mu")
             try:
-                cholesky(np.asarray(self.sigma), lower=True)
-            except LinAlgError as exc:
-                raise ParameterError("sigma must be symmetric positive definite") from exc
+                cholesky(sigma, lower=True)
+            except (LinAlgError, ValueError) as exc:
+                raise ParameterError("sigma must be finite and positive definite") from exc
         if self.variant == "beta" and (self.lambda1 <= 0 or self.lambda2 <= 0):
             raise ParameterError("beta shape parameters must be positive")
         if self.variant == "uni_gaussian" and self.sigma2 <= 0:
@@ -74,7 +75,7 @@ class WeightSpec:
 
     def describe(self) -> str:
         if self.variant == "gaussian":
-            return f"gaussian(mc_draws={self.mc_draws},seed={self.seed})"
+            return f"gaussian({np.asarray(self.mu).tolist()},{np.asarray(self.sigma).tolist()})"
         if self.variant == "beta":
             return f"beta({self.lambda1},{self.lambda2})"
         if self.variant == "uni_gaussian":
@@ -86,9 +87,8 @@ def standard_gaussian() -> WeightSpec:
     return WeightSpec("std_gaussian")
 
 
-def gaussian(mu, sigma, mc_draws: int = 10_000, seed: int = 0) -> WeightSpec:
-    return WeightSpec("gaussian", mu=np.asarray(mu, float),
-                      sigma=np.asarray(sigma, float), mc_draws=mc_draws, seed=seed)
+def gaussian(mu, sigma) -> WeightSpec:
+    return WeightSpec("gaussian", mu=np.asarray(mu, float), sigma=np.asarray(sigma, float))
 
 
 def beta_prior(lambda1: float, lambda2: float) -> WeightSpec:
@@ -180,20 +180,51 @@ def omega_univariate_gaussian(z_i: float, z_j: float, mu: float, sigma2: float) 
     return float(ndtr((m - mu) / np.sqrt(sigma2)))
 
 
-def _omega_std_gaussian(z: np.ndarray) -> np.ndarray:
-    """``omega_closed_form`` of the pairwise cosines, in two n x n buffers.
+def _orthant(h, k, rho):
+    """Phi_2(h, k; rho) elementwise, by Owen's (1956) T-function form.
 
-    Same operations, in the same order, as ``omega_closed_form`` applied to
-    the clipped cosine matrix, so the result is bit-identical to it; the
-    chain of whole-matrix temporaries is replaced by in-place ufuncs.
+    Phi_2 = [Phi(h) + Phi(k)]/2 - T(h, a_h) - T(k, a_k) - beta, with
+    a_h = (k - rho h) / (h sqrt(1 - rho^2)) and beta = 1/2 when exactly one of
+    h, k is negative.  As h -> 0, T(h, a_h) tends to sign(k)/4.  At h = k = 0
+    the arctan closed form is used, and where 1 - rho^2 is not above the
+    guard the limits at rho = +-1.
     """
-    rho = z @ np.eye(z.shape[1]) @ z.T
+    one_minus = 1.0 - rho * rho
+    interior = one_minus > _ENDPOINT_EPS
+    s = np.sqrt(np.where(interior, one_minus, 1.0))
+    ph, pk = ndtr(h), ndtr(k)
+    # Rows T(h, a_h) and T(k, a_k), added before being subtracted so that
+    # swapping h and k gives the same bits.
+    hh, kk = np.stack([h, k]), np.stack([k, h])
+    zero = hh == 0
+    t = np.where(zero, np.sign(kk) / 4.0,
+                 owens_t(hh, (kk - rho * hh) / (np.where(zero, 1.0, hh) * s))).sum(axis=0)
+    out = 0.5 * (ph + pk) - t - 0.5 * ((h < 0) != (k < 0))
+    out = np.where((h == 0) & (k == 0), omega_closed_form(rho), out)
+    edge = np.where(rho > 0, ndtr(np.minimum(h, k)), np.maximum(0.0, ph + pk - 1.0))
+    return np.where(interior, out, edge)
+
+
+def _omega_gaussian(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """omega_ij under the prior N(mu, sigma) for every pair of rows of z.
+
+    At mu = 0: ``omega_closed_form`` of the clipped Sigma-cosines, by the same
+    operations in the same order (so bit-identical to it), in place in two
+    n x n buffers.  Otherwise ``_orthant`` of each unordered pair, written to
+    both triangles.
+    """
+    rho = z @ sigma @ z.T
     norms = np.sqrt(np.diag(rho))
     if np.any(norms <= 0):
         raise DegenerateVectorError("grouping row has zero Sigma-norm")
     out = np.multiply.outer(norms, norms)
     np.divide(rho, out, out=rho)
     np.clip(rho, -1.0, 1.0, out=rho)
+    if np.any(mu):
+        a = (z @ mu) / norms
+        i, j = np.triu_indices(len(a))
+        out[i, j] = out[j, i] = _orthant(a[i], a[j], rho[i, j])
+        return out
     np.multiply(rho, rho, out=out)
     np.subtract(1.0, out, out=out)
     # Where 1 - rho^2 is not above the guard, the limits at rho = +-1 (1/2
@@ -215,9 +246,7 @@ def _omega_std_gaussian(z: np.ndarray) -> np.ndarray:
 def weight_matrix(ds_or_z, spec: WeightSpec | None = None) -> np.ndarray:
     """n x n symmetric matrix of omega_ij; diagonal filled but unused upstream.
 
-    Accepts either a Dataset or the raw grouping matrix Z.  For the MC
-    variant, one shared draw stream is materialized up front so the result is
-    deterministic given the WeightSpec seed, regardless of evaluation order.
+    Accepts either a Dataset or the raw grouping matrix Z.
     """
     if spec is None:
         spec = standard_gaussian()
@@ -225,24 +254,15 @@ def weight_matrix(ds_or_z, spec: WeightSpec | None = None) -> np.ndarray:
     z = np.asarray(z, float)
     if z.ndim == 1:
         z = z[:, None]
-    n, q = z.shape
+    q = z.shape[1]
 
     if spec.variant == "std_gaussian":
-        return _omega_std_gaussian(z)
+        return _omega_gaussian(z, np.zeros(q), np.eye(q))
 
     if spec.variant == "gaussian":
-        mu = np.asarray(spec.mu, float)
-        sigma = np.asarray(spec.sigma, float)
-        if mu.shape != (q,) or sigma.shape != (q, q):
+        if np.shape(spec.mu) != (q,):
             raise ParameterError(f"mu/sigma shapes must match q={q}")
-        rng = np.random.default_rng(spec.seed)
-        draws = rng.standard_normal(spec.mc_draws)
-        omega = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                omega[i, j] = omega[j, i] = omega_gaussian_mc(
-                    z[i], z[j], mu, sigma, draws=draws)
-        return omega
+        return _omega_gaussian(z, np.asarray(spec.mu, float), np.asarray(spec.sigma, float))
 
     # Scalar-threshold priors need a single grouping variable.
     if q != 1:

@@ -1,7 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
-from changeplane import FamilyKind, Scenario, generate
+from changeplane import FamilyKind, PowerTable, Scenario, generate
 from changeplane.cli import NUMERIC_EXIT, USAGE_EXIT, main
 
 
@@ -87,6 +89,21 @@ class TestTestCommand:
              "--seed", "1"], capsys)
         assert code == NUMERIC_EXIT
 
+    def test_gaussian_weight_is_exact_standard_prior(self, glm_csv, capsys):
+        argv = ["test", str(glm_csv), "--family", "binomial", "--response", "y",
+                "--baseline", "x1", "--diff", "x1", "--grouping", "z1,z2",
+                "--boot", "30", "--seed", "4"]
+        outs = []
+        for weight in ("std_gaussian", "gaussian"):
+            code, out, _ = run_cli(argv + ["--weight", weight], capsys)
+            assert code == 0
+            outs.append([line for line in out.splitlines()
+                         if line.startswith(("statistic=", "p_value="))])
+        assert len(outs[0]) == 2 and outs[0] == outs[1]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--weight", "gaussian", "--mc-draws", "100"])
+        assert exc.value.code == USAGE_EXIT
+
     def test_beta_weight_with_scalar_grouping(self, tmp_path, capsys):
         rng = np.random.default_rng(2)
         path = tmp_path / "scalar.csv"
@@ -118,6 +135,16 @@ class TestSimulateCommand:
         lines = out_csv.read_text().strip().splitlines()
         assert lines[0] == "kappa,n,method,rate,reps,stderr"
         assert len(lines) == 2
+        # The file is PowerTable.write_csv of the printed row; the rate is a
+        # count over reps, recovered exactly from its printed digits.
+        row = dict(f.split("=") for f in out.splitlines()[-1].split())
+        reps = int(row["reps"])
+        table = PowerTable()
+        table.add(float(row["kappa"]), int(row["n"]), row["method"],
+                  round(float(row["rate"]) * reps) / reps, reps)
+        buf = io.StringIO()
+        table.write_csv(buf)
+        assert out_csv.read_bytes() == buf.getvalue().encode()
 
     def test_config_file_defaults_and_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "study.cfg"
@@ -143,6 +170,20 @@ class TestSimulateCommand:
             assert code == 0
             outs.append(out_csv.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("line, message", [("n = abc", "invalid int value"),
+                                               ("rpes = 3", "unrecognized arguments"),
+                                               ("reps 3", "expected key=value")])
+    def test_bad_config_entry_usage_exit(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(line + "\n")
+        try:  # argparse exits on a bad flag; main returns for an unreadable file
+            code = main(["simulate", "--family", "gaussian", "--seed", "1",
+                         "--config", str(cfg), "--output", str(tmp_path / "size.csv")])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == USAGE_EXIT
+        assert message in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run_cli(

@@ -2,12 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import multivariate_normal, norm
 
-from changeplane import (Dataset, beta_prior, gaussian, omega_beta,
+from changeplane import (Dataset, WeightSpec, beta_prior, gaussian, omega_beta,
                          omega_closed_form, omega_gaussian_mc,
                          omega_univariate_gaussian, standard_gaussian,
                          univariate_gaussian, varrho, weight_matrix)
 from changeplane.errors import DegenerateVectorError, ParameterError
+
+SIGMA = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, -0.3], [0.1, -0.3, 1.5]])
+MU = np.array([0.0, 0.5, -0.75])
+# Specs whose omega comes from the Gaussian kernel, with mu = 0 and mu != 0.
+GAUSSIAN_SPECS = [standard_gaussian(), gaussian(np.zeros(3), SIGMA), gaussian(MU, SIGMA)]
 
 
 class TestVarrho:
@@ -124,36 +130,82 @@ class TestWeightMatrix:
         np.testing.assert_allclose(off, 0.5)
 
     def test_mc_matches_closed_form(self):
+        # mu != 0: the exact omega against the Monte-Carlo oracle, 1e6 draws.
         rng = np.random.default_rng(5)
-        z = np.hstack([np.ones((50, 1)), rng.standard_normal((50, 2))])
-        w_cf = weight_matrix(z, standard_gaussian())
-        w_mc = weight_matrix(z, gaussian(np.zeros(3), np.eye(3),
-                                         mc_draws=10**5, seed=3))
-        assert np.max(np.abs(w_cf - w_mc)) < 0.01
+        z = np.hstack([np.ones((10, 1)), rng.standard_normal((10, 2))])
+        w = weight_matrix(z, gaussian(MU, SIGMA))
+        draws = rng.standard_normal(10**6)
+        for i in range(10):
+            for j in range(i + 1, 10):
+                mc = omega_gaussian_mc(z[i], z[j], MU, SIGMA, draws=draws)
+                assert w[i, j] == pytest.approx(mc, abs=5e-3)
 
     def test_standard_gaussian_is_closed_form_of_cosines(self, rng):
         # Rows 3 and 4 are parallel and opposed to row 1: the rho = +-1 limits.
         z = np.hstack([np.ones((31, 1)), rng.standard_normal((31, 2))])
         z[3], z[4] = 2.5 * z[1], -z[1]
-        gram = z @ np.eye(3) @ z.T  # the Sigma-weighted Gram with Sigma = I
-        norms = np.sqrt(np.diag(gram))
-        rho = np.clip(gram / np.outer(norms, norms), -1.0, 1.0)
-        np.testing.assert_array_equal(weight_matrix(z, standard_gaussian()),
-                                      omega_closed_form(rho))
+        for spec, sigma in ((standard_gaussian(), np.eye(3)),
+                            (gaussian(np.zeros(3), np.eye(3)), np.eye(3)),
+                            (gaussian(np.zeros(3), SIGMA), SIGMA)):
+            gram = z @ sigma @ z.T  # the Sigma-weighted Gram
+            norms = np.sqrt(np.diag(gram))
+            rho = np.clip(gram / np.outer(norms, norms), -1.0, 1.0)
+            np.testing.assert_array_equal(weight_matrix(z, spec), omega_closed_form(rho))
+
+    def test_nonzero_mean_is_bivariate_normal_cdf(self, rng):
+        # Rows 0 and 1 have Z'mu = 0 (a_k = 0); row 2 is parallel and row 3
+        # opposed to row 4 (rho = +-1).
+        z = np.hstack([np.ones((12, 1)), rng.standard_normal((12, 2))])
+        z[0], z[1] = [1.0, 0.0, 0.0], [-2.0, 1.5, 1.0]
+        z[2], z[3] = 3.0 * z[4], -0.5 * z[4]
+        w = weight_matrix(z, gaussian(MU, SIGMA))
+        a = (z @ MU) / np.sqrt(np.einsum("ij,jk,ik->i", z, SIGMA, z))
+        assert a[0] == 0.0 and a[1] == 0.0
+        assert not np.any(np.isnan(w))
+        for i in range(12):
+            for j in range(i + 1, 12):
+                rho = varrho(z[i], z[j], SIGMA)
+                if abs(rho) > 1.0 - 1e-9:
+                    # P(X <= h, X <= k), or P(-k <= X <= h) when rho = -1.
+                    want = (norm.cdf(min(a[i], a[j])) if rho > 0
+                            else max(0.0, norm.cdf(a[i]) - norm.cdf(-a[j])))
+                else:
+                    want = multivariate_normal([0.0, 0.0], [[1.0, rho], [rho, 1.0]]).cdf(
+                        [a[i], a[j]])
+                assert abs(w[i, j] - want) <= 1e-12, (i, j, rho)
 
     def test_symmetry_exact(self, rng):
         z = np.hstack([np.ones((20, 1)), rng.standard_normal((20, 2))])
-        for spec in (standard_gaussian(),
-                     gaussian(np.zeros(3), np.eye(3), mc_draws=500, seed=1)):
+        for spec in (standard_gaussian(), gaussian(MU, SIGMA)):
             w = weight_matrix(z, spec)
             np.testing.assert_array_equal(w, w.T)
 
     def test_scale_invariance(self, rng):
         z = np.hstack([np.ones((15, 1)), rng.standard_normal((15, 2))])
         scales = rng.uniform(0.5, 5.0, 15)
-        w1 = weight_matrix(z, standard_gaussian())
-        w2 = weight_matrix(z * scales[:, None], standard_gaussian())
-        np.testing.assert_allclose(w1, w2, atol=1e-12)
+        for spec in GAUSSIAN_SPECS:
+            w1 = weight_matrix(z, spec)
+            w2 = weight_matrix(z * scales[:, None], spec)
+            np.testing.assert_allclose(w1, w2, atol=1e-12)
+
+    @pytest.mark.parametrize("spec", GAUSSIAN_SPECS)
+    def test_zero_norm_row_is_degenerate(self, rng, spec):
+        z = np.hstack([np.ones((6, 1)), rng.standard_normal((6, 2))])
+        z[2] = 0.0
+        with pytest.raises(DegenerateVectorError):
+            weight_matrix(z, spec)
+
+    @pytest.mark.parametrize("mu, sigma", [
+        (np.zeros(2), [[1.0, 5.0], [0.2, 1.0]]),        # not symmetric
+        (np.zeros(2), [[1.0, np.nan], [np.nan, 1.0]]),  # NaN in sigma
+        ([0.0, np.nan], np.eye(2)),                     # NaN in mu
+        (np.zeros(3), np.eye(2)),                       # shapes disagree
+    ])
+    def test_gaussian_rejects_invalid_prior(self, mu, sigma):
+        with pytest.raises(ParameterError):
+            gaussian(mu, sigma)
+        with pytest.raises(ParameterError):
+            WeightSpec("gaussian", mu=mu, sigma=sigma)
 
     def test_range_standard_gaussian(self, rng):
         z = np.hstack([np.ones((25, 1)), rng.standard_normal((25, 3))])
