@@ -5,8 +5,8 @@ For each regression family this module provides:
 * ``fit_null``        -- the null-model fit (beta = 0) solving the nuisance
                          estimating equation,
 * ``score_psi0``      -- the theta-free score factor per observation,
-* ``sst_derivatives`` -- the derivative matrices K(theta) and J needed by the
-                         supremum score test,
+* ``sst_derivatives`` -- the row factors of K(theta) and the J matrix needed
+                         by the supremum score test,
 * ``bootstrap_sample``-- a resampled dataset for calibration, per the
                          family-specific scheme (parametric for GLM/probit,
                          two-point wild for quantile, Gaussian wild for the
@@ -83,18 +83,26 @@ class ScoreVector:
 
 @dataclass(frozen=True)
 class SstDerivatives:
-    """K(theta) callable and the J matrix for score-covariance correction.
+    """Row factors of K(theta), the inverse of J and the nuisance rows.
 
-    ``k_of_theta(theta)`` returns the p x r empirical derivative of the mean
-    half-space score with respect to the nuisance coefficients; ``j_inv`` is
-    the inverse of the empirical derivative of the nuisance estimating
-    function.  The correction term in the score covariance is
-    ``k_of_theta(theta) @ j_inv @ psi1_i``.
+    K(theta) = n^-1 sum_i d_i(theta) g_i h_i', d_i(theta) = 1(z_i' theta >= 0),
+    is the p x r derivative of the mean half-space score in the nuisance
+    coefficients; ``g`` (n x p) and ``h`` (n x r) are its theta-free row
+    factors.  ``j_inv`` is the inverse of the derivative of the nuisance
+    estimating function; the score-covariance correction is
+    ``K(theta) @ j_inv @ psi1_i``.
     """
 
-    k_of_theta: object
+    g: np.ndarray
+    h: np.ndarray
     j_inv: np.ndarray
     psi1: np.ndarray  # n x r matrix of nuisance estimating-function rows
+    z: np.ndarray     # grouping rows the indicator is taken over
+
+    def k_of_theta(self, theta) -> np.ndarray:
+        """K(theta) at one plane."""
+        ind = self.z @ np.asarray(theta, float) >= 0
+        return self.g[ind].T @ self.h[ind] / self.z.shape[0]
 
 
 # --------------------------------------------------------------------------
@@ -309,7 +317,7 @@ def _silverman_f0(resid: np.ndarray, bandwidth: float | None) -> float:
 
 def sst_derivatives(ds: Dataset, family: FamilyKind, fit: NullFit,
                     bandwidth: float | None = None) -> SstDerivatives:
-    """Empirical derivative matrices K(theta), J and the psi1 rows."""
+    """Row factors of K(theta), the inverse of J and the psi1 rows."""
     x, xd, z = ds.x_base, ds.x_diff, ds.z_group
     n = ds.n
 
@@ -327,12 +335,7 @@ def sst_derivatives(ds: Dataset, family: FamilyKind, fit: NullFit,
             j_inv = np.linalg.inv(j_base)
         except np.linalg.LinAlgError as exc:
             raise SingularDesignError("singular J matrix") from exc
-
-        def k_of_theta(theta, _xd=xd, _x=x, _z=z, _d=dpsi, _n=n):
-            ind = (_z @ np.asarray(theta, float)) >= 0
-            return (_xd[ind] * _d[ind, None]).T @ _x[ind] / _n
-
-        return SstDerivatives(k_of_theta, j_inv, psi1)
+        return SstDerivatives(xd * dpsi[:, None], x, j_inv, psi1, z)
 
     if family.name == "quantile":
         resid = ds.y - x @ fit.alpha_hat
@@ -344,19 +347,14 @@ def sst_derivatives(ds: Dataset, family: FamilyKind, fit: NullFit,
             j_inv = np.linalg.inv(j_base)
         except np.linalg.LinAlgError as exc:
             raise SingularDesignError("singular J matrix") from exc
-
-        def k_of_theta(theta, _xd=xd, _x=x, _z=z, _f0=f0, _n=n):
-            ind = (_z @ np.asarray(theta, float)) >= 0
-            return -_f0 * _xd[ind].T @ _x[ind] / _n
-
-        return SstDerivatives(k_of_theta, j_inv, psi1)
+        return SstDerivatives(-f0 * xd, x, j_inv, psi1, z)
 
     # semiparametric: nuisance blocks (propensity over Z, baseline over x_base)
     a1, a2 = _semi_split(ds, fit)
     pi_hat = expit(z @ a1)
     gam_hat = x @ a2
-    a = xd[:, 0]
-    psi1 = np.hstack([(a - pi_hat)[:, None] * z, (ds.y - gam_hat)[:, None] * x])
+    resid_a, resid_y = xd[:, 0] - pi_hat, ds.y - gam_hat
+    psi1 = np.hstack([resid_a[:, None] * z, resid_y[:, None] * x])
     w1 = pi_hat * (1.0 - pi_hat)
     j11 = -(z * w1[:, None]).T @ z / n
     j22 = -(x.T @ x) / n
@@ -367,19 +365,8 @@ def sst_derivatives(ds: Dataset, family: FamilyKind, fit: NullFit,
         j_inv = np.linalg.inv(j_base)
     except np.linalg.LinAlgError as exc:
         raise SingularDesignError("singular J matrix") from exc
-
-    resid_y = ds.y - gam_hat
-    resid_a = a - pi_hat
-
-    def k_of_theta(theta, _z=z, _x=x, _w1=w1, _ry=resid_y, _ra=resid_a, _n=n,
-                   _q=ds.q, _r=ds.r):
-        ind = (_z @ np.asarray(theta, float)) >= 0
-        k = np.zeros((1, _q + _r))
-        k[0, :_q] = -(_w1[ind] * _ry[ind]) @ _z[ind] / _n
-        k[0, _q:] = -_ra[ind] @ _x[ind] / _n
-        return k
-
-    return SstDerivatives(k_of_theta, j_inv, psi1)
+    h = -np.hstack([(w1 * resid_y)[:, None] * z, resid_a[:, None] * x])
+    return SstDerivatives(np.ones((n, 1)), h, j_inv, psi1, z)
 
 
 def bootstrap_sample(ds: Dataset, family: FamilyKind, fit: NullFit,

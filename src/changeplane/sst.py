@@ -8,6 +8,10 @@ with V(theta) the empirical covariance of the nuisance-corrected score.  The
 test statistic is the supremum over a random grid of unit directions with
 percentile-calibrated intercepts, and the critical value comes from
 perturbation resampling with standard-normal multipliers.
+
+``score_test_at`` (a grid of one plane), ``sst_statistic`` and ``sst_test``
+share one kernel that gets every plane's quantities through GEMMs of the
+K x n indicator 1(z_i' theta_k >= 0) and one batched Cholesky.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 
 from .data import Dataset
 from .errors import NumericalError, ParameterError
@@ -29,8 +32,9 @@ __all__ = ["ThetaGrid", "build_theta_grid", "score_test_at", "sst_statistic",
 # Ridge repair for near-singular V(theta): add this multiple of trace/p.
 RIDGE_SCALE = 1e-8
 
-# Multiplier draws resampled together through one GEMM with the whitened
-# stack; the (K*p) x DRAW_BLOCK product stays small next to the stack.
+# Multiplier draws resampled together through one (K x n) (n x p*DRAW_BLOCK)
+# GEMM with the indicator; the K x p x DRAW_BLOCK product stays small next to
+# the K x n indicator.
 DRAW_BLOCK = 32
 
 
@@ -83,40 +87,69 @@ def build_theta_grid(ds: Dataset, k_directions: int = 1000,
     return ThetaGrid(thetas=thetas, seed=seed)
 
 
-def _theta_quantities(ds: Dataset, psi0: np.ndarray, derivs: SstDerivatives,
-                      theta: np.ndarray):
-    """Per-theta score rows, covariance factor, and centered influence rows.
+def _grid_planes(ds: Dataset, psi0: np.ndarray, derivs: SstDerivatives,
+                 thetas: np.ndarray):
+    """Every plane's quantities at once, through GEMMs of the indicator.
 
-    Returns (psi_theta, chol_V, centered) with centered = psi_theta - corr,
-    the rows both V(theta) and the perturbation draws are built from.  V may
-    have been ridge-repaired; raises NumericalError if it stays singular.
+    With D the K x n indicator, the score sums are S = D psi0, K(theta) =
+    D(g x h)/n and C = K J^-1; as d_i^2 = d_i, the covariance of the centered
+    rows d_i psi0_i - C psi1_i is V = [D(psi0 x psi0) - B01 C' - C B01'
+    + C (psi1'psi1) C']/n with B01 = D(psi0 x psi1).  Only if the batched
+    Cholesky of V fails does a per-plane loop ridge-repair or skip planes.
+
+    Returns (stats, ind, l_inv, c, n_repaired) over the kept planes: the
+    statistics n^-1 |L^-1 S|^2, the indicator rows, L^-1 and C.
     """
-    theta = np.asarray(theta, float)
     n, p = psi0.shape
-    ind = (ds.z_group @ theta >= 0).astype(float)
-    psi_theta = psi0 * ind[:, None]
-    corr = derivs.psi1 @ (derivs.k_of_theta(theta) @ derivs.j_inv).T  # n x p
-    centered = psi_theta - corr
-    v = centered.T @ centered / n
+    psi1 = derivs.psi1
+    r = psi1.shape[1]
+    # One matrix-vector product per plane, not one GEMM: as in
+    # build_theta_grid, a GEMM rounds differently, and at odd n that flips
+    # the side of the row lying on the median plane.
+    ind = np.empty((len(thetas), n))
+    for k, theta in enumerate(thetas):
+        np.greater_equal(ds.z_group @ theta, 0, out=ind[k])
+
+    def outer(a, b):
+        return (a[:, :, None] * b[:, None, :]).reshape(n, -1)
+
+    sums = ind @ np.hstack([psi0, outer(derivs.g, derivs.h), outer(psi0, psi0),
+                            outer(psi0, psi1)])
+    score, k_sums, b00, b01 = np.split(sums, np.cumsum([p, p * r, p * p]), axis=1)
+    c = (k_sums.reshape(-1, p, r) / n) @ derivs.j_inv
+    cross = b01.reshape(-1, p, r) @ c.transpose(0, 2, 1)  # B01 C'
+    v = (b00.reshape(-1, p, p) - cross - cross.transpose(0, 2, 1)
+         + c @ (psi1.T @ psi1) @ c.transpose(0, 2, 1)) / n
+    n_repaired = 0
     try:
-        chol = cholesky(v, lower=True)
-    except LinAlgError:
-        ridge = RIDGE_SCALE * np.trace(v) / p
-        try:
-            chol = cholesky(v + ridge * np.eye(p), lower=True)
-        except LinAlgError as exc:
-            raise NumericalError("V(theta) singular beyond ridge repair") from exc
-    return psi_theta, chol, centered
+        chol, keep = np.linalg.cholesky(v), np.ones(len(v), bool)
+    except np.linalg.LinAlgError:
+        chol, keep = np.zeros_like(v), np.zeros(len(v), bool)
+        for k, v_k in enumerate(v):
+            # Ridge repair: retry with RIDGE_SCALE * trace/p on the diagonal;
+            # a plane that fails both is skipped.
+            for ridge in (0.0, RIDGE_SCALE * np.trace(v_k) / p):
+                try:
+                    chol[k] = np.linalg.cholesky(v_k + ridge * np.eye(p))
+                except np.linalg.LinAlgError:
+                    continue
+                keep[k] = True
+                n_repaired += int(ridge > 0)
+                break
+    if not keep.any():
+        raise NumericalError("V(theta) singular beyond ridge repair at every plane")
+    if not keep.all():
+        ind, score, chol, c = ind[keep], score[keep], chol[keep], c[keep]
+    l_inv = np.linalg.inv(chol)
+    w = l_inv @ score[:, :, None]
+    return np.einsum("kpj,kpj->k", w, w) / n, ind, l_inv, c, n_repaired
 
 
 def score_test_at(ds: Dataset, family: FamilyKind, fit, derivs: SstDerivatives,
                   theta) -> float:
     """Squared score statistic at a fixed plane theta (nonnegative)."""
     psi0 = score_psi0(ds, family, fit).psi0
-    psi_theta, chol, _ = _theta_quantities(ds, psi0, derivs, np.asarray(theta, float))
-    psi_sum = psi_theta.sum(axis=0)
-    w = solve_triangular(chol, psi_sum, lower=True)
-    return float(w @ w) / ds.n
+    return float(_grid_planes(ds, psi0, derivs, np.asarray(theta, float)[None])[0][0])
 
 
 def sst_statistic(ds: Dataset, family: FamilyKind, fit, derivs: SstDerivatives,
@@ -125,18 +158,7 @@ def sst_statistic(ds: Dataset, family: FamilyKind, fit, derivs: SstDerivatives,
     if len(grid) == 0:
         raise ParameterError("empty theta grid")
     psi0 = score_psi0(ds, family, fit).psi0
-    best = None
-    for theta in grid.thetas:
-        try:
-            psi_theta, chol, _ = _theta_quantities(ds, psi0, derivs, theta)
-        except NumericalError:
-            continue
-        w = solve_triangular(chol, psi_theta.sum(axis=0), lower=True)
-        val = float(w @ w) / ds.n
-        best = val if best is None else max(best, val)
-    if best is None:
-        raise NumericalError("all grid points skipped (degenerate grid)")
-    return best
+    return float(_grid_planes(ds, psi0, derivs, grid.thetas)[0].max())
 
 
 def sst_test(ds: Dataset, family: FamilyKind, k_directions: int = 1000,
@@ -145,11 +167,14 @@ def sst_test(ds: Dataset, family: FamilyKind, k_directions: int = 1000,
              bandwidth: float | None = None) -> TestOutcome:
     """SST with perturbation-resampling calibration.
 
-    The perturbed supremum reuses the observed per-theta quantities (score
-    rows, correction, Cholesky of V) for every multiplier draw; the p-value
-    is the fraction of resampled suprema at or above the observed statistic.
-    Draws are taken ``DRAW_BLOCK`` at a time, each block through one GEMM
-    with the whitened (K*p) x n stack.
+    The perturbed supremum reuses the observed per-plane quantities (the
+    indicator, C = K J^-1 and the inverse Cholesky factor of V) for every
+    multiplier draw nu: the whitened perturbed score is
+    s = L^-1 [D(psi0 * nu) - C(psi1' nu)].  The p-value is the fraction of
+    resampled suprema at or above the observed statistic.  Draws are taken
+    ``DRAW_BLOCK`` at a time, each block through one GEMM with the indicator.
+    ``diagnostics`` counts the planes ridge-repaired and skipped and gives
+    the p-value's Monte-Carlo standard error sqrt(p(1-p)/B).
     """
     if n_resample < 1:
         raise ParameterError("n_resample must be >= 1")
@@ -160,32 +185,18 @@ def sst_test(ds: Dataset, family: FamilyKind, k_directions: int = 1000,
     grid = build_theta_grid(ds, k_directions, grid_per_direction, seed)
     psi0 = score_psi0(ds, family, fit).psi0
     n, p = psi0.shape
-
-    # Materialize per-theta caches once: whitened perturbation rows L^-1 U',
-    # written into one C-contiguous stack so that flattening it is a view,
-    # and the whitened observed score sums.
-    m_stack = np.empty((len(grid), p, n))
-    obs_vals = []
-    for theta in grid.thetas:
-        try:
-            psi_theta, chol, centered = _theta_quantities(ds, psi0, derivs, theta)
-        except NumericalError:
-            continue
-        w = solve_triangular(chol, psi_theta.sum(axis=0), lower=True)
-        m_stack[len(obs_vals)] = solve_triangular(chol, centered.T, lower=True)
-        obs_vals.append(float(w @ w) / n)
-    k_eff = len(obs_vals)
-    if k_eff == 0:
-        raise NumericalError("all grid points skipped (degenerate grid)")
-    stat = max(obs_vals)
-    m_flat = m_stack[:k_eff].reshape(k_eff * p, n)
+    stats, ind, l_inv, c, n_repaired = _grid_planes(ds, psi0, derivs, grid.thetas)
+    stat = stats.max()
+    c_flat = c.reshape(-1, c.shape[2])
 
     boot = np.empty(n_resample)
     for start in range(0, n_resample, DRAW_BLOCK):
         stop = min(start + DRAW_BLOCK, n_resample)
         nu = np.stack([child_rng(seed, 1, j).standard_normal(n)
                        for j in range(start, stop)], axis=1)
-        s = (m_flat @ nu).reshape(k_eff, p, stop - start)
+        u = ind @ (psi0[:, :, None] * nu[:, None, :]).reshape(n, -1)
+        u -= (c_flat @ (derivs.psi1.T @ nu)).reshape(u.shape)
+        s = l_inv @ u.reshape(-1, p, stop - start)
         boot[start:stop] = np.einsum("kpj,kpj->kj", s, s).max(axis=0) / n
     # Upper-tail calibration, mirroring the WAST convention.
     p_value = float(np.mean(boot >= stat))
@@ -193,7 +204,9 @@ def sst_test(ds: Dataset, family: FamilyKind, k_directions: int = 1000,
         statistic=float(stat), boot_stats=boot, p_value=p_value,
         n_boot=n_resample, family=family.describe(), weight="none",
         seed=seed, method="sst",
-        diagnostics={"grid_size": len(grid), "grid_skipped": len(grid) - k_eff,
+        diagnostics={"grid_size": len(grid), "grid_skipped": len(grid) - stats.size,
+                     "grid_repaired": n_repaired,
+                     "p_value_se": float(np.sqrt(p_value * (1 - p_value) / n_resample)),
                      "k_directions": k_directions,
                      "grid_per_direction": grid_per_direction},
     )

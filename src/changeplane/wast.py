@@ -121,7 +121,9 @@ def wast_test(ds: Dataset, family: FamilyKind,
     value: B^-1 sum 1(T*_b >= T_n).  Bootstrap replicates whose null refit
     fails to converge are excluded; if more than 5% are excluded the test
     raises.  The kept replicates of each run of ``BOOT_BLOCK`` draws are
-    scored together through one Omega GEMM.
+    scored together through one Omega GEMM.  ``diagnostics["p_value_se"]``
+    is the p-value's Monte-Carlo standard error sqrt(p(1-p)/B) over the B
+    kept replicates.
     """
     if n_boot < 1:
         raise ParameterError("n_boot must be >= 1")
@@ -162,5 +164,7 @@ def wast_test(ds: Dataset, family: FamilyKind,
         weight=weight.describe(), seed=seed, method="wast",
         n_failed=n_failed,
         diagnostics={"fit_iterations": fit.iterations,
-                     "fit_gradient_norm": fit.gradient_norm},
+                     "fit_gradient_norm": fit.gradient_norm,
+                     "p_value_se": float(np.sqrt(p_value * (1.0 - p_value)
+                                                 / boot_stats.size))},
     )

@@ -33,6 +33,10 @@ __all__ = [
 # Endpoint guard for arctan(rho/sqrt(1-rho^2)): below this, return the limits.
 _ENDPOINT_EPS = 1e-12
 
+# Pairs per block of rows in the mu != 0 Owen's-T path; its dozen temporaries
+# stay O(n * block rows) instead of O(n^2).
+_PAIR_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class WeightSpec:
@@ -211,7 +215,7 @@ def _omega_gaussian(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndar
     At mu = 0: ``omega_closed_form`` of the clipped Sigma-cosines, by the same
     operations in the same order (so bit-identical to it), in place in two
     n x n buffers.  Otherwise ``_orthant`` of each unordered pair, written to
-    both triangles.
+    both triangles, a block of rows at a time.
     """
     rho = z @ sigma @ z.T
     norms = np.sqrt(np.diag(rho))
@@ -222,8 +226,13 @@ def _omega_gaussian(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndar
     np.clip(rho, -1.0, 1.0, out=rho)
     if np.any(mu):
         a = (z @ mu) / norms
-        i, j = np.triu_indices(len(a))
-        out[i, j] = out[j, i] = _orthant(a[i], a[j], rho[i, j])
+        n = len(a)
+        rows = max(1, _PAIR_BLOCK // n)
+        for start in range(0, n, rows):
+            block = np.arange(start, min(start + rows, n))
+            i, j = np.nonzero(np.arange(n) >= block[:, None])
+            i += start
+            out[i, j] = out[j, i] = _orthant(a[i], a[j], rho[i, j])
         return out
     np.multiply(rho, rho, out=out)
     np.subtract(1.0, out, out=out)

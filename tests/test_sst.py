@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from changeplane import (FamilyKind, ThetaGrid, build_theta_grid, fit_null,
                          score_psi0, score_test_at, sst_derivatives,
@@ -20,6 +22,20 @@ def loop_theta_grid(ds, k_directions, grid_per_direction, seed):
     z_tail = ds.z_group[:, 1:]
     return np.asarray([np.concatenate([[-float(np.quantile(z_tail @ d, lev))], d])
                        for d in dirs for lev in levels])
+
+
+FAMILIES = ["gaussian", "binomial", "poisson", "probit", "quantile",
+            "semiparametric"]
+
+
+def family_dataset(rng, n, family):
+    """random_dataset, with a binary treatment as x_diff for semiparametric."""
+    if family != "semiparametric":
+        return random_dataset(rng, n=n, family=family)
+    ds = random_dataset(rng, n=n)
+    a = (rng.random(n) < 0.5).astype(float)
+    return type(ds)(y=ds.y, x_base=ds.x_base, x_diff=a[:, None],
+                    z_group=ds.z_group)
 
 
 def loop_resampled(ds, family, thetas, n_resample, seed):
@@ -174,10 +190,14 @@ class TestSstTest:
         large = sst_test(ds, fam, k_directions=80, n_resample=5, seed=3)
         assert large.statistic >= small.statistic - 1e-12
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", [90, 1001])
     @pytest.mark.parametrize("n_resample", [1, 33])
-    def test_batched_draws_match_per_draw_loop(self, rng, n_resample):
-        ds = random_dataset(rng, n=90, family="binomial")
-        fam = FamilyKind("binomial")
+    def test_batched_draws_match_per_draw_loop(self, rng, family, n, n_resample):
+        # At odd n the median intercept puts one row on each plane, so the
+        # indicator must come from the same mat-vec as the loop's.
+        ds = family_dataset(rng, n, family)
+        fam = FamilyKind(family)
         out = sst_test(ds, fam, k_directions=40, n_resample=n_resample, seed=5)
         thetas = build_theta_grid(ds, k_directions=40, seed=5).thetas
         np.testing.assert_allclose(
@@ -237,3 +257,41 @@ class TestSstTest:
         grid = build_theta_grid(dup, k_directions=5, seed=0)
         val = sst_statistic(dup, fam, fit, derivs, grid)
         assert np.isfinite(val) and val >= 0.0
+        out = sst_test(dup, fam, k_directions=5, n_resample=10, seed=0)
+        assert out.statistic == val
+        assert out.diagnostics["grid_skipped"] == 0
+        assert 1 <= out.diagnostics["grid_repaired"] <= 5
+        clean = sst_test(ds, fam, k_directions=5, n_resample=10, seed=0)
+        assert clean.diagnostics["grid_repaired"] == 0
+
+    def test_pvalue_standard_error(self, rng):
+        ds = random_dataset(rng, n=80, family="gaussian")
+        out = sst_test(ds, FamilyKind("gaussian"), k_directions=30,
+                       n_resample=45, seed=3)
+        p = out.p_value
+        assert 0.0 < p < 1.0
+        assert out.diagnostics["p_value_se"] == np.sqrt(p * (1.0 - p) / 45)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from(FAMILIES),
+       st.integers(15, 60).map(lambda m: 2 * m))
+def test_statistic_invariant_to_row_permutation(seed, family, n):
+    # At even n no row lies on a median plane, so permuting the rows leaves
+    # every indicator, hence the statistic, unchanged up to rounding.  The
+    # replicates are not invariant: the multipliers are tied to row indices.
+    rng = np.random.default_rng(seed)
+    ds = family_dataset(rng, n, family)
+    perm = rng.permutation(n)
+    shuffled = type(ds)(y=ds.y[perm], x_base=ds.x_base[perm],
+                        x_diff=ds.x_diff[perm], z_group=ds.z_group[perm])
+    fam = FamilyKind(family)
+    grid = build_theta_grid(ds, k_directions=25, seed=seed)
+
+    def statistic(data):
+        fit = fit_null(data, fam)
+        return sst_statistic(data, fam, fit, sst_derivatives(data, fam, fit), grid)
+
+    assert statistic(shuffled) == pytest.approx(statistic(ds), rel=1e-10)
+    out = sst_test(ds, fam, k_directions=25, n_resample=5, seed=seed)
+    assert out.statistic == statistic(ds)

@@ -212,6 +212,23 @@ class TestWastTest:
         np.testing.assert_allclose(out.boot_stats, ref, rtol=1e-10, atol=0)
         assert out.p_value == np.mean(ref >= out.statistic)
 
+    def test_pvalue_standard_error_over_kept_replicates(self, rng, monkeypatch):
+        ds = random_dataset(rng, n=60, family="binomial")
+        fam = FamilyKind("binomial")
+        calls = []
+
+        def flaky_fit_null(ds_arg, family, **kwargs):
+            fit = fit_null(ds_arg, family, **kwargs)
+            calls.append(None)  # calls 2 and 3 refit replicates 0 and 1
+            return replace(fit, converged=False) if len(calls) in (2, 3) else fit
+
+        monkeypatch.setattr(wast_module, "fit_null", flaky_fit_null)
+        out = wast_test(ds, fam, n_boot=50, seed=4)
+        assert out.n_failed == 2 and out.n_boot == 48
+        p = out.p_value
+        assert 0.0 < p < 1.0
+        assert out.diagnostics["p_value_se"] == np.sqrt(p * (1.0 - p) / 48)
+
     def test_semiparametric_end_to_end(self, rng):
         n = 100
         ds = random_dataset(rng, n=n)

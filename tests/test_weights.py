@@ -8,6 +8,7 @@ from changeplane import (Dataset, WeightSpec, beta_prior, gaussian, omega_beta,
                          omega_closed_form, omega_gaussian_mc,
                          omega_univariate_gaussian, standard_gaussian,
                          univariate_gaussian, varrho, weight_matrix)
+from changeplane import weights as weights_module
 from changeplane.errors import DegenerateVectorError, ParameterError
 
 SIGMA = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, -0.3], [0.1, -0.3, 1.5]])
@@ -173,6 +174,15 @@ class TestWeightMatrix:
                     want = multivariate_normal([0.0, 0.0], [[1.0, rho], [rho, 1.0]]).cdf(
                         [a[i], a[j]])
                 assert abs(w[i, j] - want) <= 1e-12, (i, j, rho)
+
+    def test_row_blocks_match_one_block(self, rng, monkeypatch):
+        # The mu != 0 path evaluates the pairs a block of rows at a time; 7
+        # rows per block leaves a short last block at n = 50.
+        z = np.hstack([np.ones((50, 1)), rng.standard_normal((50, 2))])
+        z[0], z[2] = [-2.0, 1.5, 1.0], 3.0 * z[4]
+        whole = weight_matrix(z, gaussian(MU, SIGMA))
+        monkeypatch.setattr(weights_module, "_PAIR_BLOCK", 7 * 50)
+        np.testing.assert_array_equal(weight_matrix(z, gaussian(MU, SIGMA)), whole)
 
     def test_symmetry_exact(self, rng):
         z = np.hstack([np.ones((20, 1)), rng.standard_normal((20, 2))])
