@@ -7,7 +7,7 @@ perturbation resampling, and Monte-Carlo size/power drivers.
 """
 
 from .data import ColumnSpec, Dataset, load_csv, save_csv, validate
-from .families import (FamilyKind, NullFit, ScoreVector, SstDerivatives,
+from .families import (FamilyKind, NullFit, SstDerivatives,
                        bootstrap_sample, fit_null, score_psi0, sst_derivatives)
 from .sim import PowerTable, Scenario, generate, run_power, run_size
 from .sst import ThetaGrid, build_theta_grid, score_test_at, sst_statistic, sst_test
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ColumnSpec", "Dataset", "load_csv", "save_csv", "validate",
-    "FamilyKind", "NullFit", "ScoreVector", "SstDerivatives",
+    "FamilyKind", "NullFit", "SstDerivatives",
     "bootstrap_sample", "fit_null", "score_psi0", "sst_derivatives",
     "PowerTable", "Scenario", "generate", "run_power", "run_size",
     "ThetaGrid", "build_theta_grid", "score_test_at", "sst_statistic", "sst_test",

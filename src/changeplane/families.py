@@ -1,10 +1,16 @@
 """Per-family estimating equations.
 
-For each regression family this module provides:
+Each family is stated once, through its per-row score factor s_i = s(Y_i,
+eta_i) at eta = x_base alpha (``_factor``).  The null fit solves
+sum_i s_i x_base,i = 0; the test score rows are psi0_i = s_i x_diff,i and the
+nuisance rows psi1_i = s_i x_base,i.  This module provides:
 
 * ``fit_null``        -- the null-model fit (beta = 0) solving the nuisance
-                         estimating equation,
-* ``score_psi0``      -- the theta-free score factor per observation,
+                         estimating equation: one least-squares solve for
+                         gaussian, one Newton loop for binomial and poisson
+                         (IRLS) and probit (Fisher scoring), majorize-minimize
+                         for quantile,
+* ``score_psi0``      -- the n x p theta-free score rows psi0,
 * ``sst_derivatives`` -- the row factors of K(theta) and the J matrix needed
                          by the supremum score test,
 * ``bootstrap_sample``-- a resampled dataset for calibration, per the
@@ -14,30 +20,35 @@ For each regression family this module provides:
 
 Families: gaussian / binomial / poisson GLMs with canonical links, probit,
 quantile (check-loss, any tau in (0,1)), and the semiparametric
-treatment-effect model with working logistic propensity and linear baseline.
+treatment-effect model with working logistic propensity pi(Z) and linear
+baseline gamma(x_base), whose scalar score factor is (A - pi(Z))(Y - gamma).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import norm
+from scipy.special import expit, log_ndtr
 
 from .data import Dataset, validate
 from .errors import ParameterError, SingularDesignError
 
 __all__ = [
-    "FamilyKind", "NullFit", "ScoreVector", "SstDerivatives",
+    "FamilyKind", "NullFit", "SstDerivatives",
     "fit_null", "score_psi0", "sst_derivatives", "bootstrap_sample",
 ]
 
-_GLM_FAMILIES = ("gaussian", "binomial", "poisson")
-_ALL_FAMILIES = _GLM_FAMILIES + ("probit", "quantile", "semiparametric")
+_ALL_FAMILIES = ("gaussian", "binomial", "poisson", "probit", "quantile",
+                 "semiparametric")
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
+
+# sqrt(2 pi) and its log, formed as scipy.stats.norm forms them, so the
+# normal density and the Mills ratio below keep scipy's bits.
+_SQRT_2PI = np.sqrt(2 * np.pi)
+_LOG_SQRT_2PI = np.log(_SQRT_2PI)
 
 
 @dataclass(frozen=True)
@@ -71,14 +82,6 @@ class NullFit:
     converged: bool
     iterations: int
     gradient_norm: float
-    extra: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ScoreVector:
-    """n x p matrix whose row i is the theta-free score factor psi0(V_i)."""
-
-    psi0: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -106,26 +109,52 @@ class SstDerivatives:
 
 
 # --------------------------------------------------------------------------
-# canonical-link GLM pieces
+# the per-row score factor, its slope and the Newton weight
 # --------------------------------------------------------------------------
 
-def _glm_mean(name: str, eta: np.ndarray) -> np.ndarray:
+def _mills(eta: np.ndarray) -> np.ndarray:
+    """phi(eta)/Phi(eta), computed on the log scale to avoid overflow."""
+    return np.exp(-eta**2 / 2.0 - _LOG_SQRT_2PI - log_ndtr(eta))
+
+
+def _factor(family: FamilyKind, y: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Score factor s(y, eta) of every family but the semiparametric one."""
+    name = family.name
     if name == "gaussian":
-        return eta
+        return y - eta
     if name == "binomial":
-        return expit(eta)
-    return np.exp(eta)  # poisson
+        return y - expit(eta)
+    if name == "poisson":
+        return y - np.exp(eta)
+    if name == "probit":
+        return y * _mills(eta) - (1.0 - y) * _mills(-eta)
+    # quantile: the check-loss subgradient 1(y - eta <= 0) - tau
+    return np.where(y - eta <= 0, 1.0, 0.0) - family.tau
 
 
-def _glm_var(name: str, eta: np.ndarray) -> np.ndarray:
-    """c''(eta): variance function at the canonical parameter."""
+def _weight(name: str, eta: np.ndarray) -> np.ndarray:
+    """Newton weight: c''(eta) of a canonical GLM, which is -ds/d eta, and
+    for probit the expected information phi^2 / (Phi Phi(-)) = lam(eta) lam(-eta)."""
     if name == "gaussian":
         return np.ones_like(eta)
     if name == "binomial":
         p = expit(eta)
         return p * (1.0 - p)
-    return np.exp(eta)  # poisson
+    if name == "poisson":
+        return np.exp(eta)
+    return _mills(eta) * _mills(-eta)
 
+
+def _probit_slope(y: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """d/d eta of the probit score factor (observed, y-dependent)."""
+    lam_p = _mills(eta)
+    lam_m = _mills(-eta)
+    return -(y * lam_p * (eta + lam_p) + (1.0 - y) * lam_m * (lam_m - eta))
+
+
+# --------------------------------------------------------------------------
+# null fits
+# --------------------------------------------------------------------------
 
 def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     try:
@@ -134,92 +163,34 @@ def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise SingularDesignError("singular information matrix") from exc
 
 
-def _check_rank(x: np.ndarray, what: str) -> None:
-    if np.linalg.matrix_rank(x) < x.shape[1]:
-        raise SingularDesignError(f"{what} design is rank-deficient")
+def _newton(family: FamilyKind, y, x, tol, max_iter) -> NullFit:
+    """Newton steps on X's = 0 from alpha = 0 until max|X's|/n <= tol.
 
-
-def _fit_glm(y, x, name, tol, max_iter) -> NullFit:
-    """IRLS on the canonical link until the max score component is <= tol."""
-    _check_rank(x, "baseline")
+    With ``_weight`` this is IRLS for binomial and poisson and Fisher
+    scoring for probit.  After ``max_iter`` steps the last alpha is returned,
+    converged only if it meets tol.
+    """
     n, r = x.shape
     alpha = np.zeros(r)
-    if name == "gaussian":
-        alpha, *_ = np.linalg.lstsq(x, y, rcond=None)
-        score = x.T @ (y - x @ alpha) / n
-        return NullFit(alpha, True, 1, float(np.max(np.abs(score))))
-    # start from the intercept-only moment match where possible
-    for it in range(1, max_iter + 1):
+    for it in range(1, max_iter + 2):
         eta = x @ alpha
-        mu = _glm_mean(name, eta)
-        w = _glm_var(name, eta)
-        score = x.T @ (y - mu)
+        score = x.T @ _factor(family, y, eta)
         gnorm = float(np.max(np.abs(score)) / n)
-        if gnorm <= tol:
-            return NullFit(alpha, True, it, gnorm)
-        info = x.T @ (x * w[:, None])
+        if gnorm <= tol or it > max_iter:
+            return NullFit(alpha, gnorm <= tol, min(it, max_iter), gnorm)
+        info = x.T @ (x * _weight(family.name, eta)[:, None])
         alpha = alpha + _solve_spd(info, score)
-    eta = x @ alpha
-    gnorm = float(np.max(np.abs(x.T @ (y - _glm_mean(name, eta)))) / n)
-    return NullFit(alpha, gnorm <= tol, max_iter, gnorm)
 
 
-# --------------------------------------------------------------------------
-# probit pieces (numerically stable Mills ratios)
-# --------------------------------------------------------------------------
-
-def _mills(eta: np.ndarray) -> np.ndarray:
-    """phi(eta)/Phi(eta), computed on the log scale to avoid overflow."""
-    return np.exp(norm.logpdf(eta) - norm.logcdf(eta))
-
-
-def _probit_score_weight(y: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Per-row score factor y*lam(eta) - (1-y)*lam(-eta)."""
-    return y * _mills(eta) - (1.0 - y) * _mills(-eta)
-
-
-def _probit_score_deriv(y: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """d/d eta of the probit score factor (observed, y-dependent)."""
-    lam_p = _mills(eta)
-    lam_m = _mills(-eta)
-    return -(y * lam_p * (eta + lam_p) + (1.0 - y) * lam_m * (lam_m - eta))
-
-
-def _fit_probit(y, x, tol, max_iter) -> NullFit:
-    _check_rank(x, "baseline")
-    n, r = x.shape
-    alpha = np.zeros(r)
-    for it in range(1, max_iter + 1):
-        eta = x @ alpha
-        s = _probit_score_weight(y, eta)
-        score = x.T @ s
-        gnorm = float(np.max(np.abs(score)) / n)
-        if gnorm <= tol:
-            return NullFit(alpha, True, it, gnorm)
-        # Fisher scoring: expected information weight phi^2 / (Phi * Phi(-))
-        lam_p = _mills(eta)
-        lam_m = _mills(-eta)
-        w = lam_p * lam_m
-        info = x.T @ (x * w[:, None])
-        alpha = alpha + _solve_spd(info, score)
-    eta = x @ alpha
-    gnorm = float(np.max(np.abs(x.T @ _probit_score_weight(y, eta))) / n)
-    return NullFit(alpha, gnorm <= tol, max_iter, gnorm)
-
-
-# --------------------------------------------------------------------------
-# quantile pieces (majorize-minimize on smoothed check loss)
-# --------------------------------------------------------------------------
-
-def _fit_quantile(y, x, tau, tol, max_iter) -> NullFit:
+def _fit_quantile(y, x, family: FamilyKind, tol, max_iter) -> NullFit:
     """IRLS on |r| + eps weights with eps annealed to 1e-8.
 
     Convergence target is the subgradient box: the fitted alpha must satisfy
     ||sum [1(resid <= 0) - tau] x_i||_inf <= r * max|x|, the discrete
     analogue of the estimating equation.
     """
-    _check_rank(x, "baseline")
-    n, r = x.shape
+    tau = family.tau
+    r = x.shape[1]
     alpha, *_ = np.linalg.lstsq(x, y, rcond=None)
     eps = 1e-2
     last = alpha
@@ -235,36 +206,28 @@ def _fit_quantile(y, x, tau, tol, max_iter) -> NullFit:
         eps = max(eps * 0.5, 1e-8)
         if step <= tol and eps <= 1e-8:
             break
-    resid = y - x @ alpha
-    sub = x.T @ (np.where(resid <= 0, 1.0, 0.0) - tau)
+    sub = x.T @ _factor(family, y, x @ alpha)
     box = r * float(np.max(np.abs(x)))
     gnorm = float(np.max(np.abs(sub)))
     return NullFit(alpha, gnorm <= box, it, gnorm)
 
 
-# --------------------------------------------------------------------------
-# semiparametric pieces
-# --------------------------------------------------------------------------
-
-def _fit_semiparametric(ds: Dataset, tol, max_iter) -> NullFit:
-    """Working logistic propensity A ~ Z and working linear baseline Y ~ x_base."""
-    a = ds.x_diff[:, 0]
-    prop = _fit_glm(a, ds.z_group, "binomial", tol, max_iter)
-    base = _fit_glm(ds.y, ds.x_base, "gaussian", tol, max_iter)
-    alpha = np.concatenate([prop.alpha_hat, base.alpha_hat])
-    return NullFit(
-        alpha,
-        prop.converged and base.converged,
-        max(prop.iterations, base.iterations),
-        max(prop.gradient_norm, base.gradient_norm),
-        extra={"q": ds.q, "r": ds.r},
-    )
+def _fit(family: FamilyKind, y, x, tol, max_iter, design="baseline") -> NullFit:
+    """Solve X's = 0 for one family on the design x, which must have full rank."""
+    if np.linalg.matrix_rank(x) < x.shape[1]:
+        raise SingularDesignError(f"{design} design is rank-deficient")
+    if family.name == "quantile":
+        return _fit_quantile(y, x, family, tol, max_iter)
+    if family.name != "gaussian":
+        return _newton(family, y, x, tol, max_iter)
+    alpha, *_ = np.linalg.lstsq(x, y, rcond=None)
+    gnorm = float(np.max(np.abs(x.T @ _factor(family, y, x @ alpha))) / x.shape[0])
+    return NullFit(alpha, True, 1, gnorm)
 
 
-def _semi_split(ds: Dataset, fit: NullFit):
-    a1 = fit.alpha_hat[: ds.q]
-    a2 = fit.alpha_hat[ds.q:]
-    return a1, a2
+def _semi_fitted(ds: Dataset, fit: NullFit):
+    """pi_hat(Z) and gamma_hat(x_base) of the semiparametric working fits."""
+    return expit(ds.z_group @ fit.alpha_hat[: ds.q]), ds.x_base @ fit.alpha_hat[ds.q:]
 
 
 # --------------------------------------------------------------------------
@@ -275,98 +238,73 @@ def fit_null(ds: Dataset, family: FamilyKind, tol: float = DEFAULT_TOL,
              max_iter: int = DEFAULT_MAX_ITER) -> NullFit:
     """Solve the nuisance estimating equation Psi_1n(alpha) = 0 for beta = 0."""
     validate(ds, family.name)
-    if family.name in _GLM_FAMILIES:
-        return _fit_glm(ds.y, ds.x_base, family.name, tol, max_iter)
-    if family.name == "probit":
-        return _fit_probit(ds.y, ds.x_base, tol, max_iter)
-    if family.name == "quantile":
-        return _fit_quantile(ds.y, ds.x_base, family.tau, tol, max_iter)
-    return _fit_semiparametric(ds, tol, max_iter)
+    if family.name != "semiparametric":
+        return _fit(family, ds.y, ds.x_base, tol, max_iter)
+    # working logistic propensity A ~ Z and working linear baseline Y ~ x_base
+    prop = _fit(FamilyKind("binomial"), ds.x_diff[:, 0], ds.z_group, tol, max_iter,
+                "grouping")
+    base = _fit(FamilyKind("gaussian"), ds.y, ds.x_base, tol, max_iter)
+    return NullFit(
+        np.concatenate([prop.alpha_hat, base.alpha_hat]),
+        prop.converged and base.converged,
+        max(prop.iterations, base.iterations),
+        max(prop.gradient_norm, base.gradient_norm),
+    )
 
 
-def score_psi0(ds: Dataset, family: FamilyKind, fit: NullFit) -> ScoreVector:
-    """The theta-free score factor psi0(V_i, alpha_hat), one row per observation."""
-    if family.name in _GLM_FAMILIES:
-        eta = ds.x_base @ fit.alpha_hat
-        resid = ds.y - _glm_mean(family.name, eta)
-        return ScoreVector(resid[:, None] * ds.x_diff)
-    if family.name == "probit":
-        eta = ds.x_base @ fit.alpha_hat
-        s = _probit_score_weight(ds.y, eta)
-        return ScoreVector(s[:, None] * ds.x_diff)
-    if family.name == "quantile":
-        resid = ds.y - ds.x_base @ fit.alpha_hat
-        s = np.where(resid <= 0, 1.0, 0.0) - family.tau
-        return ScoreVector(s[:, None] * ds.x_diff)
-    # semiparametric: scalar factor (A - pi(Z)) (Y - gamma(x_base))
-    a1, a2 = _semi_split(ds, fit)
-    pi_hat = expit(ds.z_group @ a1)
-    gam_hat = ds.x_base @ a2
-    s = (ds.x_diff[:, 0] - pi_hat) * (ds.y - gam_hat)
-    return ScoreVector(s[:, None])
+def score_psi0(ds: Dataset, family: FamilyKind, fit: NullFit) -> np.ndarray:
+    """The n x p theta-free score rows psi0(V_i, alpha_hat) = s_i x_diff,i.
+
+    For the semiparametric family it is the n x 1 scalar factor
+    (A - pi_hat(Z)) (Y - gamma_hat(x_base)).
+    """
+    if family.name == "semiparametric":
+        pi_hat, gam_hat = _semi_fitted(ds, fit)
+        return ((ds.x_diff[:, 0] - pi_hat) * (ds.y - gam_hat))[:, None]
+    return _factor(family, ds.y, ds.x_base @ fit.alpha_hat)[:, None] * ds.x_diff
 
 
-def _silverman_f0(resid: np.ndarray, bandwidth: float | None) -> float:
-    """Gaussian-kernel density estimate of the residual density at zero."""
-    n = resid.size
-    sd = float(np.std(resid))
-    if bandwidth is None:
-        bandwidth = 1.06 * max(sd, 1e-12) * n ** (-0.2)
-    return float(np.mean(norm.pdf(resid / bandwidth)) / bandwidth)
+def _silverman_f0(resid: np.ndarray) -> float:
+    """Gaussian-kernel density estimate of the residual density at zero,
+    at Silverman's rule-of-thumb bandwidth."""
+    bandwidth = 1.06 * max(float(np.std(resid)), 1e-12) * resid.size ** (-0.2)
+    u = resid / bandwidth
+    return float(np.mean(np.exp(-u**2 / 2.0) / _SQRT_2PI) / bandwidth)
 
 
-def sst_derivatives(ds: Dataset, family: FamilyKind, fit: NullFit,
-                    bandwidth: float | None = None) -> SstDerivatives:
+def sst_derivatives(ds: Dataset, family: FamilyKind, fit: NullFit) -> SstDerivatives:
     """Row factors of K(theta), the inverse of J and the psi1 rows."""
     x, xd, z = ds.x_base, ds.x_diff, ds.z_group
     n = ds.n
 
-    if family.name in _GLM_FAMILIES or family.name == "probit":
+    if family.name == "semiparametric":
+        # nuisance blocks: propensity over Z, baseline over x_base
+        pi_hat, gam_hat = _semi_fitted(ds, fit)
+        resid_a, resid_y = xd[:, 0] - pi_hat, ds.y - gam_hat
+        psi1 = np.hstack([resid_a[:, None] * z, resid_y[:, None] * x])
+        w1 = pi_hat * (1.0 - pi_hat)
+        j_base = np.zeros((ds.q + ds.r, ds.q + ds.r))
+        j_base[: ds.q, : ds.q] = -(z * w1[:, None]).T @ z / n
+        j_base[ds.q:, ds.q:] = -(x.T @ x) / n
+        g = np.ones((n, 1))
+        h = -np.hstack([(w1 * resid_y)[:, None] * z, resid_a[:, None] * x])
+    else:
         eta = x @ fit.alpha_hat
-        if family.name == "probit":
-            dpsi = _probit_score_deriv(ds.y, eta)  # y-dependent derivative
-            s = _probit_score_weight(ds.y, eta)
-            psi1 = s[:, None] * x
+        psi1 = _factor(family, ds.y, eta)[:, None] * x
+        h = x
+        if family.name == "quantile":
+            f0 = _silverman_f0(ds.y - eta)
+            g, j_base = -f0 * xd, -f0 * (x.T @ x) / n
         else:
-            dpsi = -_glm_var(family.name, eta)
-            psi1 = (ds.y - _glm_mean(family.name, eta))[:, None] * x
-        j_base = (x * dpsi[:, None]).T @ x / n
-        try:
-            j_inv = np.linalg.inv(j_base)
-        except np.linalg.LinAlgError as exc:
-            raise SingularDesignError("singular J matrix") from exc
-        return SstDerivatives(xd * dpsi[:, None], x, j_inv, psi1, z)
-
-    if family.name == "quantile":
-        resid = ds.y - x @ fit.alpha_hat
-        f0 = _silverman_f0(resid, bandwidth)
-        s = np.where(resid <= 0, 1.0, 0.0) - family.tau
-        psi1 = s[:, None] * x
-        j_base = -f0 * (x.T @ x) / n
-        try:
-            j_inv = np.linalg.inv(j_base)
-        except np.linalg.LinAlgError as exc:
-            raise SingularDesignError("singular J matrix") from exc
-        return SstDerivatives(-f0 * xd, x, j_inv, psi1, z)
-
-    # semiparametric: nuisance blocks (propensity over Z, baseline over x_base)
-    a1, a2 = _semi_split(ds, fit)
-    pi_hat = expit(z @ a1)
-    gam_hat = x @ a2
-    resid_a, resid_y = xd[:, 0] - pi_hat, ds.y - gam_hat
-    psi1 = np.hstack([resid_a[:, None] * z, resid_y[:, None] * x])
-    w1 = pi_hat * (1.0 - pi_hat)
-    j11 = -(z * w1[:, None]).T @ z / n
-    j22 = -(x.T @ x) / n
-    j_base = np.zeros((ds.q + ds.r, ds.q + ds.r))
-    j_base[: ds.q, : ds.q] = j11
-    j_base[ds.q:, ds.q:] = j22
+            # probit takes the observed, y-dependent slope of its factor
+            dpsi = (_probit_slope(ds.y, eta) if family.name == "probit"
+                    else -_weight(family.name, eta))
+            g, j_base = xd * dpsi[:, None], (x * dpsi[:, None]).T @ x / n
     try:
         j_inv = np.linalg.inv(j_base)
     except np.linalg.LinAlgError as exc:
         raise SingularDesignError("singular J matrix") from exc
-    h = -np.hstack([(w1 * resid_y)[:, None] * z, resid_a[:, None] * x])
-    return SstDerivatives(np.ones((n, 1)), h, j_inv, psi1, z)
+    return SstDerivatives(g, h, j_inv, psi1, z)
 
 
 def bootstrap_sample(ds: Dataset, family: FamilyKind, fit: NullFit,
@@ -376,31 +314,27 @@ def bootstrap_sample(ds: Dataset, family: FamilyKind, fit: NullFit,
     GLM/probit draw from the fitted null distribution; quantile uses the
     two-point wild multiplier P(nu = 2(1-tau)) = 1 - tau, P(nu = -2 tau) = tau
     on absolute residuals; the semiparametric model uses a Gaussian wild
-    multiplier on signed residuals.
+    multiplier on signed residuals around gamma_hat(x_base).
     """
     rng = np.random.default_rng(rng)
     name = family.name
-    if name in _GLM_FAMILIES or name == "probit":
+    if name == "semiparametric":
+        _, eta = _semi_fitted(ds, fit)
+    else:
         eta = ds.x_base @ fit.alpha_hat
-        if name == "gaussian":
-            sigma2 = float(np.mean((ds.y - eta) ** 2))  # MLE dispersion
-            y_star = eta + rng.standard_normal(ds.n) * np.sqrt(sigma2)
-        elif name == "binomial":
-            y_star = (rng.random(ds.n) < expit(eta)).astype(float)
-        elif name == "poisson":
-            y_star = rng.poisson(np.exp(eta)).astype(float)
-        else:  # probit: Y* = 1(nu <= eta), nu ~ N(0,1)
-            y_star = (rng.standard_normal(ds.n) <= eta).astype(float)
-        return ds.with_response(y_star)
-    if name == "quantile":
+    if name == "gaussian":
+        sigma2 = float(np.mean((ds.y - eta) ** 2))  # MLE dispersion
+        y_star = eta + rng.standard_normal(ds.n) * np.sqrt(sigma2)
+    elif name == "binomial":
+        y_star = (rng.random(ds.n) < expit(eta)).astype(float)
+    elif name == "poisson":
+        y_star = rng.poisson(np.exp(eta)).astype(float)
+    elif name == "probit":  # Y* = 1(nu <= eta), nu ~ N(0,1)
+        y_star = (rng.standard_normal(ds.n) <= eta).astype(float)
+    elif name == "quantile":
         tau = family.tau
-        eta = ds.x_base @ fit.alpha_hat
-        resid = ds.y - eta
         nu = np.where(rng.random(ds.n) < 1.0 - tau, 2.0 * (1.0 - tau), -2.0 * tau)
-        return ds.with_response(eta + nu * np.abs(resid))
-    # semiparametric
-    _, a2 = _semi_split(ds, fit)
-    gam_hat = ds.x_base @ a2
-    resid = ds.y - gam_hat
-    nu = rng.standard_normal(ds.n)
-    return ds.with_response(gam_hat + nu * resid)
+        y_star = eta + nu * np.abs(ds.y - eta)
+    else:
+        y_star = eta + rng.standard_normal(ds.n) * (ds.y - eta)
+    return ds.with_response(y_star)

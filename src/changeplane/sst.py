@@ -44,8 +44,6 @@ class ThetaGrid:
 
     thetas: np.ndarray
     seed: int
-    percentile_lo: float = 0.10
-    percentile_hi: float = 0.90
 
     def __len__(self) -> int:
         return self.thetas.shape[0]
@@ -148,7 +146,7 @@ def _grid_planes(ds: Dataset, psi0: np.ndarray, derivs: SstDerivatives,
 def score_test_at(ds: Dataset, family: FamilyKind, fit, derivs: SstDerivatives,
                   theta) -> float:
     """Squared score statistic at a fixed plane theta (nonnegative)."""
-    psi0 = score_psi0(ds, family, fit).psi0
+    psi0 = score_psi0(ds, family, fit)
     return float(_grid_planes(ds, psi0, derivs, np.asarray(theta, float)[None])[0][0])
 
 
@@ -157,14 +155,13 @@ def sst_statistic(ds: Dataset, family: FamilyKind, fit, derivs: SstDerivatives,
     """Supremum of the squared score statistic over the grid."""
     if len(grid) == 0:
         raise ParameterError("empty theta grid")
-    psi0 = score_psi0(ds, family, fit).psi0
+    psi0 = score_psi0(ds, family, fit)
     return float(_grid_planes(ds, psi0, derivs, grid.thetas)[0].max())
 
 
 def sst_test(ds: Dataset, family: FamilyKind, k_directions: int = 1000,
              grid_per_direction: int = 1, n_resample: int = 1000,
-             seed: int = 0, tol: float = 1e-8, max_iter: int = 100,
-             bandwidth: float | None = None) -> TestOutcome:
+             seed: int = 0) -> TestOutcome:
     """SST with perturbation-resampling calibration.
 
     The perturbed supremum reuses the observed per-plane quantities (the
@@ -178,12 +175,12 @@ def sst_test(ds: Dataset, family: FamilyKind, k_directions: int = 1000,
     """
     if n_resample < 1:
         raise ParameterError("n_resample must be >= 1")
-    fit = fit_null(ds, family, tol=tol, max_iter=max_iter)
+    fit = fit_null(ds, family)
     if not fit.converged:
         raise NumericalError("null fit did not converge")
-    derivs = sst_derivatives(ds, family, fit, bandwidth=bandwidth)
+    derivs = sst_derivatives(ds, family, fit)
     grid = build_theta_grid(ds, k_directions, grid_per_direction, seed)
-    psi0 = score_psi0(ds, family, fit).psi0
+    psi0 = score_psi0(ds, family, fit)
     n, p = psi0.shape
     stats, ind, l_inv, c, n_repaired = _grid_planes(ds, psi0, derivs, grid.thetas)
     stat = stats.max()

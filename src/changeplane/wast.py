@@ -113,8 +113,7 @@ def wast_multi_statistic(psi0_scalar: np.ndarray,
 
 def wast_test(ds: Dataset, family: FamilyKind,
               weight: WeightSpec | None = None, n_boot: int = 1000,
-              seed: int = 0, tol: float = 1e-8,
-              max_iter: int = 100) -> TestOutcome:
+              seed: int = 0) -> TestOutcome:
     """Full WAST test with parametric / wild bootstrap calibration.
 
     The p-value is the fraction of replicates at or above the observed
@@ -129,11 +128,11 @@ def wast_test(ds: Dataset, family: FamilyKind,
         raise ParameterError("n_boot must be >= 1")
     if weight is None:
         weight = standard_gaussian()
-    fit = fit_null(ds, family, tol=tol, max_iter=max_iter)
+    fit = fit_null(ds, family)
     if not fit.converged:
         raise NumericalError("null fit did not converge on the original data")
     omega = weight_matrix(ds, weight)  # Z is fixed across replicates
-    psi0 = score_psi0(ds, family, fit).psi0
+    psi0 = score_psi0(ds, family, fit)
     stat = wast_statistic(psi0, omega)
 
     boot_stats = []
@@ -143,11 +142,11 @@ def wast_test(ds: Dataset, family: FamilyKind,
         for b in range(start, min(start + BOOT_BLOCK, n_boot)):
             rng = child_rng(seed, b)
             ds_b = bootstrap_sample(ds, family, fit, rng)
-            fit_b = fit_null(ds_b, family, tol=tol, max_iter=max_iter)
+            fit_b = fit_null(ds_b, family)
             if not fit_b.converged:
                 n_failed += 1
                 continue
-            block.append(score_psi0(ds_b, family, fit_b).psi0)
+            block.append(score_psi0(ds_b, family, fit_b))
         if block:
             boot_stats.extend(_wast_block(omega, np.hstack(block), psi0.shape[1]))
     if n_failed > MAX_FAILED_FRACTION * n_boot:

@@ -212,12 +212,16 @@ def _orthant(h, k, rho):
 def _omega_gaussian(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """omega_ij under the prior N(mu, sigma) for every pair of rows of z.
 
-    At mu = 0: ``omega_closed_form`` of the clipped Sigma-cosines, by the same
-    operations in the same order (so bit-identical to it), in place in two
-    n x n buffers.  Otherwise ``_orthant`` of each unordered pair, written to
-    both triangles, a block of rows at a time.
+    The Sigma-weighted Gram z Sigma z' is formed as w w' with w = z L,
+    Sigma = L L'; numpy computes a product with its own transpose as A A'
+    (syrk) and mirrors one triangle, so the Gram, and hence omega, is exactly
+    symmetric.  At mu = 0: ``omega_closed_form`` of the clipped
+    Sigma-cosines, by the same operations in the same order (so bit-identical
+    to it), in place in two n x n buffers.  Otherwise ``_orthant`` of each
+    unordered pair, written to both triangles, a block of rows at a time.
     """
-    rho = z @ sigma @ z.T
+    w = z @ cholesky(sigma, lower=True)
+    rho = w @ w.T
     norms = np.sqrt(np.diag(rho))
     if np.any(norms <= 0):
         raise DegenerateVectorError("grouping row has zero Sigma-norm")

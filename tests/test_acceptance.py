@@ -174,8 +174,8 @@ def test_criterion_4_null_fits_and_k_derivative(report):
                 e[j] = h
                 up = NullFit(fit.alpha_hat + e, True, 1, 0.0)
                 dn = NullFit(fit.alpha_hat - e, True, 1, 0.0)
-                hi = score_psi0(ds, fam, up).psi0
-                lo = score_psi0(ds, fam, dn).psi0
+                hi = score_psi0(ds, fam, up)
+                lo = score_psi0(ds, fam, dn)
                 fd = ((hi - lo) * ind[:, None]).sum(axis=0) / (2 * h * ds.n)
                 worst_k = max(worst_k,
                               float(np.max(np.abs(k[:, j] - fd))) / scale)

@@ -1,0 +1,23 @@
+"""The benchmark's traced run works end to end on the program as it stands.
+
+``bench/worker.py`` wraps named functions of ``wast``, ``sst``, ``sim`` and
+``cli`` for every workload; if a refactor unbinds one of them, every traced
+operation fails.  This runs the shortest workload once, traced.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_cli_workload_runs_and_checks_out():
+    cmd = [sys.executable, "bench/run.py", "--workload", "cli_probit_gaussprior_n200",
+           "--seed", "1", "--seconds", "0", "--trace", "1"]
+    done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report["correct"] is True
+    assert report["failed"] == 0

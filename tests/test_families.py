@@ -6,6 +6,7 @@ from scipy.stats import norm
 from changeplane import (FamilyKind, bootstrap_sample, fit_null, score_psi0,
                          sst_derivatives)
 from changeplane.errors import ParameterError, SingularDesignError
+from changeplane.families import _mills
 
 from conftest import random_dataset
 
@@ -16,6 +17,11 @@ def test_family_kind_validates():
     with pytest.raises(ParameterError):
         FamilyKind("quantile", tau=1.0)
     assert FamilyKind("quantile", tau=0.25).describe() == "quantile(tau=0.25)"
+
+
+def test_mills_ratio_matches_scipy_norm_bits():
+    x = np.linspace(-40, 40, 2001)
+    np.testing.assert_array_equal(_mills(x), np.exp(norm.logpdf(x) - norm.logcdf(x)))
 
 
 class TestFitNull:
@@ -32,6 +38,22 @@ class TestFitNull:
         fit = fit_null(ds, FamilyKind(family))
         assert fit.converged
         assert fit.gradient_norm <= 1e-8
+
+    @pytest.mark.parametrize("family", ["binomial", "poisson", "probit"])
+    def test_iteration_cap_returns_unconverged_fit(self, rng, family):
+        ds = random_dataset(rng, n=200, family=family)
+        fit = fit_null(ds, FamilyKind(family), max_iter=1)
+        assert not fit.converged and fit.iterations == 1
+        assert np.any(fit.alpha_hat != 0)  # one step taken from alpha = 0
+        eta = ds.x_base @ fit.alpha_hat
+        if family == "binomial":
+            s = ds.y - expit(eta)
+        elif family == "poisson":
+            s = ds.y - np.exp(eta)
+        else:
+            s = ds.y * norm.pdf(eta) / norm.cdf(eta) - (1 - ds.y) * norm.pdf(eta) / norm.sf(eta)
+        grad = np.max(np.abs(ds.x_base.T @ s)) / ds.n
+        assert fit.gradient_norm == pytest.approx(grad, rel=1e-12)
 
     def test_binomial_intercept_only(self):
         y = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0])
@@ -78,13 +100,21 @@ class TestFitNull:
         with pytest.raises(SingularDesignError):
             fit_null(bad, FamilyKind("gaussian"))
 
+    def test_rank_deficient_grouping_is_named(self, rng):
+        ds = random_dataset(rng, n=60)
+        a = (rng.random(60) < 0.5).astype(float)
+        z = np.column_stack([ds.z_group, ds.z_group[:, 1]])  # duplicated column
+        bad = type(ds)(y=ds.y, x_base=ds.x_base, x_diff=a[:, None], z_group=z)
+        with pytest.raises(SingularDesignError, match="grouping design"):
+            fit_null(bad, FamilyKind("semiparametric"))
+
 
 class TestScorePsi0:
     def test_glm_residual_form(self, rng):
         ds = random_dataset(rng, family="binomial")
         fam = FamilyKind("binomial")
         fit = fit_null(ds, fam)
-        psi0 = score_psi0(ds, fam, fit).psi0
+        psi0 = score_psi0(ds, fam, fit)
         mu = expit(ds.x_base @ fit.alpha_hat)
         np.testing.assert_allclose(psi0, (ds.y - mu)[:, None] * ds.x_diff)
 
@@ -93,14 +123,14 @@ class TestScorePsi0:
         # at the least-squares fit.
         ds = random_dataset(rng, family="gaussian")
         fam = FamilyKind("gaussian")
-        psi0 = score_psi0(ds, fam, fit_null(ds, fam)).psi0
+        psi0 = score_psi0(ds, fam, fit_null(ds, fam))
         np.testing.assert_allclose(psi0.sum(axis=0), 0.0, atol=1e-9)
 
     def test_probit_score_is_loglik_gradient(self, rng):
         ds = random_dataset(rng, n=120, family="probit")
         fam = FamilyKind("probit")
         fit = fit_null(ds, fam)
-        psi0 = score_psi0(ds, fam, fit).psi0
+        psi0 = score_psi0(ds, fam, fit)
 
         def loglik(alpha):
             eta = ds.x_base @ alpha
@@ -119,7 +149,7 @@ class TestScorePsi0:
         ds = random_dataset(rng, n=60, family="quantile")
         fam = FamilyKind("quantile", tau=0.3)
         fit = fit_null(ds, fam)
-        psi0 = score_psi0(ds, fam, fit).psi0
+        psi0 = score_psi0(ds, fam, fit)
         resid = ds.y - ds.x_base @ fit.alpha_hat
         s = np.where(resid <= 0, 1.0, 0.0) - 0.3
         np.testing.assert_allclose(psi0, s[:, None] * ds.x_diff)
@@ -130,7 +160,7 @@ class TestScorePsi0:
         ds = type(ds)(y=ds.y, x_base=ds.x_base, x_diff=a[:, None],
                       z_group=ds.z_group)
         fam = FamilyKind("semiparametric")
-        psi0 = score_psi0(ds, fam, fit_null(ds, fam)).psi0
+        psi0 = score_psi0(ds, fam, fit_null(ds, fam))
         assert psi0.shape == (80, 1)
 
 
@@ -151,8 +181,8 @@ class TestSstDerivatives:
         for j in range(ds.r):
             e = np.zeros(ds.r)
             e[j] = h
-            hi = score_psi0(ds, fam, _with_alpha(fit, fit.alpha_hat + e)).psi0
-            lo = score_psi0(ds, fam, _with_alpha(fit, fit.alpha_hat - e)).psi0
+            hi = score_psi0(ds, fam, _with_alpha(fit, fit.alpha_hat + e))
+            lo = score_psi0(ds, fam, _with_alpha(fit, fit.alpha_hat - e))
             fd = ((hi - lo) * ind[:, None]).sum(axis=0) / (2 * h * ds.n)
             np.testing.assert_allclose(k[:, j], fd, rtol=1e-3, atol=1e-6)
 
@@ -183,8 +213,7 @@ class TestSstDerivatives:
 def _with_alpha(fit, alpha):
     from changeplane import NullFit
     return NullFit(alpha_hat=np.asarray(alpha, float), converged=fit.converged,
-                   iterations=fit.iterations, gradient_norm=fit.gradient_norm,
-                   extra=fit.extra)
+                   iterations=fit.iterations, gradient_norm=fit.gradient_norm)
 
 
 class TestBootstrapSample:

@@ -46,7 +46,7 @@ def loop_resampled(ds, family, thetas, n_resample, seed):
     """
     fit = fit_null(ds, family)
     derivs = sst_derivatives(ds, family, fit)
-    psi0 = score_psi0(ds, family, fit).psi0
+    psi0 = score_psi0(ds, family, fit)
     rows = []
     for theta in thetas:
         psi_t = psi0 * (ds.z_group @ theta >= 0)[:, None]
@@ -133,7 +133,7 @@ class TestScoreTestAt:
         fit = fit_null(ds, fam)
         derivs = sst_derivatives(ds, fam, fit)
         theta = np.array([0.1, 0.8, -0.6])
-        psi0 = score_psi0(ds, fam, fit).psi0
+        psi0 = score_psi0(ds, fam, fit)
         ind = (ds.z_group @ theta >= 0).astype(float)
         psi_t = psi0 * ind[:, None]
         corr = derivs.psi1 @ (derivs.k_of_theta(theta) @ derivs.j_inv).T

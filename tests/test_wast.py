@@ -37,7 +37,7 @@ def loop_boot_stats(ds, family, n_boot, seed, failed=()):
         if b in failed:
             continue
         ds_b = bootstrap_sample(ds, family, fit, child_rng(seed, b))
-        psi0 = score_psi0(ds_b, family, fit_null(ds_b, family)).psi0
+        psi0 = score_psi0(ds_b, family, fit_null(ds_b, family))
         stats.append(wast_statistic(psi0, omega))
     return np.asarray(stats)
 

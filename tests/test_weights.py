@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cholesky
 from scipy.stats import multivariate_normal, norm
 
 from changeplane import (Dataset, WeightSpec, beta_prior, gaussian, omega_beta,
@@ -148,7 +149,8 @@ class TestWeightMatrix:
         for spec, sigma in ((standard_gaussian(), np.eye(3)),
                             (gaussian(np.zeros(3), np.eye(3)), np.eye(3)),
                             (gaussian(np.zeros(3), SIGMA), SIGMA)):
-            gram = z @ sigma @ z.T  # the Sigma-weighted Gram
+            w = z @ cholesky(sigma, lower=True)
+            gram = w @ w.T  # the Sigma-weighted Gram, formed as the kernel forms it
             norms = np.sqrt(np.diag(gram))
             rho = np.clip(gram / np.outer(norms, norms), -1.0, 1.0)
             np.testing.assert_array_equal(weight_matrix(z, spec), omega_closed_form(rho))
@@ -185,10 +187,16 @@ class TestWeightMatrix:
         np.testing.assert_array_equal(weight_matrix(z, gaussian(MU, SIGMA)), whole)
 
     def test_symmetry_exact(self, rng):
-        z = np.hstack([np.ones((20, 1)), rng.standard_normal((20, 2))])
-        for spec in (standard_gaussian(), gaussian(MU, SIGMA)):
-            w = weight_matrix(z, spec)
-            np.testing.assert_array_equal(w, w.T)
+        # A GEMM-formed Gram z Sigma z' is off symmetric by an ulp at (500, 5)
+        # and (300, 4) with Sigma = I, and at n = 20 with Sigma != I.
+        for n, q in ((20, 3), (500, 5), (300, 4)):
+            z = np.hstack([np.ones((n, 1)), rng.standard_normal((n, q - 1))])
+            a = rng.standard_normal((q, q))
+            sigma = a @ a.T + np.eye(q)
+            for spec in (standard_gaussian(), gaussian(np.zeros(q), sigma),
+                         gaussian(np.full(q, 0.3), sigma)):
+                w = weight_matrix(z, spec)
+                np.testing.assert_array_equal(w, w.T)
 
     def test_scale_invariance(self, rng):
         z = np.hstack([np.ones((15, 1)), rng.standard_normal((15, 2))])
