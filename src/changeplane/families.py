@@ -13,6 +13,7 @@ nuisance rows psi1_i = s_i x_base,i.  This module provides:
 * ``score_psi0``      -- the n x p theta-free score rows psi0,
 * ``sst_derivatives`` -- the row factors of K(theta) and the J matrix needed
                          by the supremum score test,
+* ``plane_projections``-- which rows lie inside which change planes,
 * ``bootstrap_sample``-- a resampled dataset for calibration, per the
                          family-specific scheme (parametric for GLM/probit,
                          two-point wild for quantile, Gaussian wild for the
@@ -35,7 +36,7 @@ from .data import Dataset, validate
 from .errors import ParameterError, SingularDesignError
 
 __all__ = [
-    "FamilyKind", "NullFit", "SstDerivatives",
+    "FamilyKind", "NullFit", "SstDerivatives", "plane_projections",
     "fit_null", "score_psi0", "sst_derivatives", "bootstrap_sample",
 ]
 
@@ -88,11 +89,11 @@ class NullFit:
 class SstDerivatives:
     """Row factors of K(theta), the inverse of J and the nuisance rows.
 
-    K(theta) = n^-1 sum_i d_i(theta) g_i h_i', d_i(theta) = 1(z_i' theta >= 0),
-    is the p x r derivative of the mean half-space score in the nuisance
-    coefficients; ``g`` (n x p) and ``h`` (n x r) are its theta-free row
-    factors.  ``j_inv`` is the inverse of the derivative of the nuisance
-    estimating function; the score-covariance correction is
+    K(theta) = n^-1 sum_i d_i(theta) g_i h_i', d_i(theta) the membership of
+    ``plane_projections``, is the p x r derivative of the mean half-space
+    score in the nuisance coefficients; ``g`` (n x p) and ``h`` (n x r) are
+    its theta-free row factors.  ``j_inv`` is the inverse of the derivative
+    of the nuisance estimating function; the score-covariance correction is
     ``K(theta) @ j_inv @ psi1_i``.
     """
 
@@ -104,12 +105,27 @@ class SstDerivatives:
 
     def k_of_theta(self, theta) -> np.ndarray:
         """K(theta) at one plane."""
-        ind = self.z @ np.asarray(theta, float) >= 0
+        theta = np.asarray(theta, float)
+        ind = plane_projections(self.z, theta[None])[0] >= -theta[0]
         return self.g[ind].T @ self.h[ind] / self.z.shape[0]
 
 
+def plane_projections(z: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """K x n projections z_tail,i' theta_tail,k of the grouping rows on the
+    planes; row i is inside plane k when its projection is >= -theta_1k.
+
+    The theta grid takes its intercepts as quantiles of these rows and the
+    SST kernel its indicator from them, both over the same thetas array, so
+    the row at a quantile is inside its plane.  theta_1 is the intercept:
+    z's first column must be all ones.
+    """
+    if not np.all(z[:, 0] == 1.0):
+        raise ParameterError("change planes need an all-ones first grouping column")
+    return thetas[:, 1:] @ z[:, 1:].T
+
+
 # --------------------------------------------------------------------------
-# the per-row score factor, its slope and the Newton weight
+# the per-row score factor and its Newton weight
 # --------------------------------------------------------------------------
 
 def _mills(eta: np.ndarray) -> np.ndarray:
@@ -117,39 +133,25 @@ def _mills(eta: np.ndarray) -> np.ndarray:
     return np.exp(-eta**2 / 2.0 - _LOG_SQRT_2PI - log_ndtr(eta))
 
 
-def _factor(family: FamilyKind, y: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Score factor s(y, eta) of every family but the semiparametric one."""
+def _factor(family: FamilyKind, y: np.ndarray, eta: np.ndarray):
+    """Score factor s(y, eta) of every family but the semiparametric one, and
+    its Newton weight: c''(eta) = -ds/d eta of a canonical GLM, for probit the
+    expected information phi^2 / (Phi Phi(-)) = lam(eta) lam(-eta), None for
+    quantile.  The mean, or each Mills ratio, is evaluated once for both."""
     name = family.name
     if name == "gaussian":
-        return y - eta
+        return y - eta, np.ones_like(eta)
     if name == "binomial":
-        return y - expit(eta)
+        mu = expit(eta)
+        return y - mu, mu * (1.0 - mu)
     if name == "poisson":
-        return y - np.exp(eta)
+        mu = np.exp(eta)
+        return y - mu, mu
     if name == "probit":
-        return y * _mills(eta) - (1.0 - y) * _mills(-eta)
+        lam_p, lam_m = _mills(eta), _mills(-eta)
+        return y * lam_p - (1.0 - y) * lam_m, lam_p * lam_m
     # quantile: the check-loss subgradient 1(y - eta <= 0) - tau
-    return np.where(y - eta <= 0, 1.0, 0.0) - family.tau
-
-
-def _weight(name: str, eta: np.ndarray) -> np.ndarray:
-    """Newton weight: c''(eta) of a canonical GLM, which is -ds/d eta, and
-    for probit the expected information phi^2 / (Phi Phi(-)) = lam(eta) lam(-eta)."""
-    if name == "gaussian":
-        return np.ones_like(eta)
-    if name == "binomial":
-        p = expit(eta)
-        return p * (1.0 - p)
-    if name == "poisson":
-        return np.exp(eta)
-    return _mills(eta) * _mills(-eta)
-
-
-def _probit_slope(y: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """d/d eta of the probit score factor (observed, y-dependent)."""
-    lam_p = _mills(eta)
-    lam_m = _mills(-eta)
-    return -(y * lam_p * (eta + lam_p) + (1.0 - y) * lam_m * (lam_m - eta))
+    return np.where(y - eta <= 0, 1.0, 0.0) - family.tau, None
 
 
 # --------------------------------------------------------------------------
@@ -166,19 +168,19 @@ def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _newton(family: FamilyKind, y, x, tol, max_iter) -> NullFit:
     """Newton steps on X's = 0 from alpha = 0 until max|X's|/n <= tol.
 
-    With ``_weight`` this is IRLS for binomial and poisson and Fisher
-    scoring for probit.  After ``max_iter`` steps the last alpha is returned,
-    converged only if it meets tol.
+    With the weights of ``_factor`` this is IRLS for binomial and poisson and
+    Fisher scoring for probit.  After ``max_iter`` steps the last alpha is
+    returned, converged only if it meets tol.
     """
     n, r = x.shape
     alpha = np.zeros(r)
     for it in range(1, max_iter + 2):
-        eta = x @ alpha
-        score = x.T @ _factor(family, y, eta)
+        s, w = _factor(family, y, x @ alpha)
+        score = x.T @ s
         gnorm = float(np.max(np.abs(score)) / n)
         if gnorm <= tol or it > max_iter:
             return NullFit(alpha, gnorm <= tol, min(it, max_iter), gnorm)
-        info = x.T @ (x * _weight(family.name, eta)[:, None])
+        info = x.T @ (x * w[:, None])
         alpha = alpha + _solve_spd(info, score)
 
 
@@ -206,7 +208,7 @@ def _fit_quantile(y, x, family: FamilyKind, tol, max_iter) -> NullFit:
         eps = max(eps * 0.5, 1e-8)
         if step <= tol and eps <= 1e-8:
             break
-    sub = x.T @ _factor(family, y, x @ alpha)
+    sub = x.T @ _factor(family, y, x @ alpha)[0]
     box = r * float(np.max(np.abs(x)))
     gnorm = float(np.max(np.abs(sub)))
     return NullFit(alpha, gnorm <= box, it, gnorm)
@@ -221,7 +223,7 @@ def _fit(family: FamilyKind, y, x, tol, max_iter, design="baseline") -> NullFit:
     if family.name != "gaussian":
         return _newton(family, y, x, tol, max_iter)
     alpha, *_ = np.linalg.lstsq(x, y, rcond=None)
-    gnorm = float(np.max(np.abs(x.T @ _factor(family, y, x @ alpha))) / x.shape[0])
+    gnorm = float(np.max(np.abs(x.T @ _factor(family, y, x @ alpha)[0])) / x.shape[0])
     return NullFit(alpha, True, 1, gnorm)
 
 
@@ -261,7 +263,7 @@ def score_psi0(ds: Dataset, family: FamilyKind, fit: NullFit) -> np.ndarray:
     if family.name == "semiparametric":
         pi_hat, gam_hat = _semi_fitted(ds, fit)
         return ((ds.x_diff[:, 0] - pi_hat) * (ds.y - gam_hat))[:, None]
-    return _factor(family, ds.y, ds.x_base @ fit.alpha_hat)[:, None] * ds.x_diff
+    return _factor(family, ds.y, ds.x_base @ fit.alpha_hat)[0][:, None] * ds.x_diff
 
 
 def _silverman_f0(resid: np.ndarray) -> float:
@@ -290,15 +292,16 @@ def sst_derivatives(ds: Dataset, family: FamilyKind, fit: NullFit) -> SstDerivat
         h = -np.hstack([(w1 * resid_y)[:, None] * z, resid_a[:, None] * x])
     else:
         eta = x @ fit.alpha_hat
-        psi1 = _factor(family, ds.y, eta)[:, None] * x
+        s, w = _factor(family, ds.y, eta)
+        psi1 = s[:, None] * x
         h = x
         if family.name == "quantile":
             f0 = _silverman_f0(ds.y - eta)
             g, j_base = -f0 * xd, -f0 * (x.T @ x) / n
         else:
-            # probit takes the observed, y-dependent slope of its factor
-            dpsi = (_probit_slope(ds.y, eta) if family.name == "probit"
-                    else -_weight(family.name, eta))
+            # probit takes the observed slope of its factor, which for a 0/1
+            # response is -s (s + eta)
+            dpsi = -s * (s + eta) if family.name == "probit" else -w
             g, j_base = xd * dpsi[:, None], (x * dpsi[:, None]).T @ x / n
     try:
         j_inv = np.linalg.inv(j_base)

@@ -15,7 +15,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import expit
 
 from .data import Dataset
@@ -117,6 +116,9 @@ def _split_indicator(z_tail: np.ndarray, theta_tail: np.ndarray,
 
 def _binomial_intercept(shift: np.ndarray, target: float = 1.0 / 3.0) -> float:
     """Solve mean(expit(a1 + shift)) = target for the binomial baseline."""
+    # Imported here: only this design needs a root finder, and importing
+    # scipy.optimize takes about 40 % of the package's import time.
+    from scipy.optimize import brentq
     def f(a1):
         return float(np.mean(expit(a1 + shift))) - target
     return brentq(f, -30.0, 30.0)

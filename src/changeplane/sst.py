@@ -11,7 +11,7 @@ perturbation resampling with standard-normal multipliers.
 
 ``score_test_at`` (a grid of one plane), ``sst_statistic`` and ``sst_test``
 share one kernel that gets every plane's quantities through GEMMs of the
-K x n indicator 1(z_i' theta_k >= 0) and one batched Cholesky.
+K x n plane indicator and one batched Cholesky.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import NumericalError, ParameterError
-from .families import FamilyKind, SstDerivatives, fit_null, score_psi0, sst_derivatives
+from .families import (FamilyKind, SstDerivatives, fit_null, plane_projections,
+                       score_psi0, sst_derivatives)
 from .rng import child_rng
 from .wast import TestOutcome
 
@@ -40,10 +41,9 @@ DRAW_BLOCK = 32
 
 @dataclass(frozen=True)
 class ThetaGrid:
-    """K x q matrix of candidate planes plus the construction metadata."""
+    """K x q matrix of candidate planes; column 0 holds the intercepts."""
 
     thetas: np.ndarray
-    seed: int
 
     def __len__(self) -> int:
         return self.thetas.shape[0]
@@ -55,9 +55,9 @@ def build_theta_grid(ds: Dataset, k_directions: int = 1000,
 
     Each of ``k_directions`` directions for (theta_2..theta_q) is drawn
     standard normal and normalized.  The intercept theta_1 is minus an
-    empirical quantile of the projected grouping scores; quantile levels are
-    spread over [0.10, 0.90] (``grid_per_direction`` of them, the midpoint
-    when one).
+    empirical quantile of the plane's row of ``plane_projections``, so the
+    row at the quantile lies inside the plane; quantile levels are spread
+    over [0.10, 0.90] (``grid_per_direction`` of them, the midpoint when one).
     """
     if ds.q < 2:
         raise ParameterError("theta grid requires q >= 2 grouping columns")
@@ -72,17 +72,12 @@ def build_theta_grid(ds: Dataset, k_directions: int = 1000,
         levels = np.array([0.5])
     else:
         levels = np.linspace(0.10, 0.90, grid_per_direction)
-    z_tail = ds.z_group[:, 1:]
-    # One matrix-vector product per direction, not one GEMM: a GEMM changes
-    # the rounding of the projections, and at odd n a 1-ulp move of the
-    # median intercept flips the median row's side of the plane.
-    proj = np.empty((k_directions, ds.n))
-    for k, d in enumerate(dirs):
-        proj[k] = z_tail @ d
     thetas = np.empty((k_directions * levels.size, ds.q))
-    thetas[:, 0] = -np.quantile(proj, levels, axis=1).T.ravel()
     thetas[:, 1:] = np.repeat(dirs, levels.size, axis=0)
-    return ThetaGrid(thetas=thetas, seed=seed)
+    proj = plane_projections(ds.z_group, thetas)
+    for j, level in enumerate(levels):
+        thetas[j::levels.size, 0] = -np.quantile(proj[j::levels.size], level, axis=1)
+    return ThetaGrid(thetas=thetas)
 
 
 def _grid_planes(ds: Dataset, psi0: np.ndarray, derivs: SstDerivatives,
@@ -101,12 +96,8 @@ def _grid_planes(ds: Dataset, psi0: np.ndarray, derivs: SstDerivatives,
     n, p = psi0.shape
     psi1 = derivs.psi1
     r = psi1.shape[1]
-    # One matrix-vector product per plane, not one GEMM: as in
-    # build_theta_grid, a GEMM rounds differently, and at odd n that flips
-    # the side of the row lying on the median plane.
-    ind = np.empty((len(thetas), n))
-    for k, theta in enumerate(thetas):
-        np.greater_equal(ds.z_group @ theta, 0, out=ind[k])
+    ind = plane_projections(ds.z_group, thetas)
+    np.greater_equal(ind, -thetas[:, :1], out=ind)
 
     def outer(a, b):
         return (a[:, :, None] * b[:, None, :]).reshape(n, -1)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, LinAlgError
 from scipy.special import betainc, ndtr, owens_t
 
 from .errors import DegenerateVectorError, ParameterError
@@ -64,14 +63,15 @@ class WeightSpec:
             mu, sigma = np.asarray(self.mu, float), np.asarray(self.sigma, float)
             if mu.ndim != 1 or not np.all(np.isfinite(mu)):
                 raise ParameterError("mu must be a finite vector")
-            # cholesky reads one triangle only, so symmetry is checked apart;
-            # it raises ValueError on a non-finite or non-square matrix.
-            if sigma.shape != (mu.size, mu.size) or not np.array_equal(sigma, sigma.T):
-                raise ParameterError("sigma must be a symmetric matrix matching mu")
+            # cholesky reads one triangle only and does not reject inf or
+            # NaN, so finiteness and symmetry are checked apart.
+            if (sigma.shape != (mu.size, mu.size) or not np.all(np.isfinite(sigma))
+                    or not np.array_equal(sigma, sigma.T)):
+                raise ParameterError("sigma must be finite, symmetric and match mu")
             try:
-                cholesky(sigma, lower=True)
-            except (LinAlgError, ValueError) as exc:
-                raise ParameterError("sigma must be finite and positive definite") from exc
+                np.linalg.cholesky(sigma)
+            except np.linalg.LinAlgError as exc:
+                raise ParameterError("sigma must be positive definite") from exc
         if self.variant == "beta" and (self.lambda1 <= 0 or self.lambda2 <= 0):
             raise ParameterError("beta shape parameters must be positive")
         if self.variant == "uni_gaussian" and self.sigma2 <= 0:
@@ -220,7 +220,7 @@ def _omega_gaussian(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndar
     to it), in place in two n x n buffers.  Otherwise ``_orthant`` of each
     unordered pair, written to both triangles, a block of rows at a time.
     """
-    w = z @ cholesky(sigma, lower=True)
+    w = z @ np.linalg.cholesky(sigma)
     rho = w @ w.T
     norms = np.sqrt(np.diag(rho))
     if np.any(norms <= 0):
@@ -281,9 +281,10 @@ def weight_matrix(ds_or_z, spec: WeightSpec | None = None) -> np.ndarray:
     if q != 1:
         raise ParameterError(
             f"{spec.variant} weight requires exactly one grouping column, got q={q}")
+    # The prior CDF F is nondecreasing: F(min(z_i, z_j)) = min(F(z_i), F(z_j)).
     zv = z[:, 0]
-    m = np.minimum.outer(zv, zv)
     if spec.variant == "beta":
-        return np.clip(betainc(spec.lambda1, spec.lambda2, np.clip(m, 0.0, 1.0)),
-                       0.0, 1.0)
-    return ndtr((m - spec.scalar_mu) / np.sqrt(spec.sigma2))
+        cdf = betainc(spec.lambda1, spec.lambda2, np.clip(zv, 0.0, 1.0))
+    else:
+        cdf = ndtr((zv - spec.scalar_mu) / np.sqrt(spec.sigma2))
+    return np.minimum.outer(cdf, cdf)

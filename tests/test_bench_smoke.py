@@ -2,7 +2,9 @@
 
 ``bench/worker.py`` wraps named functions of ``wast``, ``sst``, ``sim`` and
 ``cli`` for every workload; if a refactor unbinds one of them, every traced
-operation fails.  This runs the shortest workload once, traced.
+operation fails.  This runs the CLI workload, the shortest, and the SST
+workload, whose check compares the statistic with the benchmark's own GEMM
+reference at 1e-10, once each, traced.
 """
 
 import json
@@ -10,11 +12,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_cli_workload_runs_and_checks_out():
-    cmd = [sys.executable, "bench/run.py", "--workload", "cli_probit_gaussprior_n200",
+@pytest.mark.parametrize("workload", ["cli_probit_gaussprior_n200",
+                                      "sst_gaussian_n1000_k5000"])
+def test_traced_workload_runs_and_checks_out(workload):
+    cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", "1", "--seconds", "0", "--trace", "1"]
     done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

@@ -1,8 +1,13 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import changeplane
 from changeplane import FamilyKind, PowerTable, Scenario, generate
 from changeplane.cli import NUMERIC_EXIT, USAGE_EXIT, main
 
@@ -205,3 +210,17 @@ class TestPowerCommand:
         assert lines[0] == "kappa,n,method,rate,reps,stderr"
         assert len(lines) == 5  # 2 kappas x 2 methods
         assert "# seed=12" in out
+
+
+def test_import_loads_neither_scipy_optimize_nor_linalg():
+    # Both are slow to import and the CLI pays that on every run; only the
+    # binomial simulation design imports scipy.optimize, when it runs.
+    code = ("import sys, changeplane, changeplane.cli; "
+            "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])")
+    src = str(Path(changeplane.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -8,20 +8,25 @@ from changeplane import (FamilyKind, ThetaGrid, build_theta_grid, fit_null,
                          sst_statistic, sst_test)
 from changeplane import sst as sst_module
 from changeplane.errors import ParameterError
+from changeplane.families import plane_projections
 from changeplane.rng import child_rng
 
 from conftest import random_dataset
 
 
 def loop_theta_grid(ds, k_directions, grid_per_direction, seed):
-    """Reference grid: one np.quantile call per (direction, level)."""
+    """Reference grid: one np.quantile call per (direction, level), each on
+    its plane's row of one projection product over the whole grid."""
     dirs = child_rng(seed, 0).standard_normal((k_directions, ds.q - 1))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     levels = ([0.5] if grid_per_direction == 1
               else np.linspace(0.10, 0.90, grid_per_direction))
-    z_tail = ds.z_group[:, 1:]
-    return np.asarray([np.concatenate([[-float(np.quantile(z_tail @ d, lev))], d])
-                       for d in dirs for lev in levels])
+    thetas = np.zeros((k_directions * len(levels), ds.q))
+    thetas[:, 1:] = [d for d in dirs for _ in levels]
+    proj = plane_projections(ds.z_group, thetas)
+    for k, lev in enumerate(list(levels) * k_directions):
+        thetas[k, 0] = -float(np.quantile(proj[k], lev))
+    return thetas
 
 
 FAMILIES = ["gaussian", "binomial", "poisson", "probit", "quantile",
@@ -43,14 +48,17 @@ def loop_resampled(ds, family, thetas, n_resample, seed):
 
     The whitened rows L^-1 (psi_theta - corr)' are rebuilt here from their
     definition; planes whose V(theta) has no Cholesky factor are left out.
+    The indicator rows come from one call over the whole grid, as in the
+    kernel: a one-plane product may round a row on the plane differently.
     """
     fit = fit_null(ds, family)
     derivs = sst_derivatives(ds, family, fit)
     psi0 = score_psi0(ds, family, fit)
     rows = []
-    for theta in thetas:
-        psi_t = psi0 * (ds.z_group @ theta >= 0)[:, None]
-        centered = psi_t - derivs.psi1 @ (derivs.k_of_theta(theta) @ derivs.j_inv).T
+    inside = plane_projections(ds.z_group, thetas) >= -thetas[:, :1]
+    for d in inside:
+        k_theta = derivs.g[d].T @ derivs.h[d] / ds.n
+        centered = psi0 * d[:, None] - derivs.psi1 @ (k_theta @ derivs.j_inv).T
         try:
             chol = np.linalg.cholesky(centered.T @ centered / ds.n)
         except np.linalg.LinAlgError:
@@ -101,6 +109,34 @@ class TestThetaGrid:
                                 grid_per_direction=per_direction, seed=4)
         np.testing.assert_array_equal(
             grid.thetas, loop_theta_grid(ds, 200, per_direction, seed=4))
+
+    @pytest.mark.parametrize("n", [301, 1001])
+    def test_quantile_row_is_inside_its_plane(self, rng, n):
+        # The kernel's indicator and the grid's intercepts come from one
+        # projection product, so at odd n the median row is always inside.
+        ds = random_dataset(rng, n=n, q=3)
+        fam = FamilyKind("gaussian")
+        fit = fit_null(ds, fam)
+        args = ds, score_psi0(ds, fam, fit), sst_derivatives(ds, fam, fit)
+        grid = build_theta_grid(ds, k_directions=300, seed=6)
+        ind = sst_module._grid_planes(*args, grid.thetas)[1]
+        assert np.all(ind.sum(axis=1) == (n + 1) // 2)
+        levels = np.linspace(0.10, 0.90, 4)
+        grid = build_theta_grid(ds, k_directions=300, grid_per_direction=4, seed=6)
+        ind = sst_module._grid_planes(*args, grid.thetas)[1]
+        proj = plane_projections(ds.z_group, grid.thetas)
+        # np.quantile interpolates between the order statistics at
+        # floor and ceil of level * (n - 1); the upper one is inside.
+        upper = np.ceil(np.tile(levels, 300) * (n - 1)).astype(int)
+        rows = np.argsort(proj, axis=1)[np.arange(len(proj)), upper]
+        assert np.all(ind[np.arange(len(ind)), rows] == 1)
+
+    def test_requires_intercept_column(self, rng):
+        ds = random_dataset(rng, n=30, q=3)
+        shifted = type(ds)(y=ds.y, x_base=ds.x_base, x_diff=ds.x_diff,
+                           z_group=ds.z_group + 0.5)
+        with pytest.raises(ParameterError):
+            build_theta_grid(shifted)
 
     def test_requires_two_grouping_columns(self, rng):
         ds = random_dataset(rng, n=30, q=3)
@@ -195,7 +231,7 @@ class TestSstTest:
     @pytest.mark.parametrize("n_resample", [1, 33])
     def test_batched_draws_match_per_draw_loop(self, rng, family, n, n_resample):
         # At odd n the median intercept puts one row on each plane, so the
-        # indicator must come from the same mat-vec as the loop's.
+        # loop takes its indicator rows from the kernel's helper.
         ds = family_dataset(rng, n, family)
         fam = FamilyKind(family)
         out = sst_test(ds, fam, k_directions=40, n_resample=n_resample, seed=5)
@@ -213,12 +249,12 @@ class TestSstTest:
         empty = np.array([-1e6, 1.0, 0.0])
         thetas = np.vstack([empty, good[:6], empty, good[6:], empty])
         monkeypatch.setattr(sst_module, "build_theta_grid",
-                            lambda *args: ThetaGrid(thetas=thetas, seed=2))
+                            lambda *args: ThetaGrid(thetas=thetas))
         out = sst_test(ds, fam, k_directions=15, n_resample=33, seed=2)
         assert out.diagnostics["grid_size"] == 15
         assert out.diagnostics["grid_skipped"] == 3
         monkeypatch.setattr(sst_module, "build_theta_grid",
-                            lambda *args: ThetaGrid(thetas=good, seed=2))
+                            lambda *args: ThetaGrid(thetas=good))
         kept = sst_test(ds, fam, k_directions=12, n_resample=33, seed=2)
         assert out.statistic == kept.statistic
         np.testing.assert_allclose(out.boot_stats, kept.boot_stats,

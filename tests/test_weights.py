@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cholesky
+from scipy.special import betainc, ndtr
 from scipy.stats import multivariate_normal, norm
 
 from changeplane import (Dataset, WeightSpec, beta_prior, gaussian, omega_beta,
@@ -149,7 +149,7 @@ class TestWeightMatrix:
         for spec, sigma in ((standard_gaussian(), np.eye(3)),
                             (gaussian(np.zeros(3), np.eye(3)), np.eye(3)),
                             (gaussian(np.zeros(3), SIGMA), SIGMA)):
-            w = z @ cholesky(sigma, lower=True)
+            w = z @ np.linalg.cholesky(sigma)
             gram = w @ w.T  # the Sigma-weighted Gram, formed as the kernel forms it
             norms = np.sqrt(np.diag(gram))
             rho = np.clip(gram / np.outer(norms, norms), -1.0, 1.0)
@@ -216,6 +216,7 @@ class TestWeightMatrix:
     @pytest.mark.parametrize("mu, sigma", [
         (np.zeros(2), [[1.0, 5.0], [0.2, 1.0]]),        # not symmetric
         (np.zeros(2), [[1.0, np.nan], [np.nan, 1.0]]),  # NaN in sigma
+        (np.zeros(2), [[np.inf, 0.0], [0.0, 1.0]]),     # infinite sigma
         ([0.0, np.nan], np.eye(2)),                     # NaN in mu
         (np.zeros(3), np.eye(2)),                       # shapes disagree
     ])
@@ -240,6 +241,20 @@ class TestWeightMatrix:
         w = weight_matrix(z, univariate_gaussian(0.0, 1.0))
         assert w[0, 1] == pytest.approx(0.5)          # min(0,1)=0 -> Phi(0)
         assert w[1, 2] == pytest.approx(0.15865525393145707)  # Phi(-1)
+
+    @pytest.mark.parametrize("spec", [beta_prior(0.5, 0.7), beta_prior(2.0, 3.0),
+                                      univariate_gaussian(0.3, 2.0)])
+    def test_scalar_prior_is_cdf_at_pairwise_min(self, rng, spec):
+        # Ties, values at and beyond the beta support, and random values.
+        z = np.concatenate([[0.4, 0.4, 0.0, -0.3, 1.0, 1.7, 0.4],
+                            rng.uniform(-0.5, 1.5, 200)])
+        m = np.minimum.outer(z, z)
+        if spec.variant == "beta":
+            want = np.clip(betainc(spec.lambda1, spec.lambda2, np.clip(m, 0.0, 1.0)),
+                           0.0, 1.0)
+        else:
+            want = ndtr((m - spec.scalar_mu) / np.sqrt(spec.sigma2))
+        np.testing.assert_array_equal(weight_matrix(z[:, None], spec), want)
 
     def test_dataset_argument(self, rng):
         ds = Dataset(y=np.arange(4.0), x_base=np.ones((4, 1)),
