@@ -16,6 +16,7 @@ K x n plane indicator and one batched Cholesky.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +88,8 @@ def _grid_planes(ds: Dataset, psi0: np.ndarray, derivs: SstDerivatives,
     With D the K x n indicator, the score sums are S = D psi0, K(theta) =
     D(g x h)/n and C = K J^-1; as d_i^2 = d_i, the covariance of the centered
     rows d_i psi0_i - C psi1_i is V = [D(psi0 x psi0) - B01 C' - C B01'
-    + C (psi1'psi1) C']/n with B01 = D(psi0 x psi1).  Only if the batched
-    Cholesky of V fails does a per-plane loop ridge-repair or skip planes.
+    + C (psi1'psi1) C']/n with B01 = D(psi0 x psi1).  One batched Cholesky
+    factors every V; a per-plane loop ridge-repairs or skips the rank-deficient.
 
     Returns (stats, ind, l_inv, c, n_repaired) over the kept planes: the
     statistics n^-1 |L^-1 S|^2, the indicator rows, L^-1 and C.
@@ -109,22 +110,25 @@ def _grid_planes(ds: Dataset, psi0: np.ndarray, derivs: SstDerivatives,
     cross = b01.reshape(-1, p, r) @ c.transpose(0, 2, 1)  # B01 C'
     v = (b00.reshape(-1, p, p) - cross - cross.transpose(0, 2, 1)
          + c @ (psi1.T @ psi1) @ c.transpose(0, 2, 1)) / n
-    n_repaired = 0
+    # A plane is rank-deficient when its plain Cholesky fails (its factor is
+    # left NaN) or its smallest pivot squared is below tol = RIDGE_SCALE *
+    # trace(V)/p.  It is refactored with tol on the diagonal, and skipped if
+    # that fails too.
+    tol = RIDGE_SCALE * np.trace(v, axis1=1, axis2=2) / p
     try:
-        chol, keep = np.linalg.cholesky(v), np.ones(len(v), bool)
+        chol = np.linalg.cholesky(v)
     except np.linalg.LinAlgError:
-        chol, keep = np.zeros_like(v), np.zeros(len(v), bool)
+        chol = np.full_like(v, np.nan)
         for k, v_k in enumerate(v):
-            # Ridge repair: retry with RIDGE_SCALE * trace/p on the diagonal;
-            # a plane that fails both is skipped.
-            for ridge in (0.0, RIDGE_SCALE * np.trace(v_k) / p):
-                try:
-                    chol[k] = np.linalg.cholesky(v_k + ridge * np.eye(p))
-                except np.linalg.LinAlgError:
-                    continue
-                keep[k] = True
-                n_repaired += int(ridge > 0)
-                break
+            with suppress(np.linalg.LinAlgError):
+                chol[k] = np.linalg.cholesky(v_k)
+    repair = ~(np.diagonal(chol, axis1=1, axis2=2).min(axis=1) ** 2 >= tol)
+    keep = ~repair
+    for k in np.flatnonzero(repair):
+        with suppress(np.linalg.LinAlgError):
+            chol[k] = np.linalg.cholesky(v[k] + tol[k] * np.eye(p))
+            keep[k] = True
+    n_repaired = int(np.count_nonzero(keep & repair))
     if not keep.any():
         raise NumericalError("V(theta) singular beyond ridge repair at every plane")
     if not keep.all():

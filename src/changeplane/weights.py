@@ -32,8 +32,8 @@ __all__ = [
 # Endpoint guard for arctan(rho/sqrt(1-rho^2)): below this, return the limits.
 _ENDPOINT_EPS = 1e-12
 
-# Pairs per block of rows in the mu != 0 Owen's-T path; its dozen temporaries
-# stay O(n * block rows) instead of O(n^2).
+# Pairs per tile of max(1, _PAIR_BLOCK // n) rows in the Gaussian omega
+# kernel; each tile's temporaries stay O(_PAIR_BLOCK) next to omega itself.
 _PAIR_BLOCK = 1 << 16
 
 
@@ -72,10 +72,13 @@ class WeightSpec:
                 np.linalg.cholesky(sigma)
             except np.linalg.LinAlgError as exc:
                 raise ParameterError("sigma must be positive definite") from exc
-        if self.variant == "beta" and (self.lambda1 <= 0 or self.lambda2 <= 0):
-            raise ParameterError("beta shape parameters must be positive")
-        if self.variant == "uni_gaussian" and self.sigma2 <= 0:
-            raise ParameterError("sigma2 must be positive")
+        # 0 < x < inf is False for NaN too, which passes a plain x <= 0 test.
+        if self.variant == "beta" and not (0 < self.lambda1 < np.inf
+                                           and 0 < self.lambda2 < np.inf):
+            raise ParameterError("beta shape parameters must be finite and positive")
+        if self.variant == "uni_gaussian" and not (np.isfinite(self.scalar_mu)
+                                                   and 0 < self.sigma2 < np.inf):
+            raise ParameterError("mu must be finite and sigma2 finite and positive")
 
     def describe(self) -> str:
         if self.variant == "gaussian":
@@ -166,8 +169,8 @@ def omega_gaussian_mc(z_i, z_j, mu, sigma, n_draws: int | None = None,
 
 def omega_beta(z_i: float, z_j: float, lambda1: float, lambda2: float) -> float:
     """Beta(lambda1, lambda2) CDF at min(z_i, z_j), clamped to [0, 1] support."""
-    if lambda1 <= 0 or lambda2 <= 0:
-        raise ParameterError("beta shape parameters must be positive")
+    if not (0 < lambda1 < np.inf and 0 < lambda2 < np.inf):
+        raise ParameterError("beta shape parameters must be finite and positive")
     m = min(float(z_i), float(z_j))
     if m <= 0.0:
         return 0.0
@@ -178,8 +181,8 @@ def omega_beta(z_i: float, z_j: float, lambda1: float, lambda2: float) -> float:
 
 def omega_univariate_gaussian(z_i: float, z_j: float, mu: float, sigma2: float) -> float:
     """N(mu, sigma2) CDF at min(z_i, z_j)."""
-    if sigma2 <= 0:
-        raise ParameterError("sigma2 must be positive")
+    if not (np.isfinite(mu) and 0 < sigma2 < np.inf):
+        raise ParameterError("mu must be finite and sigma2 finite and positive")
     m = min(float(z_i), float(z_j))
     return float(ndtr((m - mu) / np.sqrt(sigma2)))
 
@@ -212,54 +215,39 @@ def _orthant(h, k, rho):
 def _omega_gaussian(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """omega_ij under the prior N(mu, sigma) for every pair of rows of z.
 
-    The Sigma-weighted Gram z Sigma z' is formed as w w' with w = z L,
-    Sigma = L L'; numpy computes a product with its own transpose as A A'
-    (syrk) and mirrors one triangle, so the Gram, and hence omega, is exactly
-    symmetric.  At mu = 0: ``omega_closed_form`` of the clipped
-    Sigma-cosines, by the same operations in the same order (so bit-identical
-    to it), in place in two n x n buffers.  Otherwise ``_orthant`` of each
-    unordered pair, written to both triangles, a block of rows at a time.
+    The Sigma-weighted Gram is formed as w w' with w = z L, Sigma = L L':
+    numpy computes it by syrk and mirrors one triangle, so it is exactly
+    symmetric.  It becomes omega in place, a tile of rows [s, e) at a time:
+    the cosines rho of the upper rectangle (s:e, s:) go through
+    ``omega_closed_form`` at mu = 0 and ``_orthant`` otherwise, and the tile
+    is written to both triangles.  A later tile reads only columns from its
+    own first row on, which no earlier tile has written.
     """
     w = z @ np.linalg.cholesky(sigma)
-    rho = w @ w.T
-    norms = np.sqrt(np.diag(rho))
+    out = w @ w.T
+    norms = np.sqrt(np.diag(out))
     if np.any(norms <= 0):
         raise DegenerateVectorError("grouping row has zero Sigma-norm")
-    out = np.multiply.outer(norms, norms)
-    np.divide(rho, out, out=rho)
-    np.clip(rho, -1.0, 1.0, out=rho)
-    if np.any(mu):
-        a = (z @ mu) / norms
-        n = len(a)
-        rows = max(1, _PAIR_BLOCK // n)
-        for start in range(0, n, rows):
-            block = np.arange(start, min(start + rows, n))
-            i, j = np.nonzero(np.arange(n) >= block[:, None])
-            i += start
-            out[i, j] = out[j, i] = _orthant(a[i], a[j], rho[i, j])
-        return out
-    np.multiply(rho, rho, out=out)
-    np.subtract(1.0, out, out=out)
-    # Where 1 - rho^2 is not above the guard, the limits at rho = +-1 (1/2
-    # and 0) replace the arctan form.
-    edge = out > _ENDPOINT_EPS
-    np.invert(edge, out=edge)
-    np.putmask(out, edge, 1.0)
-    np.sqrt(out, out=out)
-    np.divide(rho, out, out=out)
-    np.arctan(out, out=out)
-    np.divide(out, 2.0 * np.pi, out=out)
-    np.add(0.25, out, out=out)
-    np.greater(rho, 0, out=rho)
-    rho *= 0.5
-    np.copyto(out, rho, where=edge)
+    a = (z @ mu) / norms if np.any(mu) else None
+    n = len(norms)
+    rows = max(1, _PAIR_BLOCK // n)
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        rho = np.clip(out[s:e, s:] / np.multiply.outer(norms[s:e], norms[s:]), -1.0, 1.0)
+        if a is None:
+            tile = omega_closed_form(rho)
+        else:
+            tile = _orthant(*np.broadcast_arrays(a[s:e, None], a[None, s:]), rho)
+        out[s:e, s:] = tile
+        out[s:, s:e] = tile.T
     return out
 
 
 def weight_matrix(ds_or_z, spec: WeightSpec | None = None) -> np.ndarray:
-    """n x n symmetric matrix of omega_ij; diagonal filled but unused upstream.
+    """n x n exactly symmetric matrix of omega_ij; diagonal filled but unused upstream.
 
-    Accepts either a Dataset or the raw grouping matrix Z.
+    Accepts either a Dataset or the raw grouping matrix Z.  For a Gaussian
+    prior the result is the only n x n array allocated (``_omega_gaussian``).
     """
     if spec is None:
         spec = standard_gaussian()

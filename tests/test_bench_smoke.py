@@ -2,9 +2,11 @@
 
 ``bench/worker.py`` wraps named functions of ``wast``, ``sst``, ``sim`` and
 ``cli`` for every workload; if a refactor unbinds one of them, every traced
-operation fails.  This runs the CLI workload, the shortest, and the SST
+operation fails.  This runs the CLI workload, the shortest; the SST
 workload, whose check compares the statistic with the benchmark's own GEMM
-reference at 1e-10, once each, traced.
+reference at 1e-10; and the WAST workload, whose check compares omega, built
+over many row tiles at n = 2000, with the benchmark's own orthant reference;
+once each, traced.
 """
 
 import json
@@ -18,7 +20,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("workload", ["cli_probit_gaussprior_n200",
-                                      "sst_gaussian_n1000_k5000"])
+                                      "sst_gaussian_n1000_k5000",
+                                      "wast_binomial_n2000"])
 def test_traced_workload_runs_and_checks_out(workload):
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", "1", "--seconds", "0", "--trace", "1"]

@@ -109,7 +109,8 @@ class TestTestCommand:
             main(argv + ["--weight", "gaussian", "--mc-draws", "100"])
         assert exc.value.code == USAGE_EXIT
 
-    def test_beta_weight_with_scalar_grouping(self, tmp_path, capsys):
+    @staticmethod
+    def scalar_grouping_argv(tmp_path):
         rng = np.random.default_rng(2)
         path = tmp_path / "scalar.csv"
         with open(path, "w") as fh:
@@ -118,14 +119,28 @@ class TestTestCommand:
                 fh.write(f"{rng.standard_normal():.17g},"
                          f"{rng.standard_normal():.17g},"
                          f"{rng.random():.17g}\n")
+        return ["test", str(path), "--family", "gaussian", "--response", "y",
+                "--baseline", "x", "--diff", "x", "--grouping", "z",
+                "--no-intercept-grouping", "--boot", "30", "--seed", "5"]
+
+    def test_beta_weight_with_scalar_grouping(self, tmp_path, capsys):
         code, out, _ = run_cli(
-            ["test", str(path), "--family", "gaussian", "--response", "y",
-             "--baseline", "x", "--diff", "x", "--grouping", "z",
-             "--no-intercept-grouping", "--weight", "beta",
-             "--beta-lambda1", "2", "--beta-lambda2", "2",
-             "--boot", "30", "--seed", "5"], capsys)
+            self.scalar_grouping_argv(tmp_path)
+            + ["--weight", "beta", "--beta-lambda1", "2", "--beta-lambda2", "2"],
+            capsys)
         assert code == 0
         assert "p_value=" in out
+
+    @pytest.mark.parametrize("flags", [
+        ["--weight", "beta", "--beta-lambda1", "nan"],
+        ["--weight", "beta", "--beta-lambda2", "inf"],
+        ["--weight", "uni_gaussian", "--weight-mu", "nan"],
+        ["--weight", "uni_gaussian", "--weight-sigma2", "inf"],
+    ])
+    def test_non_finite_prior_parameter_usage_exit(self, tmp_path, capsys, flags):
+        code, out, err = run_cli(self.scalar_grouping_argv(tmp_path) + flags, capsys)
+        assert code == USAGE_EXIT
+        assert "finite" in err and "p_value=" not in out
 
 
 class TestSimulateCommand:

@@ -296,7 +296,9 @@ class TestSstTest:
         out = sst_test(dup, fam, k_directions=5, n_resample=10, seed=0)
         assert out.statistic == val
         assert out.diagnostics["grid_skipped"] == 0
-        assert 1 <= out.diagnostics["grid_repaired"] <= 5
+        # Every plane is rank-deficient, so every plane is repaired, not only
+        # those whose plain Cholesky happens to fail on a rounding-sized pivot.
+        assert out.diagnostics["grid_repaired"] == 5
         clean = sst_test(ds, fam, k_directions=5, n_resample=10, seed=0)
         assert clean.diagnostics["grid_repaired"] == 0
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,22 @@ class TestScalarPriors:
         with pytest.raises(ParameterError):
             omega_univariate_gaussian(0.0, 1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("make", [
+        lambda v: beta_prior(v, 1.0),
+        lambda v: beta_prior(1.0, v),
+        lambda v: univariate_gaussian(v, 1.0),
+        lambda v: univariate_gaussian(0.0, v),
+        lambda v: omega_beta(0.3, 0.8, v, 1.0),
+        lambda v: omega_beta(0.3, 0.8, 1.0, v),
+        lambda v: omega_univariate_gaussian(0.3, 0.8, v, 1.0),
+        lambda v: omega_univariate_gaussian(0.3, 0.8, 0.0, v),
+    ], ids=["lambda1", "lambda2", "scalar_mu", "sigma2", "omega_beta_lambda1",
+            "omega_beta_lambda2", "omega_uni_mu", "omega_uni_sigma2"])
+    def test_non_finite_parameters_rejected(self, make, bad):
+        with pytest.raises(ParameterError):
+            make(bad)
+
 
 class TestWeightMatrix:
     def test_orthogonal_pair(self):
@@ -178,13 +196,31 @@ class TestWeightMatrix:
                 assert abs(w[i, j] - want) <= 1e-12, (i, j, rho)
 
     def test_row_blocks_match_one_block(self, rng, monkeypatch):
-        # The mu != 0 path evaluates the pairs a block of rows at a time; 7
-        # rows per block leaves a short last block at n = 50.
+        # omega is built a tile of rows at a time over its own Gram; 7 rows
+        # per tile leaves a short last tile at n = 50, and 50 rows is the
+        # whole matrix in one tile.
         z = np.hstack([np.ones((50, 1)), rng.standard_normal((50, 2))])
         z[0], z[2] = [-2.0, 1.5, 1.0], 3.0 * z[4]
-        whole = weight_matrix(z, gaussian(MU, SIGMA))
-        monkeypatch.setattr(weights_module, "_PAIR_BLOCK", 7 * 50)
-        np.testing.assert_array_equal(weight_matrix(z, gaussian(MU, SIGMA)), whole)
+        for spec in GAUSSIAN_SPECS:
+            default = weight_matrix(z, spec)
+            for rows in (1, 7, 50):
+                monkeypatch.setattr(weights_module, "_PAIR_BLOCK", rows * 50)
+                np.testing.assert_array_equal(weight_matrix(z, spec), default)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("spec", GAUSSIAN_SPECS)
+    def test_peak_memory_is_one_n_by_n_array(self, rng, spec):
+        # The Gram turns into omega in place: past that one n x n array only
+        # the per-tile temporaries are allocated.
+        n = 1500
+        z = np.hstack([np.ones((n, 1)), rng.standard_normal((n, 2))])
+        tracemalloc.start()
+        try:
+            weight_matrix(z, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * 8 * n * n
 
     def test_symmetry_exact(self, rng):
         # A GEMM-formed Gram z Sigma z' is off symmetric by an ulp at (500, 5)
