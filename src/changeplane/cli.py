@@ -57,6 +57,8 @@ def _columns(raw: str | None) -> list[str]:
 
 
 def cmd_test(args) -> int:
+    if not 0.0 < args.level < 1.0:
+        raise ParameterError(f"level must lie in (0, 1), got {args.level}")
     spec = ColumnSpec(
         response=args.response,
         baseline=_columns(args.baseline),

@@ -74,11 +74,6 @@ class Dataset:
     def q(self) -> int:
         return self.z_group.shape[1]
 
-    def with_response(self, y_new: np.ndarray) -> "Dataset":
-        """Copy of this dataset with a replaced response (bootstrap use)."""
-        return Dataset(y=y_new, x_base=self.x_base, x_diff=self.x_diff,
-                       z_group=self.z_group)
-
 
 @dataclass(frozen=True)
 class ColumnSpec:

@@ -10,11 +10,13 @@ nuisance rows psi1_i = s_i x_base,i.  This module provides:
                          gaussian, one Newton loop for binomial and poisson
                          (IRLS) and probit (Fisher scoring), majorize-minimize
                          for quantile,
+* ``refit_null``      -- the same fit, in lock step, on every column of an
+                         n x B bootstrap response matrix, scored,
 * ``score_psi0``      -- the n x p theta-free score rows psi0,
 * ``sst_derivatives`` -- the row factors of K(theta) and the J matrix needed
                          by the supremum score test,
 * ``plane_projections``-- which rows lie inside which change planes,
-* ``bootstrap_sample``-- a resampled dataset for calibration, per the
+* ``bootstrap_sample``-- a redrawn response for calibration, per the
                          family-specific scheme (parametric for GLM/probit,
                          two-point wild for quantile, Gaussian wild for the
                          semiparametric model).
@@ -37,7 +39,7 @@ from .errors import ParameterError, SingularDesignError
 
 __all__ = [
     "FamilyKind", "NullFit", "SstDerivatives", "plane_projections",
-    "fit_null", "score_psi0", "sst_derivatives", "bootstrap_sample",
+    "fit_null", "refit_null", "score_psi0", "sst_derivatives", "bootstrap_sample",
 ]
 
 _ALL_FAMILIES = ("gaussian", "binomial", "poisson", "probit", "quantile",
@@ -155,81 +157,97 @@ def _factor(family: FamilyKind, y: np.ndarray, eta: np.ndarray):
 
 
 # --------------------------------------------------------------------------
-# null fits
+# null fits: every column of an n x B response in lock step
 # --------------------------------------------------------------------------
 
-def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _solve_spd(x: np.ndarray, xw: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """r x B solutions of (x' W_b x) a_b = b_b, with xw the n x r x B stack
+    x_ia w_ib and b B x r x 1: one GEMM for the Grams, one batched solve."""
+    n, r = x.shape
+    gram = (x.T @ xw.reshape(n, -1)).reshape(r, r, -1).transpose(2, 0, 1)
     try:
-        return np.linalg.solve(a, b)
+        return np.linalg.solve(gram, b)[:, :, 0].T
     except np.linalg.LinAlgError as exc:
         raise SingularDesignError("singular information matrix") from exc
 
 
-def _newton(family: FamilyKind, y, x, tol, max_iter) -> NullFit:
-    """Newton steps on X's = 0 from alpha = 0 until max|X's|/n <= tol.
-
-    With the weights of ``_factor`` this is IRLS for binomial and poisson and
-    Fisher scoring for probit.  After ``max_iter`` steps the last alpha is
-    returned, converged only if it meets tol.
-    """
+def _newton(family: FamilyKind, y, x, tol, max_iter):
+    """Newton steps on X's = 0 from alpha = 0: IRLS for binomial and poisson,
+    Fisher scoring for probit.  A column stops at its first evaluation with
+    max|X's|/n <= tol, the evaluations made being its iterations."""
     n, r = x.shape
-    alpha = np.zeros(r)
-    for it in range(1, max_iter + 2):
-        s, w = _factor(family, y, x @ alpha)
-        score = x.T @ s
-        gnorm = float(np.max(np.abs(score)) / n)
-        if gnorm <= tol or it > max_iter:
-            return NullFit(alpha, gnorm <= tol, min(it, max_iter), gnorm)
-        info = x.T @ (x * w[:, None])
-        alpha = alpha + _solve_spd(info, score)
-
-
-def _fit_quantile(y, x, family: FamilyKind, tol, max_iter) -> NullFit:
-    """IRLS on |r| + eps weights with eps annealed to 1e-8.
-
-    Convergence target is the subgradient box: the fitted alpha must satisfy
-    ||sum [1(resid <= 0) - tau] x_i||_inf <= r * max|x|, the discrete
-    analogue of the estimating equation.
-    """
-    tau = family.tau
-    r = x.shape[1]
-    alpha, *_ = np.linalg.lstsq(x, y, rcond=None)
-    eps = 1e-2
-    last = alpha
+    alpha = np.zeros((r, y.shape[1]))
+    iterations, live = np.full(y.shape[1], max_iter), np.arange(y.shape[1])
     for it in range(1, max_iter + 1):
-        resid = y - x @ alpha
+        s, w = _factor(family, y[:, live], x @ alpha[:, live])
+        score = x.T @ s
+        done = np.max(np.abs(score), axis=0) / n <= tol
+        iterations[live[done]] = it
+        live, score, w = live[~done], score[:, ~done], w[:, ~done]
+        if not live.size:
+            break
+        alpha[:, live] += _solve_spd(x, x[:, :, None] * w[:, None, :], score.T[:, :, None])
+    return alpha, iterations
+
+
+def _fit_quantile(y, x, tau, tol, max_iter):
+    """IRLS on |r| + eps weights with eps annealed to 1e-8.  A column stops
+    at the first step <= tol once eps is at 1e-8."""
+    alpha = np.linalg.lstsq(x, y, rcond=None)[0]
+    iterations, live = np.full(y.shape[1], max_iter), np.arange(y.shape[1])
+    eps = 1e-2
+    for it in range(1, max_iter + 1):
+        y_live = y[:, live]
+        resid = y_live - x @ alpha[:, live]
         # check-loss weights: rho_tau(r) = r (tau - 1(r<=0)); MM surrogate
         w = np.where(resid > 0, tau, 1.0 - tau) / np.maximum(np.abs(resid), eps)
-        xw = x * w[:, None]
-        alpha_new = _solve_spd(x.T @ xw, xw.T @ y)
-        step = float(np.max(np.abs(alpha_new - last)))
-        last = alpha_new
-        alpha = alpha_new
+        xw = x[:, :, None] * w[:, None, :]
+        new = _solve_spd(x, xw, xw.transpose(2, 1, 0) @ y_live.T[:, :, None])
         eps = max(eps * 0.5, 1e-8)
-        if step <= tol and eps <= 1e-8:
+        done = (np.max(np.abs(new - alpha[:, live]), axis=0) <= tol) & (eps <= 1e-8)
+        alpha[:, live] = new
+        iterations[live[done]] = it
+        live = live[~done]
+        if not live.size:
             break
-    sub = x.T @ _factor(family, y, x @ alpha)[0]
-    box = r * float(np.max(np.abs(x)))
-    gnorm = float(np.max(np.abs(sub)))
-    return NullFit(alpha, gnorm <= box, it, gnorm)
+    return alpha, iterations
 
 
-def _fit(family: FamilyKind, y, x, tol, max_iter, design="baseline") -> NullFit:
-    """Solve X's = 0 for one family on the design x, which must have full rank."""
-    if np.linalg.matrix_rank(x) < x.shape[1]:
+def _fit(family: FamilyKind, y, x, tol, max_iter, design="baseline"):
+    """Solve X's = 0 on the full-rank design x for every column of the n x B
+    response y in lock step; a stopped column is never touched again.
+    Returns alpha (r x B) and, per column, converged, iterations and the
+    gradient norm max|X's|/n; for quantile max|X's|, converged inside the
+    subgradient box r * max|x|, the discrete analogue of the equation."""
+    n, r = x.shape
+    if np.linalg.matrix_rank(x) < r:
         raise SingularDesignError(f"{design} design is rank-deficient")
+    if family.name == "gaussian":
+        alpha, iterations = np.linalg.lstsq(x, y, rcond=None)[0], np.ones(y.shape[1], int)
+    elif family.name == "quantile":
+        alpha, iterations = _fit_quantile(y, x, family.tau, tol, max_iter)
+    else:
+        alpha, iterations = _newton(family, y, x, tol, max_iter)
+    gnorm = np.max(np.abs(x.T @ _factor(family, y, x @ alpha)[0]), axis=0)
     if family.name == "quantile":
-        return _fit_quantile(y, x, family, tol, max_iter)
-    if family.name != "gaussian":
-        return _newton(family, y, x, tol, max_iter)
-    alpha, *_ = np.linalg.lstsq(x, y, rcond=None)
-    gnorm = float(np.max(np.abs(x.T @ _factor(family, y, x @ alpha)[0])) / x.shape[0])
-    return NullFit(alpha, True, 1, gnorm)
+        return alpha, gnorm <= r * np.max(np.abs(x)), iterations, gnorm
+    gnorm /= n
+    return alpha, (gnorm <= tol) | (family.name == "gaussian"), iterations, gnorm
 
 
-def _semi_fitted(ds: Dataset, fit: NullFit):
+def _semi_fitted(ds: Dataset, alpha: np.ndarray):
     """pi_hat(Z) and gamma_hat(x_base) of the semiparametric working fits."""
-    return expit(ds.z_group @ fit.alpha_hat[: ds.q]), ds.x_base @ fit.alpha_hat[ds.q:]
+    return expit(ds.z_group @ alpha[: ds.q]), ds.x_base @ alpha[ds.q:]
+
+
+def _psi0(ds: Dataset, family: FamilyKind, y: np.ndarray, alpha: np.ndarray):
+    """Score rows of every column of the n x B response y at the matching
+    column of alpha, side by side as n x (B*p)."""
+    if family.name == "semiparametric":
+        pi_hat, gam_hat = _semi_fitted(ds, alpha)
+        return (ds.x_diff - pi_hat) * (y - gam_hat)
+    s = _factor(family, y, ds.x_base @ alpha)[0]
+    return (s[:, :, None] * ds.x_diff[:, None, :]).reshape(ds.n, -1)
 
 
 # --------------------------------------------------------------------------
@@ -241,17 +259,27 @@ def fit_null(ds: Dataset, family: FamilyKind, tol: float = DEFAULT_TOL,
     """Solve the nuisance estimating equation Psi_1n(alpha) = 0 for beta = 0."""
     validate(ds, family.name)
     if family.name != "semiparametric":
-        return _fit(family, ds.y, ds.x_base, tol, max_iter)
-    # working logistic propensity A ~ Z and working linear baseline Y ~ x_base
-    prop = _fit(FamilyKind("binomial"), ds.x_diff[:, 0], ds.z_group, tol, max_iter,
-                "grouping")
-    base = _fit(FamilyKind("gaussian"), ds.y, ds.x_base, tol, max_iter)
-    return NullFit(
-        np.concatenate([prop.alpha_hat, base.alpha_hat]),
-        prop.converged and base.converged,
-        max(prop.iterations, base.iterations),
-        max(prop.gradient_norm, base.gradient_norm),
-    )
+        fits = [_fit(family, ds.y[:, None], ds.x_base, tol, max_iter)]
+    else:  # working logistic propensity A ~ Z and working linear baseline Y ~ x_base
+        fits = [_fit(FamilyKind("binomial"), ds.x_diff, ds.z_group, tol, max_iter, "grouping"),
+                _fit(FamilyKind("gaussian"), ds.y[:, None], ds.x_base, tol, max_iter)]
+    alpha, converged, iterations, gnorm = (np.concatenate(v) for v in zip(*fits))
+    return NullFit(alpha[:, 0], bool(converged.all()), int(iterations.max()),
+                   float(gnorm.max()))
+
+
+def refit_null(ds: Dataset, family: FamilyKind, fit: NullFit, y: np.ndarray):
+    """Refit the null model on every column of the n x B response y: the n x
+    (B*p) score stack, replicate b in columns b*p to b*p + p - 1, and
+    converged and iterations per column.  The semiparametric propensity
+    A ~ Z does not involve Y: ``fit``'s is reused, its iterations counted."""
+    semi = family.name == "semiparametric"
+    alpha, converged, iterations, _ = _fit(FamilyKind("gaussian") if semi else family, y,
+                                           ds.x_base, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    if semi:
+        alpha = np.vstack([np.repeat(fit.alpha_hat[: ds.q, None], y.shape[1], 1), alpha])
+        iterations = np.maximum(iterations, fit.iterations)
+    return _psi0(ds, family, y, alpha), converged, iterations
 
 
 def score_psi0(ds: Dataset, family: FamilyKind, fit: NullFit) -> np.ndarray:
@@ -260,10 +288,7 @@ def score_psi0(ds: Dataset, family: FamilyKind, fit: NullFit) -> np.ndarray:
     For the semiparametric family it is the n x 1 scalar factor
     (A - pi_hat(Z)) (Y - gamma_hat(x_base)).
     """
-    if family.name == "semiparametric":
-        pi_hat, gam_hat = _semi_fitted(ds, fit)
-        return ((ds.x_diff[:, 0] - pi_hat) * (ds.y - gam_hat))[:, None]
-    return _factor(family, ds.y, ds.x_base @ fit.alpha_hat)[0][:, None] * ds.x_diff
+    return _psi0(ds, family, ds.y[:, None], fit.alpha_hat[:, None])
 
 
 def _silverman_f0(resid: np.ndarray) -> float:
@@ -281,7 +306,7 @@ def sst_derivatives(ds: Dataset, family: FamilyKind, fit: NullFit) -> SstDerivat
 
     if family.name == "semiparametric":
         # nuisance blocks: propensity over Z, baseline over x_base
-        pi_hat, gam_hat = _semi_fitted(ds, fit)
+        pi_hat, gam_hat = _semi_fitted(ds, fit.alpha_hat)
         resid_a, resid_y = xd[:, 0] - pi_hat, ds.y - gam_hat
         psi1 = np.hstack([resid_a[:, None] * z, resid_y[:, None] * x])
         w1 = pi_hat * (1.0 - pi_hat)
@@ -311,8 +336,8 @@ def sst_derivatives(ds: Dataset, family: FamilyKind, fit: NullFit) -> SstDerivat
 
 
 def bootstrap_sample(ds: Dataset, family: FamilyKind, fit: NullFit,
-                     rng) -> Dataset:
-    """Resampled dataset for calibration; covariates unchanged, Y redrawn.
+                     rng) -> np.ndarray:
+    """Redrawn response for calibration; the covariates stay those of ``ds``.
 
     GLM/probit draw from the fitted null distribution; quantile uses the
     two-point wild multiplier P(nu = 2(1-tau)) = 1 - tau, P(nu = -2 tau) = tau
@@ -320,24 +345,18 @@ def bootstrap_sample(ds: Dataset, family: FamilyKind, fit: NullFit,
     multiplier on signed residuals around gamma_hat(x_base).
     """
     rng = np.random.default_rng(rng)
-    name = family.name
-    if name == "semiparametric":
-        _, eta = _semi_fitted(ds, fit)
-    else:
-        eta = ds.x_base @ fit.alpha_hat
+    name, tau = family.name, family.tau
+    eta = ds.x_base @ fit.alpha_hat[-ds.r:]  # the x_base coefficients come last
     if name == "gaussian":
         sigma2 = float(np.mean((ds.y - eta) ** 2))  # MLE dispersion
-        y_star = eta + rng.standard_normal(ds.n) * np.sqrt(sigma2)
-    elif name == "binomial":
-        y_star = (rng.random(ds.n) < expit(eta)).astype(float)
-    elif name == "poisson":
-        y_star = rng.poisson(np.exp(eta)).astype(float)
-    elif name == "probit":  # Y* = 1(nu <= eta), nu ~ N(0,1)
-        y_star = (rng.standard_normal(ds.n) <= eta).astype(float)
-    elif name == "quantile":
-        tau = family.tau
+        return eta + rng.standard_normal(ds.n) * np.sqrt(sigma2)
+    if name == "binomial":
+        return (rng.random(ds.n) < expit(eta)).astype(float)
+    if name == "poisson":
+        return rng.poisson(np.exp(eta)).astype(float)
+    if name == "probit":  # Y* = 1(nu <= eta), nu ~ N(0,1)
+        return (rng.standard_normal(ds.n) <= eta).astype(float)
+    if name == "quantile":
         nu = np.where(rng.random(ds.n) < 1.0 - tau, 2.0 * (1.0 - tau), -2.0 * tau)
-        y_star = eta + nu * np.abs(ds.y - eta)
-    else:
-        y_star = eta + rng.standard_normal(ds.n) * (ds.y - eta)
-    return ds.with_response(y_star)
+        return eta + nu * np.abs(ds.y - eta)
+    return eta + rng.standard_normal(ds.n) * (ds.y - eta)

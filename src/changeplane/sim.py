@@ -259,6 +259,8 @@ def run_size(sc: Scenario, reps: int = 300, n_boot: int = 200,
     """Empirical rejection rate under the scenario (kappa as given)."""
     if reps < 1:
         raise ParameterError("reps must be >= 1")
+    if not 0.0 < level < 1.0:
+        raise ParameterError(f"level must lie in (0, 1), got {level}")
     pvals = _pvalues(sc, method, reps, n_boot, threads, sst_kwargs)
     rate = float(np.mean(pvals < level))
     return {"rate": rate, "reps": reps,

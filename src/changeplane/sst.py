@@ -190,15 +190,8 @@ def sst_test(ds: Dataset, family: FamilyKind, k_directions: int = 1000,
         u -= (c_flat @ (derivs.psi1.T @ nu)).reshape(u.shape)
         s = l_inv @ u.reshape(-1, p, stop - start)
         boot[start:stop] = np.einsum("kpj,kpj->kj", s, s).max(axis=0) / n
-    # Upper-tail calibration, mirroring the WAST convention.
-    p_value = float(np.mean(boot >= stat))
-    return TestOutcome(
-        statistic=float(stat), boot_stats=boot, p_value=p_value,
-        n_boot=n_resample, family=family.describe(), weight="none",
-        seed=seed, method="sst",
+    return TestOutcome.calibrated(
+        stat, boot, family=family.describe(), weight="none", seed=seed, method="sst",
         diagnostics={"grid_size": len(grid), "grid_skipped": len(grid) - stats.size,
-                     "grid_repaired": n_repaired,
-                     "p_value_se": float(np.sqrt(p_value * (1 - p_value) / n_resample)),
-                     "k_directions": k_directions,
-                     "grid_per_direction": grid_per_direction},
-    )
+                     "grid_repaired": n_repaired, "k_directions": k_directions,
+                     "grid_per_direction": grid_per_direction})

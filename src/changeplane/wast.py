@@ -6,8 +6,8 @@ The statistic is the pairwise U-statistic
 
 with omega the prior weight matrix from :mod:`changeplane.weights`.  The
 p-value is calibrated by refitting the null model on family-specific
-bootstrap samples and recomputing the statistic with the same weight matrix
-(the covariates, hence omega, are unchanged across replicates).
+bootstrap responses and recomputing the statistic with the same weight
+matrix (the covariates, hence omega, are unchanged across replicates).
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, NumericalError, ParameterError
-from .families import FamilyKind, bootstrap_sample, fit_null, score_psi0
+from .families import (DEFAULT_MAX_ITER, FamilyKind, bootstrap_sample, fit_null,
+                       refit_null, score_psi0)
 from .rng import child_rng
 from .weights import WeightSpec, standard_gaussian, weight_matrix
 
@@ -49,6 +50,15 @@ class TestOutcome:
     method: str = "wast"
     n_failed: int = 0
     diagnostics: dict = field(default_factory=dict)
+
+    @classmethod
+    def calibrated(cls, statistic, boot_stats, diagnostics, **fields) -> "TestOutcome":
+        """Upper-tail calibration: p is the fraction of the B replicates at or
+        above the statistic, diagnostics["p_value_se"] = sqrt(p(1-p)/B)."""
+        p = float(np.mean(boot_stats >= statistic))
+        se = float(np.sqrt(p * (1.0 - p) / boot_stats.size))
+        return cls(float(statistic), boot_stats, p, boot_stats.size,
+                   diagnostics={**diagnostics, "p_value_se": se}, **fields)
 
 
 @dataclass(frozen=True)
@@ -116,13 +126,11 @@ def wast_test(ds: Dataset, family: FamilyKind,
               seed: int = 0) -> TestOutcome:
     """Full WAST test with parametric / wild bootstrap calibration.
 
-    The p-value is the fraction of replicates at or above the observed
-    value: B^-1 sum 1(T*_b >= T_n).  Bootstrap replicates whose null refit
-    fails to converge are excluded; if more than 5% are excluded the test
-    raises.  The kept replicates of each run of ``BOOT_BLOCK`` draws are
-    scored together through one Omega GEMM.  ``diagnostics["p_value_se"]``
-    is the p-value's Monte-Carlo standard error sqrt(p(1-p)/B) over the B
-    kept replicates.
+    Each run of ``BOOT_BLOCK`` redrawn responses is refit by one
+    ``refit_null`` call and its kept replicates are scored through one Omega
+    GEMM.  Replicates whose refit fails to converge are excluded; if more
+    than 5% are, the test raises.  ``diagnostics`` counts the refits'
+    (min, median, max) iterations and those stopped at the iteration cap.
     """
     if n_boot < 1:
         raise ParameterError("n_boot must be >= 1")
@@ -135,35 +143,21 @@ def wast_test(ds: Dataset, family: FamilyKind,
     psi0 = score_psi0(ds, family, fit)
     stat = wast_statistic(psi0, omega)
 
-    boot_stats = []
-    n_failed = 0
+    p = psi0.shape[1]
+    boot_stats, iterations = [], np.empty(n_boot, int)
     for start in range(0, n_boot, BOOT_BLOCK):
-        block = []
-        for b in range(start, min(start + BOOT_BLOCK, n_boot)):
-            rng = child_rng(seed, b)
-            ds_b = bootstrap_sample(ds, family, fit, rng)
-            fit_b = fit_null(ds_b, family)
-            if not fit_b.converged:
-                n_failed += 1
-                continue
-            block.append(score_psi0(ds_b, family, fit_b))
-        if block:
-            boot_stats.extend(_wast_block(omega, np.hstack(block), psi0.shape[1]))
+        y = np.column_stack([bootstrap_sample(ds, family, fit, child_rng(seed, b))
+                             for b in range(start, min(start + BOOT_BLOCK, n_boot))])
+        psi, converged, iterations[start:start + BOOT_BLOCK] = refit_null(ds, family, fit, y)
+        boot_stats.extend(_wast_block(omega, psi[:, np.repeat(converged, p)], p))
+    n_failed = n_boot - len(boot_stats)
     if n_failed > MAX_FAILED_FRACTION * n_boot:
-        raise NumericalError(
-            f"{n_failed}/{n_boot} bootstrap refits failed to converge")
-    boot_stats = np.asarray(boot_stats)
-    # Upper-tail calibration: reject when the statistic exceeds the upper
-    # bootstrap quantile, so p is the fraction of replicates at or above the
-    # observed value (ties count toward non-rejection).
-    p_value = float(np.mean(boot_stats >= stat))
-    return TestOutcome(
-        statistic=float(stat), boot_stats=boot_stats, p_value=p_value,
-        n_boot=boot_stats.size, family=family.describe(),
-        weight=weight.describe(), seed=seed, method="wast",
-        n_failed=n_failed,
+        raise NumericalError(f"{n_failed}/{n_boot} bootstrap refits failed to converge")
+    return TestOutcome.calibrated(
+        stat, np.asarray(boot_stats), family=family.describe(),
+        weight=weight.describe(), seed=seed, method="wast", n_failed=n_failed,
         diagnostics={"fit_iterations": fit.iterations,
                      "fit_gradient_norm": fit.gradient_norm,
-                     "p_value_se": float(np.sqrt(p_value * (1.0 - p_value)
-                                                 / boot_stats.size))},
-    )
+                     "refit_iterations": (int(iterations.min()), float(np.median(iterations)),
+                                          int(iterations.max())),
+                     "refits_at_cap": int(np.count_nonzero(iterations >= DEFAULT_MAX_ITER))})

@@ -4,9 +4,10 @@
 ``cli`` for every workload; if a refactor unbinds one of them, every traced
 operation fails.  This runs the CLI workload, the shortest; the SST
 workload, whose check compares the statistic with the benchmark's own GEMM
-reference at 1e-10; and the WAST workload, whose check compares omega, built
+reference at 1e-10; the WAST workload, whose check compares omega, built
 over many row tiles at n = 2000, with the benchmark's own orthant reference;
-once each, traced.
+and the quantile size study, whose check compares the lock-step quantile
+fit's check loss with the benchmark's exact LP; once each, traced.
 """
 
 import json
@@ -21,7 +22,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("workload", ["cli_probit_gaussprior_n200",
                                       "sst_gaussian_n1000_k5000",
-                                      "wast_binomial_n2000"])
+                                      "wast_binomial_n2000",
+                                      "size_quantile_n300"])
 def test_traced_workload_runs_and_checks_out(workload):
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", "1", "--seconds", "0", "--trace", "1"]

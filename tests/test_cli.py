@@ -142,6 +142,21 @@ class TestTestCommand:
         assert code == USAGE_EXIT
         assert "finite" in err and "p_value=" not in out
 
+    @pytest.mark.parametrize("level", ["1.5", "nan", "-1", "0", "1"])
+    def test_level_outside_unit_interval_usage_exit(self, glm_csv, capsys, level):
+        code, out, err = run_cli(
+            ["test", str(glm_csv), "--family", "binomial", "--response", "y",
+             "--baseline", "x1", "--diff", "x1", "--grouping", "z1,z2", "--boot", "20",
+             "--level", level], capsys)
+        assert code == USAGE_EXIT
+        assert "level must lie in (0, 1)" in err and "decision=" not in out
+
+    def test_simulate_level_outside_unit_interval_usage_exit(self, capsys):
+        code, _, err = run_cli(
+            ["simulate", "--family", "binomial", "--n", "60", "--reps", "2",
+             "--boot", "10", "--seed", "8", "--level", "2"], capsys)
+        assert code == USAGE_EXIT and "level must lie in (0, 1)" in err
+
 
 class TestSimulateCommand:
     def test_simulate_writes_csv(self, tmp_path, capsys):

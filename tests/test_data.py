@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -82,7 +84,7 @@ def test_validate_binomial():
     ds = Dataset(y=np.array([0.0, 1.0, 1.0]), x_base=np.ones((3, 1)),
                  x_diff=np.ones((3, 1)), z_group=np.ones((3, 1)))
     validate(ds, "binomial")  # passes
-    bad = ds.with_response(np.array([0.0, 2.0, 1.0]))
+    bad = replace(ds, y=np.array([0.0, 2.0, 1.0]))
     with pytest.raises(ValidationError, match="row 2"):
         validate(bad, "binomial")
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -6,7 +8,8 @@ from scipy.stats import norm
 from changeplane import (FamilyKind, bootstrap_sample, fit_null, score_psi0,
                          sst_derivatives)
 from changeplane.errors import ParameterError, SingularDesignError
-from changeplane.families import _mills
+from changeplane.families import DEFAULT_MAX_ITER, DEFAULT_TOL, _fit, _mills
+from changeplane.rng import child_rng
 
 from conftest import random_dataset
 
@@ -58,7 +61,7 @@ class TestFitNull:
     def test_binomial_intercept_only(self):
         y = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0])
         ds = random_dataset(np.random.default_rng(0), n=8, family="binomial")
-        ds = ds.with_response(y)
+        ds = replace(ds, y=y)
         one_col = type(ds)(y=y, x_base=np.ones((8, 1)), x_diff=np.ones((8, 1)),
                            z_group=ds.z_group)
         fit = fit_null(one_col, FamilyKind("binomial"))
@@ -107,6 +110,32 @@ class TestFitNull:
         bad = type(ds)(y=ds.y, x_base=ds.x_base, x_diff=a[:, None], z_group=z)
         with pytest.raises(SingularDesignError, match="grouping design"):
             fit_null(bad, FamilyKind("semiparametric"))
+
+
+class TestLockStepFit:
+    """``_fit`` on a 64-column response block against one column at a time."""
+
+    @pytest.mark.parametrize("n", [61, 300, 1001])
+    @pytest.mark.parametrize("family", ["gaussian", "binomial", "poisson",
+                                        "probit", "quantile"])
+    def test_block_matches_one_column_at_a_time(self, rng, family, n):
+        ds = random_dataset(rng, n=n, family=family)
+        fam = FamilyKind(family)
+        fit = fit_null(ds, fam)
+        y = np.column_stack([bootstrap_sample(ds, fam, fit, child_rng(7, b))
+                             for b in range(64)])
+        x = ds.x_base
+        alpha, converged, iterations, gnorm = _fit(fam, y, x, DEFAULT_TOL,
+                                                   DEFAULT_MAX_ITER)
+        ones = [_fit(fam, y[:, [b]], x, DEFAULT_TOL, DEFAULT_MAX_ITER)
+                for b in range(64)]
+        np.testing.assert_array_equal(iterations, [one[2][0] for one in ones])
+        np.testing.assert_array_equal(converged, [one[1][0] for one in ones])
+        for b, (alpha_b, *_) in enumerate(ones):
+            if iterations[b] < DEFAULT_MAX_ITER:
+                scale = np.max(np.abs(alpha_b))
+                np.testing.assert_allclose(alpha[:, b], alpha_b[:, 0], rtol=0,
+                                           atol=1e-12 * scale)
 
 
 class TestScorePsi0:
@@ -223,33 +252,34 @@ class TestBootstrapSample:
         ds = random_dataset(rng, n=60, family=family)
         fam = FamilyKind(family, tau=0.5)
         fit = fit_null(ds, fam)
-        ds_b = bootstrap_sample(ds, fam, fit, np.random.default_rng(3))
-        np.testing.assert_array_equal(ds_b.x_base, ds.x_base)
-        np.testing.assert_array_equal(ds_b.z_group, ds.z_group)
-        assert not np.array_equal(ds_b.y, ds.y)
+        before = [ds.x_base.copy(), ds.x_diff.copy(), ds.z_group.copy()]
+        y_b = bootstrap_sample(ds, fam, fit, np.random.default_rng(3))
+        for block, kept in zip((ds.x_base, ds.x_diff, ds.z_group), before):
+            np.testing.assert_array_equal(block, kept)
+        assert y_b.shape == ds.y.shape and np.all(np.isfinite(y_b))
+        assert not np.array_equal(y_b, ds.y)
 
     def test_deterministic_given_rng_seed(self, rng):
         ds = random_dataset(rng, n=40, family="binomial")
         fam = FamilyKind("binomial")
         fit = fit_null(ds, fam)
-        y1 = bootstrap_sample(ds, fam, fit, 11).y
-        y2 = bootstrap_sample(ds, fam, fit, 11).y
+        y1 = bootstrap_sample(ds, fam, fit, 11)
+        y2 = bootstrap_sample(ds, fam, fit, 11)
         np.testing.assert_array_equal(y1, y2)
 
     def test_binomial_draws_binary(self, rng):
         ds = random_dataset(rng, n=50, family="binomial")
         fam = FamilyKind("binomial")
-        ds_b = bootstrap_sample(ds, fam, fit_null(ds, fam),
-                                np.random.default_rng(5))
-        assert set(np.unique(ds_b.y)) <= {0.0, 1.0}
+        y_b = bootstrap_sample(ds, fam, fit_null(ds, fam), np.random.default_rng(5))
+        assert set(np.unique(y_b)) <= {0.0, 1.0}
 
     def test_quantile_two_point_multipliers(self, rng):
         ds = random_dataset(rng, n=500, family="quantile")
         fam = FamilyKind("quantile", tau=0.3)
         fit = fit_null(ds, fam)
-        ds_b = bootstrap_sample(ds, fam, fit, np.random.default_rng(9))
+        y_b = bootstrap_sample(ds, fam, fit, np.random.default_rng(9))
         eta = ds.x_base @ fit.alpha_hat
-        nu = (ds_b.y - eta) / np.abs(ds.y - eta)
+        nu = (y_b - eta) / np.abs(ds.y - eta)
         assert np.all((np.abs(nu - 1.4) < 1e-6) | (np.abs(nu + 0.6) < 1e-6))
 
     def test_gaussian_dispersion_is_mle(self, rng):
@@ -258,6 +288,6 @@ class TestBootstrapSample:
         fit = fit_null(ds, fam)
         eta = ds.x_base @ fit.alpha_hat
         sigma2 = np.mean((ds.y - eta) ** 2)
-        ds_b = bootstrap_sample(ds, fam, fit, np.random.default_rng(2))
-        boot_var = np.var(ds_b.y - eta)
+        y_b = bootstrap_sample(ds, fam, fit, np.random.default_rng(2))
+        boot_var = np.var(y_b - eta)
         assert boot_var == pytest.approx(sigma2, rel=0.1)

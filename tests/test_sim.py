@@ -151,3 +151,8 @@ class TestRunners:
     def test_bad_reps(self):
         with pytest.raises(ParameterError):
             run_size(glm_scenario(), reps=0)
+
+    @pytest.mark.parametrize("level", [2.0, 1.0, 0.0, -1.0, float("nan")])
+    def test_level_outside_unit_interval(self, level):
+        with pytest.raises(ParameterError, match="level"):
+            run_size(glm_scenario(), reps=2, n_boot=10, level=level)

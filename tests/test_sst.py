@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,7 +214,7 @@ class TestSstTest:
         n = 250
         ds = random_dataset(rng, n=n, family="gaussian")
         ind = (ds.z_group @ np.array([0.0, 1.0, 1.0]) >= 0).astype(float)
-        ds = ds.with_response(ds.y + ds.x_diff @ np.array([2.0, 2.0]) * ind)
+        ds = replace(ds, y=ds.y + ds.x_diff @ np.array([2.0, 2.0]) * ind)
         out = sst_test(ds, FamilyKind("gaussian"), k_directions=200,
                        n_resample=200, seed=9)
         assert out.p_value <= 0.01

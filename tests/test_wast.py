@@ -7,7 +7,9 @@ from changeplane import (FamilyKind, PlaneBlock, beta_prior, bootstrap_sample,
                          fit_null, score_psi0, standard_gaussian,
                          univariate_gaussian, wast_multi_statistic,
                          wast_statistic, wast_test, weight_matrix)
+from changeplane import families as families_module
 from changeplane import wast as wast_module
+from changeplane.families import refit_null
 from changeplane.errors import DataError, ParameterError
 from changeplane.rng import child_rng
 
@@ -29,17 +31,42 @@ def double_loop_statistic(psi0, omega):
 
 
 def loop_boot_stats(ds, family, n_boot, seed, failed=()):
-    """Per-replicate reference: one wast_statistic call per kept refit."""
+    """Per-replicate reference: one Dataset, fit_null and wast_statistic per
+    replicate.  Returns the statistics of the kept replicates, those not in
+    ``failed`` whose refit converged, and the iterations of every refit."""
     fit = fit_null(ds, family)
     omega = weight_matrix(ds)
-    stats = []
+    stats, iterations = [], []
     for b in range(n_boot):
-        if b in failed:
-            continue
-        ds_b = bootstrap_sample(ds, family, fit, child_rng(seed, b))
-        psi0 = score_psi0(ds_b, family, fit_null(ds_b, family))
-        stats.append(wast_statistic(psi0, omega))
-    return np.asarray(stats)
+        ds_b = replace(ds, y=bootstrap_sample(ds, family, fit, child_rng(seed, b)))
+        fit_b = fit_null(ds_b, family)
+        iterations.append(fit_b.iterations)
+        if b not in failed and fit_b.converged:
+            stats.append(wast_statistic(score_psi0(ds_b, family, fit_b), omega))
+    return np.asarray(stats), np.asarray(iterations)
+
+
+def flaky_refits(monkeypatch, failed):
+    """Make the bootstrap replicates numbered in ``failed`` report a refit
+    that did not converge; returns the list of refit block widths."""
+    widths = []
+
+    def refit(ds, family, fit, y):
+        psi, converged, iterations = refit_null(ds, family, fit, y)
+        first = sum(widths)
+        widths.append(y.shape[1])
+        hit = [b - first for b in failed if first <= b < first + y.shape[1]]
+        converged = converged.copy()
+        converged[hit] = False
+        return psi, converged, iterations
+
+    monkeypatch.setattr(wast_module, "refit_null", refit)
+    return widths
+
+
+def semiparametric_dataset(rng, n):
+    ds = random_dataset(rng, n=n)
+    return replace(ds, x_diff=(rng.random(n) < 0.5).astype(float)[:, None])
 
 
 class TestWastStatistic:
@@ -175,7 +202,7 @@ class TestWastTest:
         ds = random_dataset(rng, n=n, family="gaussian")
         ind = (ds.z_group @ np.array([0.0, 1.0, 1.0]) >= 0).astype(float)
         shift = ds.x_diff @ np.array([2.0, 2.0]) * ind
-        ds = ds.with_response(ds.y + shift)
+        ds = replace(ds, y=ds.y + shift)
         out = wast_test(ds, FamilyKind("gaussian"), n_boot=200, seed=7)
         assert out.p_value <= 0.01
 
@@ -195,18 +222,11 @@ class TestWastTest:
             self, rng, monkeypatch, n_boot, failed):
         ds = random_dataset(rng, n=60, family="binomial")
         fam = FamilyKind("binomial")
-        ref = loop_boot_stats(ds, fam, n_boot, seed=11, failed=failed)
-        calls = []
-
-        def flaky_fit_null(ds_arg, family, **kwargs):
-            fit = fit_null(ds_arg, family, **kwargs)
-            replicate = len(calls) - 1  # call 0 fits the original data
-            calls.append(replicate)
-            return replace(fit, converged=False) if replicate in failed else fit
-
-        monkeypatch.setattr(wast_module, "fit_null", flaky_fit_null)
+        ref, _ = loop_boot_stats(ds, fam, n_boot, seed=11, failed=failed)
+        widths = flaky_refits(monkeypatch, failed)
         out = wast_test(ds, fam, n_boot=n_boot, seed=11)
-        assert len(calls) == n_boot + 1
+        block = wast_module.BOOT_BLOCK
+        assert widths == [min(block, n_boot - b) for b in range(0, n_boot, block)]
         assert out.n_failed == len(failed)
         assert out.n_boot == n_boot - len(failed) == ref.size
         np.testing.assert_allclose(out.boot_stats, ref, rtol=1e-10, atol=0)
@@ -215,26 +235,59 @@ class TestWastTest:
     def test_pvalue_standard_error_over_kept_replicates(self, rng, monkeypatch):
         ds = random_dataset(rng, n=60, family="binomial")
         fam = FamilyKind("binomial")
-        calls = []
-
-        def flaky_fit_null(ds_arg, family, **kwargs):
-            fit = fit_null(ds_arg, family, **kwargs)
-            calls.append(None)  # calls 2 and 3 refit replicates 0 and 1
-            return replace(fit, converged=False) if len(calls) in (2, 3) else fit
-
-        monkeypatch.setattr(wast_module, "fit_null", flaky_fit_null)
+        flaky_refits(monkeypatch, failed=(0, 1))
         out = wast_test(ds, fam, n_boot=50, seed=4)
         assert out.n_failed == 2 and out.n_boot == 48
         p = out.p_value
         assert 0.0 < p < 1.0
         assert out.diagnostics["p_value_se"] == np.sqrt(p * (1.0 - p) / 48)
 
+    @pytest.mark.parametrize("family", ["gaussian", "binomial", "poisson", "probit",
+                                        "quantile", "semiparametric"])
+    def test_every_family_matches_per_replicate_loop(self, rng, family):
+        """B = 70 spans two refit blocks; the refit diagnostics count the
+        iterations of a per-replicate fit_null loop."""
+        if family == "semiparametric":
+            ds = semiparametric_dataset(rng, 80)
+        else:
+            ds = random_dataset(rng, n=80, family=family)
+        fam = FamilyKind(family)
+        ref, iterations = loop_boot_stats(ds, fam, 70, seed=5)
+        out = wast_test(ds, fam, n_boot=70, seed=5)
+        assert out.n_failed == 70 - ref.size and out.n_boot == ref.size
+        np.testing.assert_allclose(out.boot_stats, ref, rtol=1e-10, atol=0)
+        assert out.p_value == np.mean(ref >= out.statistic)
+        assert out.diagnostics["refit_iterations"] == (
+            iterations.min(), np.median(iterations), iterations.max())
+        assert out.diagnostics["refits_at_cap"] == np.sum(iterations >= 100)
+
+    def test_one_fit_per_block_and_one_validation_per_test(self, rng, monkeypatch):
+        """Refits validate nothing and never refit the semiparametric
+        propensity: one lock-step fit (one rank check) per block of responses."""
+        ds = semiparametric_dataset(rng, 80)
+        fits, validations = [], []
+        fit_once, validate_once = families_module._fit, families_module.validate
+
+        def counted_fit(family, y, *args):
+            fits.append((family.name, y.shape[1]))
+            return fit_once(family, y, *args)
+
+        monkeypatch.setattr(families_module, "_fit", counted_fit)
+        monkeypatch.setattr(families_module, "validate",
+                            lambda *args: validations.append(args) or validate_once(*args))
+        wast_test(ds, FamilyKind("semiparametric"), n_boot=70, seed=1)
+        assert fits == [("binomial", 1), ("gaussian", 1), ("gaussian", 64), ("gaussian", 6)]
+        assert len(validations) == 1
+
+    def test_quantile_refits_at_cap_are_counted(self, rng):
+        ds = random_dataset(rng, n=300, family="quantile")
+        out = wast_test(ds, FamilyKind("quantile"), n_boot=64, seed=2)
+        low, median, high = out.diagnostics["refit_iterations"]
+        assert out.diagnostics["refits_at_cap"] > 0 and high == 100
+        assert low <= median <= high
+
     def test_semiparametric_end_to_end(self, rng):
-        n = 100
-        ds = random_dataset(rng, n=n)
-        a = (rng.random(n) < 0.5).astype(float)
-        ds = type(ds)(y=ds.y, x_base=ds.x_base, x_diff=a[:, None],
-                      z_group=ds.z_group)
+        ds = semiparametric_dataset(rng, 100)
         out = wast_test(ds, FamilyKind("semiparametric"), n_boot=30, seed=3)
         assert np.isfinite(out.statistic)
         assert 0.0 <= out.p_value <= 1.0
