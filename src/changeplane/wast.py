@@ -4,10 +4,11 @@ The statistic is the pairwise U-statistic
 
     T_n = (n(n-1))^-1 sum_{i != j} omega_ij <psi0_i, psi0_j>
 
-with omega the prior weight matrix from :mod:`changeplane.weights`.  The
-p-value is calibrated by refitting the null model on family-specific
-bootstrap responses and recomputing the statistic with the same weight
-matrix (the covariates, hence omega, are unchanged across replicates).
+with omega the prior weights from :mod:`changeplane.weights`.  The p-value
+is calibrated by refitting the null model on family-specific bootstrap
+responses.  The grouping rows, hence omega, are the same for every
+replicate, so one pass over the upper omega tiles scores the observed data
+and every replicate together, and the n x n omega is never stored.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from .errors import DataError, NumericalError, ParameterError
 from .families import (DEFAULT_MAX_ITER, FamilyKind, bootstrap_sample, fit_null,
                        refit_null, score_psi0)
 from .rng import child_rng
-from .weights import WeightSpec, standard_gaussian, weight_matrix
+from .weights import WeightSpec, omega_tiles, standard_gaussian, upper_tiles
+from .weights import weight_matrix  # noqa: F401  -- traced by bench/worker.py
 
 __all__ = [
     "TestOutcome", "PlaneBlock", "wast_statistic", "wast_multi_statistic",
@@ -31,8 +33,7 @@ __all__ = [
 # Fraction of failed bootstrap refits beyond which the whole test errors out.
 MAX_FAILED_FRACTION = 0.05
 
-# Bootstrap replicates whose score matrices share one Omega GEMM: the block
-# is n x (BOOT_BLOCK * p), small next to Omega itself.
+# Bootstrap responses refit together by one refit_null call.
 BOOT_BLOCK = 64
 
 
@@ -70,32 +71,42 @@ class PlaneBlock:
     weight: WeightSpec = field(default_factory=standard_gaussian)
 
 
-def _wast_block(omega: np.ndarray, psi_block: np.ndarray, p: int) -> np.ndarray:
+def _pair_sums(tiles, psi: np.ndarray, p: int) -> np.ndarray:
     """WAST statistics of m score matrices laid side by side in n x (m*p).
 
-    One GEMM gives Omega Psi; removing the diagonal term omega_ii psi_i
-    before the row-wise inner products leaves the i != j sum of each
-    replicate.
+    ``tiles`` yields (rows, cols, omega[rows, cols]) over the upper triangle
+    (``upper_tiles``).  A diagonal tile loses its diagonal and lower
+    triangle, every tile adds psi[rows]' omega_tile psi[cols] per column,
+    and the total is doubled: the i != j sum of a symmetric omega.
     """
-    n = psi_block.shape[0]
+    n = psi.shape[0]
     if n < 2:
         raise DataError("need at least 2 observations")
-    prod = omega @ psi_block
-    prod -= np.diagonal(omega)[:, None] * psi_block
-    per_column = np.einsum("ij,ij->j", psi_block, prod)
-    return per_column.reshape(-1, p).sum(axis=1) / (n * (n - 1))
+    total = np.zeros(psi.shape[1])
+    for rows, cols, tile in tiles:
+        if rows == cols:
+            tile = np.triu(tile, 1)
+        total += np.einsum("ij,ij->j", psi[rows], tile @ psi[cols])
+    return total.reshape(-1, p).sum(axis=1) * (2.0 / (n * (n - 1)))
 
 
 def wast_statistic(psi0: np.ndarray, omega: np.ndarray) -> float:
-    """U-statistic (n(n-1))^-1 sum_{i!=j} omega_ij psi0_i' psi0_j."""
+    """U-statistic (n(n-1))^-1 sum_{i!=j} omega_ij psi0_i' psi0_j.
+
+    Any n x n omega is accepted: its tiles enter the tile kernel
+    symmetrized, (omega_ij + omega_ji) / 2, which leaves the i != j sum as
+    it is.
+    """
     psi0 = np.asarray(psi0, float)
     if psi0.ndim == 1:
         psi0 = psi0[:, None]
     omega = np.asarray(omega, float)
-    if omega.shape != (psi0.shape[0], psi0.shape[0]):
-        raise ParameterError(
-            f"omega shape {omega.shape} does not match n={psi0.shape[0]}")
-    return float(_wast_block(omega, psi0, psi0.shape[1])[0])
+    n = psi0.shape[0]
+    if omega.shape != (n, n):
+        raise ParameterError(f"omega shape {omega.shape} does not match n={n}")
+    tiles = ((rows, cols, 0.5 * (omega[rows, cols] + omega[cols, rows].T))
+             for rows, cols in upper_tiles(n))
+    return float(_pair_sums(tiles, psi0, psi0.shape[1])[0])
 
 
 def wast_multi_statistic(psi0_scalar: np.ndarray,
@@ -104,21 +115,30 @@ def wast_multi_statistic(psi0_scalar: np.ndarray,
 
     The combined weight is
     omega~_ij = sum_t (X_t,i' X_t,j) * omega^(t)_ij, applied to the scalar
-    score factor shared across planes.
+    score factor shared across planes.  It is formed a tile at a time from
+    one ``omega_tiles`` iterator per plane, so omega~ is never n x n either.
     """
     if not planes:
         raise ParameterError("need at least one plane")
     psi = np.asarray(psi0_scalar, float).ravel()
     n = psi.shape[0]
-    omega_tilde = np.zeros((n, n))
+    xs, per_plane = [], []
     for block in planes:
         x = np.asarray(block.x, float)
         if x.ndim == 1:
             x = x[:, None]
-        if x.shape[0] != n:
-            raise ParameterError("plane X block row count mismatch")
-        omega_tilde += (x @ x.T) * weight_matrix(block.z, block.weight)
-    return float(_wast_block(omega_tilde, psi[:, None], 1)[0])
+        if x.shape[0] != n or np.shape(block.z)[0] != n:
+            raise ParameterError("plane X or Z block row count mismatch")
+        xs.append(x)
+        per_plane.append(omega_tiles(block.z, block.weight))
+
+    def tiles():
+        for parts in zip(*per_plane):
+            rows, cols = parts[0][:2]
+            yield rows, cols, sum((x[rows] @ x[cols].T) * tile
+                                  for x, (_, _, tile) in zip(xs, parts))
+
+    return float(_pair_sums(tiles(), psi[:, None], 1)[0])
 
 
 def wast_test(ds: Dataset, family: FamilyKind,
@@ -127,10 +147,13 @@ def wast_test(ds: Dataset, family: FamilyKind,
     """Full WAST test with parametric / wild bootstrap calibration.
 
     Each run of ``BOOT_BLOCK`` redrawn responses is refit by one
-    ``refit_null`` call and its kept replicates are scored through one Omega
-    GEMM.  Replicates whose refit fails to converge are excluded; if more
-    than 5% are, the test raises.  ``diagnostics`` counts the refits'
-    (min, median, max) iterations and those stopped at the iteration cap.
+    ``refit_null`` call.  The observed scores and those of every kept
+    replicate go side by side into one n x ((1+B)*p) stack, and one pass
+    over the upper omega tiles (``omega_tiles``) gives every statistic:
+    memory is O(_TILE^2 + n*B*p) and no n x n array is formed.  Replicates
+    whose refit fails to converge are excluded; if more than 5% are, the
+    test raises.  ``diagnostics`` counts the refits' (min, median, max)
+    iterations and those stopped at the iteration cap.
     """
     if n_boot < 1:
         raise ParameterError("n_boot must be >= 1")
@@ -139,22 +162,26 @@ def wast_test(ds: Dataset, family: FamilyKind,
     fit = fit_null(ds, family)
     if not fit.converged:
         raise NumericalError("null fit did not converge on the original data")
-    omega = weight_matrix(ds, weight)  # Z is fixed across replicates
+    tiles = omega_tiles(ds, weight)  # checks the prior now; Z is fixed across replicates
     psi0 = score_psi0(ds, family, fit)
-    stat = wast_statistic(psi0, omega)
 
-    p = psi0.shape[1]
-    boot_stats, iterations = [], np.empty(n_boot, int)
+    n, p = psi0.shape
+    stack = np.empty((n, (1 + n_boot) * p))
+    stack[:, :p] = psi0
+    width, iterations = p, np.empty(n_boot, int)
     for start in range(0, n_boot, BOOT_BLOCK):
         y = np.column_stack([bootstrap_sample(ds, family, fit, child_rng(seed, b))
                              for b in range(start, min(start + BOOT_BLOCK, n_boot))])
         psi, converged, iterations[start:start + BOOT_BLOCK] = refit_null(ds, family, fit, y)
-        boot_stats.extend(_wast_block(omega, psi[:, np.repeat(converged, p)], p))
-    n_failed = n_boot - len(boot_stats)
+        kept = int(np.count_nonzero(converged)) * p
+        np.compress(np.repeat(converged, p), psi, axis=1, out=stack[:, width:width + kept])
+        width += kept
+    n_failed = n_boot - (width // p - 1)
     if n_failed > MAX_FAILED_FRACTION * n_boot:
         raise NumericalError(f"{n_failed}/{n_boot} bootstrap refits failed to converge")
+    stats = _pair_sums(tiles, stack[:, :width], p)
     return TestOutcome.calibrated(
-        stat, np.asarray(boot_stats), family=family.describe(),
+        stats[0], stats[1:], family=family.describe(),
         weight=weight.describe(), seed=seed, method="wast", n_failed=n_failed,
         diagnostics={"fit_iterations": fit.iterations,
                      "fit_gradient_norm": fit.gradient_norm,

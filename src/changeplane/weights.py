@@ -12,6 +12,10 @@ the two grouping rows and a_k = Z_k' mu / ||Z_k||_Sigma.  At mu = 0 it has the
 closed form 1/4 + arctan(rho / sqrt(1 - rho^2)) / (2 pi); otherwise Owen's
 (1956) T-function form gives it exactly.  Scalar-threshold priors (beta,
 univariate Gaussian) reduce to CDF evaluations at min(Z_i, Z_j).
+
+Every prior gives omega through one generator, ``omega_tiles``, a square
+tile of the upper triangle at a time; ``weight_matrix`` assembles the n x n
+matrix from those tiles.
 """
 
 from __future__ import annotations
@@ -26,15 +30,16 @@ from .errors import DegenerateVectorError, ParameterError
 __all__ = [
     "WeightSpec", "standard_gaussian", "gaussian", "beta_prior",
     "univariate_gaussian", "varrho", "omega_closed_form", "omega_gaussian_mc",
-    "omega_beta", "omega_univariate_gaussian", "weight_matrix",
+    "omega_beta", "omega_univariate_gaussian", "omega_tiles", "upper_tiles",
+    "weight_matrix",
 ]
 
 # Endpoint guard for arctan(rho/sqrt(1-rho^2)): below this, return the limits.
 _ENDPOINT_EPS = 1e-12
 
-# Pairs per tile of max(1, _PAIR_BLOCK // n) rows in the Gaussian omega
-# kernel; each tile's temporaries stay O(_PAIR_BLOCK) next to omega itself.
-_PAIR_BLOCK = 1 << 16
+# Side of the square omega tiles: every consumer of omega takes it one
+# _TILE x _TILE tile at a time, so its temporaries stay O(_TILE^2).
+_TILE = 256
 
 
 @dataclass(frozen=True)
@@ -212,67 +217,92 @@ def _orthant(h, k, rho):
     return np.where(interior, out, edge)
 
 
-def _omega_gaussian(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """omega_ij under the prior N(mu, sigma) for every pair of rows of z.
+def _grouping(ds_or_z) -> np.ndarray:
+    """The n x q grouping matrix of a Dataset, or Z itself as a 2-D array."""
+    z = np.asarray(getattr(ds_or_z, "z_group", ds_or_z), float)
+    return z[:, None] if z.ndim == 1 else z
 
-    The Sigma-weighted Gram is formed as w w' with w = z L, Sigma = L L':
-    numpy computes it by syrk and mirrors one triangle, so it is exactly
-    symmetric.  It becomes omega in place, a tile of rows [s, e) at a time:
-    the cosines rho of the upper rectangle (s:e, s:) go through
-    ``omega_closed_form`` at mu = 0 and ``_orthant`` otherwise, and the tile
-    is written to both triangles.  A later tile reads only columns from its
-    own first row on, which no earlier tile has written.
+
+def upper_tiles(n: int):
+    """(rows, cols) slice pairs of side ``_TILE`` covering the upper triangle
+    of an n x n matrix, diagonal tiles (rows == cols) included."""
+    for s in range(0, n, _TILE):
+        for t in range(s, n, _TILE):
+            yield slice(s, min(s + _TILE, n)), slice(t, min(t + _TILE, n))
+
+
+def _gaussian_block(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
+    """omega(rows, cols) under the prior N(mu, sigma), one tile at a time.
+
+    With w = z L, Sigma = L L', the tile's Sigma-weighted Gram is
+    w[rows] w[cols]'; numpy forms a diagonal tile's by syrk, so that tile is
+    exactly symmetric.  Its cosines rho go through ``omega_closed_form`` at
+    mu = 0 and ``_orthant`` otherwise.
     """
     w = z @ np.linalg.cholesky(sigma)
-    out = w @ w.T
-    norms = np.sqrt(np.diag(out))
+    norms = np.sqrt(np.einsum("ij,ij->i", w, w))
     if np.any(norms <= 0):
         raise DegenerateVectorError("grouping row has zero Sigma-norm")
     a = (z @ mu) / norms if np.any(mu) else None
-    n = len(norms)
-    rows = max(1, _PAIR_BLOCK // n)
-    for s in range(0, n, rows):
-        e = min(s + rows, n)
-        rho = np.clip(out[s:e, s:] / np.multiply.outer(norms[s:e], norms[s:]), -1.0, 1.0)
+
+    def block(rows, cols):
+        rho = w[rows] @ w[cols].T
+        rho /= np.multiply.outer(norms[rows], norms[cols])
+        np.clip(rho, -1.0, 1.0, out=rho)
         if a is None:
-            tile = omega_closed_form(rho)
+            return omega_closed_form(rho)
+        return _orthant(*np.broadcast_arrays(a[rows, None], a[None, cols]), rho)
+
+    return block
+
+
+def omega_tiles(ds_or_z, spec: WeightSpec | None = None):
+    """omega over the upper triangle, one tile at a time.
+
+    Returns an iterator of (rows, cols, tile) in ``upper_tiles`` order, with
+    tile = omega[rows, cols]; each pair is evaluated once.  Accepts either a
+    Dataset or the raw grouping matrix Z; the prior is checked against Z
+    here, before the first tile.
+    """
+    if spec is None:
+        spec = standard_gaussian()
+    z = _grouping(ds_or_z)
+    q = z.shape[1]
+
+    if spec.variant == "std_gaussian":
+        block = _gaussian_block(z, np.zeros(q), np.eye(q))
+    elif spec.variant == "gaussian":
+        if np.shape(spec.mu) != (q,):
+            raise ParameterError(f"mu/sigma shapes must match q={q}")
+        block = _gaussian_block(z, np.asarray(spec.mu, float), np.asarray(spec.sigma, float))
+    else:
+        # Scalar-threshold priors need a single grouping variable.
+        if q != 1:
+            raise ParameterError(
+                f"{spec.variant} weight requires exactly one grouping column, got q={q}")
+        # The prior CDF F is nondecreasing: F(min(z_i, z_j)) = min(F(z_i), F(z_j)).
+        zv = z[:, 0]
+        if spec.variant == "beta":
+            cdf = betainc(spec.lambda1, spec.lambda2, np.clip(zv, 0.0, 1.0))
         else:
-            tile = _orthant(*np.broadcast_arrays(a[s:e, None], a[None, s:]), rho)
-        out[s:e, s:] = tile
-        out[s:, s:e] = tile.T
-    return out
+            cdf = ndtr((zv - spec.scalar_mu) / np.sqrt(spec.sigma2))
+
+        def block(rows, cols):
+            return np.minimum.outer(cdf[rows], cdf[cols])
+
+    return ((rows, cols, block(rows, cols)) for rows, cols in upper_tiles(len(z)))
 
 
 def weight_matrix(ds_or_z, spec: WeightSpec | None = None) -> np.ndarray:
     """n x n exactly symmetric matrix of omega_ij; diagonal filled but unused upstream.
 
-    Accepts either a Dataset or the raw grouping matrix Z.  For a Gaussian
-    prior the result is the only n x n array allocated (``_omega_gaussian``).
+    Accepts either a Dataset or the raw grouping matrix Z.  It is assembled
+    from the tiles of ``omega_tiles``, each written to both triangles; the
+    WAST kernel consumes the same tiles without ever storing this matrix.
     """
-    if spec is None:
-        spec = standard_gaussian()
-    z = getattr(ds_or_z, "z_group", ds_or_z)
-    z = np.asarray(z, float)
-    if z.ndim == 1:
-        z = z[:, None]
-    q = z.shape[1]
-
-    if spec.variant == "std_gaussian":
-        return _omega_gaussian(z, np.zeros(q), np.eye(q))
-
-    if spec.variant == "gaussian":
-        if np.shape(spec.mu) != (q,):
-            raise ParameterError(f"mu/sigma shapes must match q={q}")
-        return _omega_gaussian(z, np.asarray(spec.mu, float), np.asarray(spec.sigma, float))
-
-    # Scalar-threshold priors need a single grouping variable.
-    if q != 1:
-        raise ParameterError(
-            f"{spec.variant} weight requires exactly one grouping column, got q={q}")
-    # The prior CDF F is nondecreasing: F(min(z_i, z_j)) = min(F(z_i), F(z_j)).
-    zv = z[:, 0]
-    if spec.variant == "beta":
-        cdf = betainc(spec.lambda1, spec.lambda2, np.clip(zv, 0.0, 1.0))
-    else:
-        cdf = ndtr((zv - spec.scalar_mu) / np.sqrt(spec.sigma2))
-    return np.minimum.outer(cdf, cdf)
+    z = _grouping(ds_or_z)
+    out = np.empty((len(z), len(z)))
+    for rows, cols, tile in omega_tiles(z, spec):
+        out[rows, cols] = tile
+        out[cols, rows] = tile.T
+    return out

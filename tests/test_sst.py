@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from changeplane import (FamilyKind, ThetaGrid, build_theta_grid, fit_null,
+from changeplane import (Dataset, FamilyKind, ThetaGrid, build_theta_grid, fit_null,
                          score_psi0, score_test_at, sst_derivatives,
                          sst_statistic, sst_test)
 from changeplane import sst as sst_module
@@ -103,7 +103,7 @@ class TestThetaGrid:
         g2 = build_theta_grid(ds, k_directions=9, seed=8)
         np.testing.assert_array_equal(g1.thetas, g2.thetas)
 
-    @pytest.mark.parametrize("n", [301, 1001])
+    @pytest.mark.parametrize("n", [301, 1001, 300, 1000])
     @pytest.mark.parametrize("per_direction", [1, 4])
     def test_matches_per_direction_quantile_loop(self, rng, n, per_direction):
         ds = random_dataset(rng, n=n, q=3)
@@ -111,6 +111,17 @@ class TestThetaGrid:
                                 grid_per_direction=per_direction, seed=4)
         np.testing.assert_array_equal(
             grid.thetas, loop_theta_grid(ds, 200, per_direction, seed=4))
+
+    @pytest.mark.parametrize("per_direction", [1, 4])
+    def test_two_rows_match_np_quantile(self, per_direction):
+        # n = 2: every level interpolates between the only two order statistics.
+        ds = Dataset(y=np.array([0.3, -1.2]), x_base=np.ones((2, 1)),
+                     x_diff=np.ones((2, 1)),
+                     z_group=np.array([[1.0, 0.4, -1.0], [1.0, -2.0, 0.5]]))
+        grid = build_theta_grid(ds, k_directions=50, grid_per_direction=per_direction,
+                                seed=1)
+        np.testing.assert_array_equal(
+            grid.thetas, loop_theta_grid(ds, 50, per_direction, seed=1))
 
     @pytest.mark.parametrize("n", [301, 1001])
     def test_quantile_row_is_inside_its_plane(self, rng, n):

@@ -1,14 +1,19 @@
 from dataclasses import replace
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from changeplane import (FamilyKind, PlaneBlock, beta_prior, bootstrap_sample,
-                         fit_null, score_psi0, standard_gaussian,
+from changeplane import (Dataset, FamilyKind, PlaneBlock, beta_prior, bootstrap_sample,
+                         fit_null, gaussian, score_psi0, standard_gaussian,
                          univariate_gaussian, wast_multi_statistic,
                          wast_statistic, wast_test, weight_matrix)
 from changeplane import families as families_module
 from changeplane import wast as wast_module
+from changeplane import weights as weights_module
 from changeplane.families import refit_null
 from changeplane.errors import DataError, ParameterError
 from changeplane.rng import child_rng
@@ -190,6 +195,7 @@ class TestWastTest:
         assert out.weight == "std_gaussian"
         assert out.n_boot == out.boot_stats.size
         assert out.seed == 2
+        assert type(out.n_failed) is int  # the CLI and the benchmark write it as JSON
 
     def test_invalid_boot_count(self, rng):
         ds = random_dataset(rng, n=30)
@@ -291,3 +297,76 @@ class TestWastTest:
         out = wast_test(ds, FamilyKind("semiparametric"), n_boot=30, seed=3)
         assert np.isfinite(out.statistic)
         assert 0.0 <= out.p_value <= 1.0
+
+
+TILE = weights_module._TILE
+
+
+class TestTileKernel:
+    """One pass over the upper omega tiles scores the observed data and every
+    replicate; the tile side changes only the rounding."""
+
+    @pytest.mark.parametrize("n", [TILE - 1, TILE, TILE + 1, 2 * TILE + 1])
+    def test_tile_sides_agree(self, rng, monkeypatch, n):
+        ds = random_dataset(rng, n=n, family="binomial")
+        fam = FamilyKind("binomial")
+        # Side-1 tiles of the Owen's T prior take ~20 s at n = 513: mu != 0
+        # runs at sides 7 and n only.
+        for spec, sides in ((standard_gaussian(), (1, 7, n)),
+                            (gaussian([0.0, 0.5, -0.75], np.eye(3)), (7, n))):
+            ref = wast_test(ds, fam, spec, n_boot=5, seed=2)
+            for side in sides:
+                monkeypatch.setattr(weights_module, "_TILE", side)
+                out = wast_test(ds, fam, spec, n_boot=5, seed=2)
+                assert out.statistic == pytest.approx(ref.statistic, rel=1e-12, abs=0)
+                np.testing.assert_allclose(out.boot_stats, ref.boot_stats, rtol=1e-12, atol=0)
+                assert out.p_value == ref.p_value
+            monkeypatch.undo()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 60), side=st.integers(1, 64))
+    def test_row_permutation_leaves_statistic(self, seed, n, side):
+        """T is a sum over unordered pairs: the order of the rows, hence which
+        tile a pair falls in, moves it by rounding only.  The tolerance is
+        relative to the sum of |omega_ij psi_i' psi_j|, as T itself may cancel
+        to near 0."""
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(rng, n=n, p=1, r=1)
+        perm = rng.permutation(ds.n)
+        shuffled = Dataset(ds.y[perm], ds.x_base[perm], ds.x_diff[perm], ds.z_group[perm])
+        fam = FamilyKind("gaussian")
+        psi = score_psi0(ds, fam, fit_null(ds, fam))
+        scale = wast_statistic(np.abs(psi), weight_matrix(ds)) + 1e-300
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weights_module, "_TILE", side)
+            a = wast_test(ds, fam, n_boot=1, seed=0).statistic
+            b = wast_test(shuffled, fam, n_boot=1, seed=0).statistic
+        assert abs(a - b) <= 1e-12 * scale
+
+    def test_no_n_by_n_array(self, rng):
+        n = 3000
+        ds = random_dataset(rng, n=n, family="binomial")
+        tracemalloc.start()
+        try:
+            wast_test(ds, FamilyKind("binomial"), n_boot=20, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * 8 * n * n
+
+    def test_two_observations(self):
+        ds = Dataset(y=np.array([0.3, -1.2]), x_base=np.ones((2, 1)),
+                     x_diff=np.ones((2, 1)), z_group=np.array([[1.0, 0.4], [1.0, -2.0]]))
+        fam = FamilyKind("gaussian")
+        out = wast_test(ds, fam, n_boot=3, seed=1)
+        psi = score_psi0(ds, fam, fit_null(ds, fam))
+        assert out.statistic == pytest.approx(
+            double_loop_statistic(psi, weight_matrix(ds)), rel=1e-12)
+        assert out.n_boot == 3 and np.all(np.isfinite(out.boot_stats))
+
+    def test_fewer_than_two_observations(self):
+        # wast_test's input is rejected when built; wast_statistic's own
+        # check is test_single_observation.
+        with pytest.raises(DataError):
+            Dataset(y=np.array([0.3]), x_base=np.ones((1, 1)), x_diff=np.ones((1, 1)),
+                    z_group=np.array([[1.0, 0.4]]))

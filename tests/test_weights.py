@@ -160,18 +160,25 @@ class TestWeightMatrix:
                 mc = omega_gaussian_mc(z[i], z[j], MU, SIGMA, draws=draws)
                 assert w[i, j] == pytest.approx(mc, abs=5e-3)
 
-    def test_standard_gaussian_is_closed_form_of_cosines(self, rng):
+    def test_standard_gaussian_is_closed_form_of_cosines(self, rng, monkeypatch):
         # Rows 3 and 4 are parallel and opposed to row 1: the rho = +-1 limits.
+        # 7-row tiles leave a short last tile at n = 31.
+        monkeypatch.setattr(weights_module, "_TILE", 7)
         z = np.hstack([np.ones((31, 1)), rng.standard_normal((31, 2))])
         z[3], z[4] = 2.5 * z[1], -z[1]
         for spec, sigma in ((standard_gaussian(), np.eye(3)),
                             (gaussian(np.zeros(3), np.eye(3)), np.eye(3)),
                             (gaussian(np.zeros(3), SIGMA), SIGMA)):
             w = z @ np.linalg.cholesky(sigma)
-            gram = w @ w.T  # the Sigma-weighted Gram, formed as the kernel forms it
-            norms = np.sqrt(np.diag(gram))
-            rho = np.clip(gram / np.outer(norms, norms), -1.0, 1.0)
-            np.testing.assert_array_equal(weight_matrix(z, spec), omega_closed_form(rho))
+            norms = np.sqrt(np.einsum("ij,ij->i", w, w))
+            want = np.empty((31, 31))
+            for rows, cols in weights_module.upper_tiles(31):
+                # The tile's own Sigma-weighted Gram, formed as the kernel forms it.
+                gram = w[rows] @ w[cols].T
+                rho = np.clip(gram / np.outer(norms[rows], norms[cols]), -1.0, 1.0)
+                want[rows, cols] = omega_closed_form(rho)
+                want[cols, rows] = want[rows, cols].T
+            np.testing.assert_array_equal(weight_matrix(z, spec), want)
 
     def test_nonzero_mean_is_bivariate_normal_cdf(self, rng):
         # Rows 0 and 1 have Z'mu = 0 (a_k = 0); row 2 is parallel and row 3
@@ -196,16 +203,20 @@ class TestWeightMatrix:
                 assert abs(w[i, j] - want) <= 1e-12, (i, j, rho)
 
     def test_row_blocks_match_one_block(self, rng, monkeypatch):
-        # omega is built a tile of rows at a time over its own Gram; 7 rows
-        # per tile leaves a short last tile at n = 50, and 50 rows is the
-        # whole matrix in one tile.
+        # omega is built a tile at a time, each tile over its own Gram; 7-row
+        # tiles leave a short last tile at n = 50, and 50 rows is the whole
+        # matrix in one tile.  Each tile side gives an exactly symmetric
+        # omega; a tile's GEMM rounds with its shape, so across sides omega
+        # agrees to rounding.
         z = np.hstack([np.ones((50, 1)), rng.standard_normal((50, 2))])
         z[0], z[2] = [-2.0, 1.5, 1.0], 3.0 * z[4]
         for spec in GAUSSIAN_SPECS:
             default = weight_matrix(z, spec)
-            for rows in (1, 7, 50):
-                monkeypatch.setattr(weights_module, "_PAIR_BLOCK", rows * 50)
-                np.testing.assert_array_equal(weight_matrix(z, spec), default)
+            for side in (1, 7, 50):
+                monkeypatch.setattr(weights_module, "_TILE", side)
+                w = weight_matrix(z, spec)
+                np.testing.assert_array_equal(w, w.T)
+                np.testing.assert_allclose(w, default, rtol=0, atol=1e-14)
             monkeypatch.undo()
 
     @pytest.mark.parametrize("spec", GAUSSIAN_SPECS)
