@@ -16,10 +16,11 @@ nuisance rows psi1_i = s_i x_base,i.  This module provides:
 * ``sst_derivatives`` -- the row factors of K(theta) and the J matrix needed
                          by the supremum score test,
 * ``plane_projections``-- which rows lie inside which change planes,
-* ``bootstrap_sample``-- a redrawn response for calibration, per the
-                         family-specific scheme (parametric for GLM/probit,
-                         two-point wild for quantile, Gaussian wild for the
-                         semiparametric model).
+* ``bootstrap_sampler``-- redrawn responses for calibration, an n x m block
+                         per call, per the family-specific scheme
+                         (parametric for GLM/probit, two-point wild for
+                         quantile, Gaussian wild for the semiparametric
+                         model); ``bootstrap_sample`` draws one.
 
 Families: gaussian / binomial / poisson GLMs with canonical links, probit,
 quantile (check-loss, any tau in (0,1)), and the semiparametric
@@ -32,14 +33,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_ndtr
+from scipy.special import log_ndtr
 
 from .data import Dataset, validate
 from .errors import ParameterError, SingularDesignError
 
 __all__ = [
     "FamilyKind", "NullFit", "SstDerivatives", "plane_projections",
-    "fit_null", "refit_null", "score_psi0", "sst_derivatives", "bootstrap_sample",
+    "fit_null", "refit_null", "score_psi0", "sst_derivatives", "bootstrap_sampler",
+    "bootstrap_sample",
 ]
 
 _ALL_FAMILIES = ("gaussian", "binomial", "poisson", "probit", "quantile",
@@ -106,7 +108,12 @@ class SstDerivatives:
     z: np.ndarray     # grouping rows the indicator is taken over
 
     def k_of_theta(self, theta) -> np.ndarray:
-        """K(theta) at one plane."""
+        """K(theta) at one plane.
+
+        Its projections come from a one-row product, rounded unlike the
+        grid-wide GEMM; at odd n the row at the plane's quantile may land on
+        the other side from the same plane in a grid (see ``score_test_at``).
+        """
         theta = np.asarray(theta, float)
         ind = plane_projections(self.z, theta[None])[0] >= -theta[0]
         return self.g[ind].T @ self.h[ind] / self.z.shape[0]
@@ -130,6 +137,16 @@ def plane_projections(z: np.ndarray, thetas: np.ndarray) -> np.ndarray:
 # the per-row score factor and its Newton weight
 # --------------------------------------------------------------------------
 
+def _logistic(eta: np.ndarray) -> np.ndarray:
+    """The logistic mean 1 / (1 + exp(-eta)); exp overflows to inf below
+    eta = -709, where the mean is 0."""
+    mu = np.negative(eta)
+    with np.errstate(over="ignore"):
+        np.exp(mu, out=mu)
+    mu += 1.0
+    return np.reciprocal(mu, out=mu)
+
+
 def _mills(eta: np.ndarray) -> np.ndarray:
     """phi(eta)/Phi(eta), computed on the log scale to avoid overflow."""
     return np.exp(-eta**2 / 2.0 - _LOG_SQRT_2PI - log_ndtr(eta))
@@ -144,7 +161,7 @@ def _factor(family: FamilyKind, y: np.ndarray, eta: np.ndarray):
     if name == "gaussian":
         return y - eta, np.ones_like(eta)
     if name == "binomial":
-        mu = expit(eta)
+        mu = _logistic(eta)
         return y - mu, mu * (1.0 - mu)
     if name == "poisson":
         mu = np.exp(eta)
@@ -174,20 +191,27 @@ def _solve_spd(x: np.ndarray, xw: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _newton(family: FamilyKind, y, x, tol, max_iter):
     """Newton steps on X's = 0 from alpha = 0: IRLS for binomial and poisson,
     Fisher scoring for probit.  A column stops at its first evaluation with
-    max|X's|/n <= tol, the evaluations made being its iterations."""
+    max|X's|/n <= tol, the evaluations made being its iterations.  Returns
+    alpha and the score factor s at it: a stopped column keeps the factor of
+    its last evaluation; a column at the cap has stepped since its last one,
+    so its factor is evaluated once more."""
     n, r = x.shape
     alpha = np.zeros((r, y.shape[1]))
+    s_at_alpha = np.empty(y.shape)
     iterations, live = np.full(y.shape[1], max_iter), np.arange(y.shape[1])
     for it in range(1, max_iter + 1):
         s, w = _factor(family, y[:, live], x @ alpha[:, live])
         score = x.T @ s
         done = np.max(np.abs(score), axis=0) / n <= tol
         iterations[live[done]] = it
+        s_at_alpha[:, live[done]] = s[:, done]
         live, score, w = live[~done], score[:, ~done], w[:, ~done]
         if not live.size:
             break
         alpha[:, live] += _solve_spd(x, x[:, :, None] * w[:, None, :], score.T[:, :, None])
-    return alpha, iterations
+    if live.size:
+        s_at_alpha[:, live] = _factor(family, y[:, live], x @ alpha[:, live])[0]
+    return alpha, iterations, s_at_alpha
 
 
 def _fit_quantile(y, x, tau, tol, max_iter):
@@ -216,37 +240,45 @@ def _fit_quantile(y, x, tau, tol, max_iter):
 def _fit(family: FamilyKind, y, x, tol, max_iter, design="baseline"):
     """Solve X's = 0 on the full-rank design x for every column of the n x B
     response y in lock step; a stopped column is never touched again.
-    Returns alpha (r x B) and, per column, converged, iterations and the
-    gradient norm max|X's|/n; for quantile max|X's|, converged inside the
-    subgradient box r * max|x|, the discrete analogue of the equation."""
+    Returns alpha (r x B), per column converged, iterations and the gradient
+    norm max|X's|/n (for quantile max|X's|, converged inside the subgradient
+    box r * max|x|, the discrete analogue of the equation), and the n x B
+    score factor s at alpha, evaluated once."""
     n, r = x.shape
     if np.linalg.matrix_rank(x) < r:
         raise SingularDesignError(f"{design} design is rank-deficient")
     if family.name == "gaussian":
-        alpha, iterations = np.linalg.lstsq(x, y, rcond=None)[0], np.ones(y.shape[1], int)
+        alpha = np.linalg.lstsq(x, y, rcond=None)[0]
+        iterations, s = np.ones(y.shape[1], int), y - x @ alpha
     elif family.name == "quantile":
         alpha, iterations = _fit_quantile(y, x, family.tau, tol, max_iter)
+        s = _factor(family, y, x @ alpha)[0]
     else:
-        alpha, iterations = _newton(family, y, x, tol, max_iter)
-    gnorm = np.max(np.abs(x.T @ _factor(family, y, x @ alpha)[0]), axis=0)
+        alpha, iterations, s = _newton(family, y, x, tol, max_iter)
+    gnorm = np.max(np.abs(x.T @ s), axis=0)
     if family.name == "quantile":
-        return alpha, gnorm <= r * np.max(np.abs(x)), iterations, gnorm
+        return alpha, gnorm <= r * np.max(np.abs(x)), iterations, gnorm, s
     gnorm /= n
-    return alpha, (gnorm <= tol) | (family.name == "gaussian"), iterations, gnorm
+    return alpha, (gnorm <= tol) | (family.name == "gaussian"), iterations, gnorm, s
 
 
 def _semi_fitted(ds: Dataset, alpha: np.ndarray):
     """pi_hat(Z) and gamma_hat(x_base) of the semiparametric working fits."""
-    return expit(ds.z_group @ alpha[: ds.q]), ds.x_base @ alpha[ds.q:]
+    return _logistic(ds.z_group @ alpha[: ds.q]), ds.x_base @ alpha[ds.q:]
 
 
-def _psi0(ds: Dataset, family: FamilyKind, y: np.ndarray, alpha: np.ndarray):
-    """Score rows of every column of the n x B response y at the matching
-    column of alpha, side by side as n x (B*p)."""
+def _fit_family(family: FamilyKind) -> FamilyKind:
+    """The family fitted on x_base: the semiparametric baseline Y ~ x_base
+    is a least-squares fit, its score factor the residual Y - gamma."""
+    return FamilyKind("gaussian") if family.name == "semiparametric" else family
+
+
+def _psi0(ds: Dataset, family: FamilyKind, fit: NullFit, s: np.ndarray):
+    """Score rows of every column of the n x B score factor s, side by side
+    as n x (B*p).  For the semiparametric family s is the residual
+    Y - gamma_hat(x_base), and ``fit``'s propensity gives pi_hat(Z)."""
     if family.name == "semiparametric":
-        pi_hat, gam_hat = _semi_fitted(ds, alpha)
-        return (ds.x_diff - pi_hat) * (y - gam_hat)
-    s = _factor(family, y, ds.x_base @ alpha)[0]
+        return (ds.x_diff - _logistic(ds.z_group @ fit.alpha_hat[: ds.q, None])) * s
     return (s[:, :, None] * ds.x_diff[:, None, :]).reshape(ds.n, -1)
 
 
@@ -263,7 +295,8 @@ def fit_null(ds: Dataset, family: FamilyKind, tol: float = DEFAULT_TOL,
     else:  # working logistic propensity A ~ Z and working linear baseline Y ~ x_base
         fits = [_fit(FamilyKind("binomial"), ds.x_diff, ds.z_group, tol, max_iter, "grouping"),
                 _fit(FamilyKind("gaussian"), ds.y[:, None], ds.x_base, tol, max_iter)]
-    alpha, converged, iterations, gnorm = (np.concatenate(v) for v in zip(*fits))
+    alpha, converged, iterations, gnorm = (np.concatenate(v)
+                                           for v in zip(*(f[:4] for f in fits)))
     return NullFit(alpha[:, 0], bool(converged.all()), int(iterations.max()),
                    float(gnorm.max()))
 
@@ -273,13 +306,11 @@ def refit_null(ds: Dataset, family: FamilyKind, fit: NullFit, y: np.ndarray):
     (B*p) score stack, replicate b in columns b*p to b*p + p - 1, and
     converged and iterations per column.  The semiparametric propensity
     A ~ Z does not involve Y: ``fit``'s is reused, its iterations counted."""
-    semi = family.name == "semiparametric"
-    alpha, converged, iterations, _ = _fit(FamilyKind("gaussian") if semi else family, y,
-                                           ds.x_base, DEFAULT_TOL, DEFAULT_MAX_ITER)
-    if semi:
-        alpha = np.vstack([np.repeat(fit.alpha_hat[: ds.q, None], y.shape[1], 1), alpha])
+    _, converged, iterations, _, s = _fit(_fit_family(family), y, ds.x_base,
+                                          DEFAULT_TOL, DEFAULT_MAX_ITER)
+    if family.name == "semiparametric":
         iterations = np.maximum(iterations, fit.iterations)
-    return _psi0(ds, family, y, alpha), converged, iterations
+    return _psi0(ds, family, fit, s), converged, iterations
 
 
 def score_psi0(ds: Dataset, family: FamilyKind, fit: NullFit) -> np.ndarray:
@@ -288,7 +319,8 @@ def score_psi0(ds: Dataset, family: FamilyKind, fit: NullFit) -> np.ndarray:
     For the semiparametric family it is the n x 1 scalar factor
     (A - pi_hat(Z)) (Y - gamma_hat(x_base)).
     """
-    return _psi0(ds, family, ds.y[:, None], fit.alpha_hat[:, None])
+    eta = ds.x_base @ fit.alpha_hat[-ds.r:, None]  # the x_base coefficients come last
+    return _psi0(ds, family, fit, _factor(_fit_family(family), ds.y[:, None], eta)[0])
 
 
 def _silverman_f0(resid: np.ndarray) -> float:
@@ -335,28 +367,56 @@ def sst_derivatives(ds: Dataset, family: FamilyKind, fit: NullFit) -> SstDerivat
     return SstDerivatives(g, h, j_inv, psi1, z)
 
 
-def bootstrap_sample(ds: Dataset, family: FamilyKind, fit: NullFit,
-                     rng) -> np.ndarray:
-    """Redrawn response for calibration; the covariates stay those of ``ds``.
+def bootstrap_sampler(ds: Dataset, family: FamilyKind, fit: NullFit):
+    """Redrawn responses for calibration; the covariates stay those of ``ds``.
 
     GLM/probit draw from the fitted null distribution; quantile uses the
     two-point wild multiplier P(nu = 2(1-tau)) = 1 - tau, P(nu = -2 tau) = tau
     on absolute residuals; the semiparametric model uses a Gaussian wild
-    multiplier on signed residuals around gamma_hat(x_base).
+    multiplier on signed residuals around gamma_hat(x_base).  The fitted
+    eta, the mean, the dispersion and the residuals are formed here, once;
+    the returned ``draw(rngs)`` gives the n x m block whose column b is drawn
+    from ``rngs[b]`` alone.
     """
-    rng = np.random.default_rng(rng)
     name, tau = family.name, family.tau
     eta = ds.x_base @ fit.alpha_hat[-ds.r:]  # the x_base coefficients come last
+    loc = eta[:, None]
     if name == "gaussian":
-        sigma2 = float(np.mean((ds.y - eta) ** 2))  # MLE dispersion
-        return eta + rng.standard_normal(ds.n) * np.sqrt(sigma2)
-    if name == "binomial":
-        return (rng.random(ds.n) < expit(eta)).astype(float)
-    if name == "poisson":
-        return rng.poisson(np.exp(eta)).astype(float)
-    if name == "probit":  # Y* = 1(nu <= eta), nu ~ N(0,1)
-        return (rng.standard_normal(ds.n) <= eta).astype(float)
-    if name == "quantile":
-        nu = np.where(rng.random(ds.n) < 1.0 - tau, 2.0 * (1.0 - tau), -2.0 * tau)
-        return eta + nu * np.abs(ds.y - eta)
-    return eta + rng.standard_normal(ds.n) * (ds.y - eta)
+        scale = np.sqrt(np.mean((ds.y - eta) ** 2))  # MLE dispersion
+    elif name == "semiparametric":
+        scale = (ds.y - eta)[:, None]
+    elif name == "binomial":
+        mu = _logistic(eta)[:, None]
+    elif name == "poisson":
+        lam = np.exp(eta)
+    elif name == "quantile":
+        spread = np.abs(ds.y - eta)[:, None]
+
+    def one(rng) -> np.ndarray:
+        if name == "poisson":
+            return rng.poisson(lam)
+        if name in ("binomial", "quantile"):
+            return rng.random(ds.n)
+        return rng.standard_normal(ds.n)
+
+    def draw(rngs) -> np.ndarray:
+        v = np.empty((ds.n, len(rngs)))
+        for b, rng in enumerate(rngs):
+            v[:, b] = one(np.random.default_rng(rng))
+        if name in ("gaussian", "semiparametric"):
+            return loc + v * scale
+        if name == "binomial":
+            return (v < mu).astype(float)
+        if name == "probit":  # Y* = 1(nu <= eta), nu ~ N(0,1)
+            return (v <= loc).astype(float)
+        if name == "quantile":
+            return loc + np.where(v < 1.0 - tau, 2.0 * (1.0 - tau), -2.0 * tau) * spread
+        return v  # poisson counts
+
+    return draw
+
+
+def bootstrap_sample(ds: Dataset, family: FamilyKind, fit: NullFit,
+                     rng) -> np.ndarray:
+    """One redrawn response: the one-column block of ``bootstrap_sampler``."""
+    return bootstrap_sampler(ds, family, fit)([rng])[:, 0]

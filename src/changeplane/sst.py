@@ -158,7 +158,13 @@ def _grid_planes(ds: Dataset, psi0: np.ndarray, derivs: SstDerivatives,
 
 def score_test_at(ds: Dataset, family: FamilyKind, fit, derivs: SstDerivatives,
                   theta) -> float:
-    """Squared score statistic at a fixed plane theta (nonnegative)."""
+    """Squared score statistic at a fixed plane theta (nonnegative).
+
+    The plane's projections come from a one-row product, which BLAS rounds
+    differently from the grid-wide GEMM of ``sst_statistic``; at odd n the
+    row at a grid intercept's quantile can fall on the other side, so
+    ``score_test_at(grid.thetas[k])`` may differ from plane k of the grid.
+    """
     psi0 = score_psi0(ds, family, fit)
     return float(_grid_planes(ds, psi0, derivs, np.asarray(theta, float)[None])[0][0])
 

@@ -19,8 +19,9 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, NumericalError, ParameterError
-from .families import (DEFAULT_MAX_ITER, FamilyKind, bootstrap_sample, fit_null,
+from .families import (DEFAULT_MAX_ITER, FamilyKind, bootstrap_sampler, fit_null,
                        refit_null, score_psi0)
+from .families import bootstrap_sample  # noqa: F401  -- traced by bench/worker.py
 from .rng import child_rng
 from .weights import WeightSpec, omega_tiles, standard_gaussian, upper_tiles
 from .weights import weight_matrix  # noqa: F401  -- traced by bench/worker.py
@@ -146,11 +147,13 @@ def wast_test(ds: Dataset, family: FamilyKind,
               seed: int = 0) -> TestOutcome:
     """Full WAST test with parametric / wild bootstrap calibration.
 
-    Each run of ``BOOT_BLOCK`` redrawn responses is refit by one
-    ``refit_null`` call.  The observed scores and those of every kept
-    replicate go side by side into one n x ((1+B)*p) stack, and one pass
-    over the upper omega tiles (``omega_tiles``) gives every statistic:
-    memory is O(_TILE^2 + n*B*p) and no n x n array is formed.  Replicates
+    Each run of ``BOOT_BLOCK`` redrawn responses is drawn as one n x
+    ``BOOT_BLOCK`` block from the fitted null model, formed once per test
+    (``bootstrap_sampler``), and refit by one ``refit_null`` call.  The
+    observed scores and those of every kept replicate go side by side into
+    one n x ((1+B)*p) stack, and one pass over the upper omega tiles
+    (``omega_tiles``) gives every statistic: memory is O(_TILE^2 + n*B*p)
+    and no n x n array is formed.  Replicates
     whose refit fails to converge are excluded; if more than 5% are, the
     test raises.  ``diagnostics`` counts the refits' (min, median, max)
     iterations and those stopped at the iteration cap.
@@ -164,14 +167,14 @@ def wast_test(ds: Dataset, family: FamilyKind,
         raise NumericalError("null fit did not converge on the original data")
     tiles = omega_tiles(ds, weight)  # checks the prior now; Z is fixed across replicates
     psi0 = score_psi0(ds, family, fit)
+    draw = bootstrap_sampler(ds, family, fit)
 
     n, p = psi0.shape
     stack = np.empty((n, (1 + n_boot) * p))
     stack[:, :p] = psi0
     width, iterations = p, np.empty(n_boot, int)
     for start in range(0, n_boot, BOOT_BLOCK):
-        y = np.column_stack([bootstrap_sample(ds, family, fit, child_rng(seed, b))
-                             for b in range(start, min(start + BOOT_BLOCK, n_boot))])
+        y = draw([child_rng(seed, b) for b in range(start, min(start + BOOT_BLOCK, n_boot))])
         psi, converged, iterations[start:start + BOOT_BLOCK] = refit_null(ds, family, fit, y)
         kept = int(np.count_nonzero(converged)) * p
         np.compress(np.repeat(converged, p), psi, axis=1, out=stack[:, width:width + kept])

@@ -8,10 +8,11 @@ that both grouping rows fall on the same side of a random hyperplane
 
 Under a Gaussian prior N(mu, Sigma) this is the bivariate-normal orthant
 probability Phi_2(a_i, a_j; rho_ij), where rho_ij is the Sigma-cosine between
-the two grouping rows and a_k = Z_k' mu / ||Z_k||_Sigma.  At mu = 0 it has the
-closed form 1/4 + arctan(rho / sqrt(1 - rho^2)) / (2 pi); otherwise Owen's
-(1956) T-function form gives it exactly.  Scalar-threshold priors (beta,
-univariate Gaussian) reduce to CDF evaluations at min(Z_i, Z_j).
+the two grouping rows and a_k = Z_k' mu / ||Z_k||_Sigma.  At mu = 0 it has
+Sheppard's (1899) closed form 1/4 + arcsin(rho) / (2 pi), half the degree-0
+arc-cosine kernel; otherwise Owen's (1956) T-function form gives it exactly.
+Scalar-threshold priors (beta, univariate Gaussian) reduce to CDF
+evaluations at min(Z_i, Z_j).
 
 Every prior gives omega through one generator, ``omega_tiles``, a square
 tile of the upper triangle at a time; ``weight_matrix`` assembles the n x n
@@ -34,7 +35,9 @@ __all__ = [
     "weight_matrix",
 ]
 
-# Endpoint guard for arctan(rho/sqrt(1-rho^2)): below this, return the limits.
+# Endpoint guard of the Owen's T and Monte-Carlo paths, which divide by
+# sqrt(1 - rho^2): where 1 - rho^2 is not above it, they take the limits at
+# rho = +-1.  The arcsin closed form needs no guard.
 _ENDPOINT_EPS = 1e-12
 
 # Side of the square omega tiles: every consumer of omega takes it one
@@ -125,18 +128,21 @@ def varrho(z_i, z_j, sigma) -> float:
 
 
 def omega_closed_form(rho) -> np.ndarray | float:
-    """Orthant probability 1/4 + arctan(rho/sqrt(1-rho^2))/(2 pi).
+    """Orthant probability 1/4 + arcsin(rho)/(2 pi), rho clipped to [-1, 1].
 
-    At rho = +-1 the analytic limits 1/2 and 0 are returned.
+    arcsin(+-1) = +-pi/2 gives the limits 1/2 and 0 exactly.
     """
-    rho = np.clip(np.asarray(rho, float), -1.0, 1.0)
-    one_minus = 1.0 - rho * rho
-    interior = one_minus > _ENDPOINT_EPS
-    out = np.where(rho > 0, 0.5, 0.0)
-    safe = np.where(interior, one_minus, 1.0)
-    val = 0.25 + np.arctan(rho / np.sqrt(safe)) / (2.0 * np.pi)
-    out = np.where(interior, val, out)
+    rho = np.asarray(rho, float)
+    out = _arcsin_map(np.clip(rho, -1.0, 1.0, out=np.empty_like(rho)))
     return out if out.ndim else float(out)
+
+
+def _arcsin_map(rho: np.ndarray) -> np.ndarray:
+    """1/4 + arcsin(rho)/(2 pi), in place on an array of cosines in [-1, 1]."""
+    np.arcsin(rho, out=rho)
+    rho *= 1.0 / (2.0 * np.pi)
+    rho += 0.25
+    return rho
 
 
 def omega_gaussian_mc(z_i, z_j, mu, sigma, n_draws: int | None = None,
@@ -198,8 +204,8 @@ def _orthant(h, k, rho):
     Phi_2 = [Phi(h) + Phi(k)]/2 - T(h, a_h) - T(k, a_k) - beta, with
     a_h = (k - rho h) / (h sqrt(1 - rho^2)) and beta = 1/2 when exactly one of
     h, k is negative.  As h -> 0, T(h, a_h) tends to sign(k)/4.  At h = k = 0
-    the arctan closed form is used, and where 1 - rho^2 is not above the
-    guard the limits at rho = +-1.
+    the arcsin closed form is used, and where 1 - rho^2 is not above the
+    guard the limits at rho = +-1.  rho must already lie in [-1, 1].
     """
     one_minus = 1.0 - rho * rho
     interior = one_minus > _ENDPOINT_EPS
@@ -212,7 +218,7 @@ def _orthant(h, k, rho):
     t = np.where(zero, np.sign(kk) / 4.0,
                  owens_t(hh, (kk - rho * hh) / (np.where(zero, 1.0, hh) * s))).sum(axis=0)
     out = 0.5 * (ph + pk) - t - 0.5 * ((h < 0) != (k < 0))
-    out = np.where((h == 0) & (k == 0), omega_closed_form(rho), out)
+    out = np.where((h == 0) & (k == 0), _arcsin_map(rho.copy()), out)
     edge = np.where(rho > 0, ndtr(np.minimum(h, k)), np.maximum(0.0, ph + pk - 1.0))
     return np.where(interior, out, edge)
 
@@ -234,23 +240,24 @@ def upper_tiles(n: int):
 def _gaussian_block(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
     """omega(rows, cols) under the prior N(mu, sigma), one tile at a time.
 
-    With w = z L, Sigma = L L', the tile's Sigma-weighted Gram is
-    w[rows] w[cols]'; numpy forms a diagonal tile's by syrk, so that tile is
-    exactly symmetric.  Its cosines rho go through ``omega_closed_form`` at
-    mu = 0 and ``_orthant`` otherwise.
+    With w = z L, Sigma = L L', the rows of w are divided by their norms
+    once; a tile's Sigma-cosines are then the Gram wn[rows] wn[cols]' of the
+    unit rows.  numpy forms a diagonal tile's by syrk, so that tile is
+    exactly symmetric.  The cosines are clipped to [-1, 1] once and mapped
+    in place by the arcsin closed form at mu = 0, by ``_orthant`` otherwise.
     """
     w = z @ np.linalg.cholesky(sigma)
     norms = np.sqrt(np.einsum("ij,ij->i", w, w))
     if np.any(norms <= 0):
         raise DegenerateVectorError("grouping row has zero Sigma-norm")
+    wn = w / norms[:, None]
     a = (z @ mu) / norms if np.any(mu) else None
 
     def block(rows, cols):
-        rho = w[rows] @ w[cols].T
-        rho /= np.multiply.outer(norms[rows], norms[cols])
+        rho = wn[rows] @ wn[cols].T
         np.clip(rho, -1.0, 1.0, out=rho)
         if a is None:
-            return omega_closed_form(rho)
+            return _arcsin_map(rho)
         return _orthant(*np.broadcast_arrays(a[rows, None], a[None, cols]), rho)
 
     return block

@@ -7,8 +7,10 @@ from scipy.stats import norm
 
 from changeplane import (FamilyKind, bootstrap_sample, fit_null, score_psi0,
                          sst_derivatives)
+from changeplane import families as families_module
 from changeplane.errors import ParameterError, SingularDesignError
-from changeplane.families import DEFAULT_MAX_ITER, DEFAULT_TOL, _fit, _mills
+from changeplane.families import (DEFAULT_MAX_ITER, DEFAULT_TOL, _factor, _fit, _mills,
+                                  bootstrap_sampler, refit_null)
 from changeplane.rng import child_rng
 
 from conftest import random_dataset
@@ -125,8 +127,8 @@ class TestLockStepFit:
         y = np.column_stack([bootstrap_sample(ds, fam, fit, child_rng(7, b))
                              for b in range(64)])
         x = ds.x_base
-        alpha, converged, iterations, gnorm = _fit(fam, y, x, DEFAULT_TOL,
-                                                   DEFAULT_MAX_ITER)
+        alpha, converged, iterations, gnorm, _ = _fit(fam, y, x, DEFAULT_TOL,
+                                                      DEFAULT_MAX_ITER)
         ones = [_fit(fam, y[:, [b]], x, DEFAULT_TOL, DEFAULT_MAX_ITER)
                 for b in range(64)]
         np.testing.assert_array_equal(iterations, [one[2][0] for one in ones])
@@ -136,6 +138,36 @@ class TestLockStepFit:
                 scale = np.max(np.abs(alpha_b))
                 np.testing.assert_allclose(alpha[:, b], alpha_b[:, 0], rtol=0,
                                            atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("family", ["binomial", "poisson", "probit"])
+    def test_reused_factor_is_the_factor_at_alpha(self, rng, monkeypatch, family):
+        """The Newton loop hands back the score factor of a column's last
+        evaluation, and evaluates a column stopped at the cap once more,
+        since it stepped after that evaluation.  Either way refit_null's
+        scores and _fit's gradient norm are those of _factor evaluated
+        afresh at the returned alpha, over the block by one GEMM as the
+        loop forms eta.  At n = 61 and 4 iterations the block holds both
+        converged and capped columns."""
+        ds = random_dataset(rng, n=61, family=family)
+        fam = FamilyKind(family)
+        fit = fit_null(ds, fam)
+        y = np.column_stack([bootstrap_sample(ds, fam, fit, child_rng(3, b))
+                             for b in range(64)])
+        x, max_iter = ds.x_base, 4
+        alpha, converged, iterations, gnorm, s = _fit(fam, y, x, DEFAULT_TOL, max_iter)
+        assert 0 < np.count_nonzero(~converged) < 64
+        np.testing.assert_array_equal(iterations[~converged], max_iter)
+        fresh = _factor(fam, y, x @ alpha)[0]
+        for b in range(64):
+            np.testing.assert_array_equal(s[:, b], fresh[:, b])
+            assert gnorm[b] == np.max(np.abs(x.T @ fresh[:, b])) / ds.n
+        monkeypatch.setattr(families_module, "DEFAULT_MAX_ITER", max_iter)
+        psi, refit_converged, _ = refit_null(ds, fam, fit, y)
+        np.testing.assert_array_equal(refit_converged, converged)
+        p = ds.p
+        for b in range(64):
+            np.testing.assert_array_equal(psi[:, b * p:(b + 1) * p],
+                                          fresh[:, b, None] * ds.x_diff)
 
 
 class TestScorePsi0:
@@ -245,7 +277,49 @@ def _with_alpha(fit, alpha):
                    iterations=fit.iterations, gradient_norm=fit.gradient_norm)
 
 
+def per_replicate_draw(ds, family, fit, rng):
+    """One redrawn response, written out per replicate: the reference for
+    the block draws."""
+    eta = ds.x_base @ fit.alpha_hat[-ds.r:]
+    name, tau = family.name, family.tau
+    if name == "gaussian":
+        return eta + rng.standard_normal(ds.n) * np.sqrt(np.mean((ds.y - eta) ** 2))
+    if name == "binomial":
+        return (rng.random(ds.n) < expit(eta)).astype(float)
+    if name == "poisson":
+        return rng.poisson(np.exp(eta)).astype(float)
+    if name == "probit":
+        return (rng.standard_normal(ds.n) <= eta).astype(float)
+    if name == "quantile":
+        nu = np.where(rng.random(ds.n) < 1.0 - tau, 2.0 * (1.0 - tau), -2.0 * tau)
+        return eta + nu * np.abs(ds.y - eta)
+    return eta + rng.standard_normal(ds.n) * (ds.y - eta)
+
+
 class TestBootstrapSample:
+    @pytest.mark.parametrize("family", ["gaussian", "binomial", "poisson",
+                                        "probit", "quantile", "semiparametric"])
+    def test_block_draws_equal_per_replicate_draws(self, rng, family):
+        """B = 70 is two blocks, 64 + 6, from one sampler: column b is
+        drawn from child_rng(seed, b) alone, bit for bit as one
+        bootstrap_sample call and as the per-replicate scheme."""
+        if family == "semiparametric":
+            ds = random_dataset(rng, n=90)
+            ds = replace(ds, x_diff=(rng.random(90) < 0.5).astype(float)[:, None])
+        else:
+            ds = random_dataset(rng, n=90, family=family)
+        fam = FamilyKind(family, tau=0.3)
+        fit = fit_null(ds, fam)
+        draw = bootstrap_sampler(ds, fam, fit)
+        for start, stop in ((0, 64), (64, 70)):
+            block = draw([child_rng(8, b) for b in range(start, stop)])
+            assert block.shape == (ds.n, stop - start)
+            for j, b in enumerate(range(start, stop)):
+                one = bootstrap_sample(ds, fam, fit, child_rng(8, b))
+                np.testing.assert_array_equal(block[:, j], one)
+                np.testing.assert_array_equal(
+                    one, per_replicate_draw(ds, fam, fit, child_rng(8, b)))
+
     @pytest.mark.parametrize("family", ["gaussian", "binomial", "poisson",
                                         "probit", "quantile"])
     def test_covariates_fixed_response_redrawn(self, rng, family):

@@ -285,6 +285,39 @@ class TestWastTest:
         assert fits == [("binomial", 1), ("gaussian", 1), ("gaussian", 64), ("gaussian", 6)]
         assert len(validations) == 1
 
+    # (family, statistic, sum, min and max of boot_stats, p-value, n_boot) of
+    # wast_test at n = 120, B = 70, as computed before the arcsin omega map,
+    # the reused score factor and the block bootstrap draws.
+    PINNED = [
+        ("gaussian", -0.005322047178223465, -0.4068396522321704,
+         -0.010737989043521802, -0.0017048457514705407, 0.35714285714285715, 70),
+        ("binomial", -0.0006041202568500345, -0.10138139906545812,
+         -0.001991864387494674, -0.00036994728508255373, 0.04285714285714286, 70),
+        ("poisson", -0.004365556447428518, -0.30255827264475893,
+         -0.007649491962040331, -0.001610894497511904, 0.5142857142857142, 70),
+        ("probit", -0.002536606513721681, -0.24001203230502693,
+         -0.004918075607082743, -0.0015861575419650554, 0.07142857142857142, 70),
+        ("quantile", -0.0014454460306429625, -0.10509744502319128,
+         -0.001975938590143148, -0.00017676052876558918, 0.34285714285714286, 70),
+        ("semiparametric", -0.0007824205178947468, -0.0024009414942480177,
+         -0.0011843523449454967, 0.0032925498516954434, 0.9571428571428572, 70),
+    ]
+
+    @pytest.mark.parametrize("index", range(len(PINNED)))
+    def test_fixed_seed_regression_pins(self, index):
+        family, statistic, total, low, high, p_value, n_boot = self.PINNED[index]
+        rng = np.random.default_rng([2024, index])
+        if family == "semiparametric":
+            ds = semiparametric_dataset(rng, 120)
+        else:
+            ds = random_dataset(rng, n=120, family=family)
+        out = wast_test(ds, FamilyKind(family), n_boot=70, seed=100 + index)
+        assert out.n_boot == n_boot and out.n_failed == 0
+        b = out.boot_stats
+        np.testing.assert_allclose([out.statistic, b.sum(), b.min(), b.max()],
+                                   [statistic, total, low, high], rtol=1e-10, atol=0)
+        assert out.p_value == p_value
+
     def test_quantile_refits_at_cap_are_counted(self, rng):
         ds = random_dataset(rng, n=300, family="quantile")
         out = wast_test(ds, FamilyKind("quantile"), n_boot=64, seed=2)

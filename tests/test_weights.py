@@ -53,8 +53,34 @@ class TestClosedForm:
         assert omega_closed_form(-1.0) == pytest.approx(0.0)
 
     def test_half(self):
-        # 0.25 + arctan(0.5/sqrt(0.75))/(2 pi) = 0.25 + (pi/6)/(2 pi) = 1/3
+        # 0.25 + arcsin(0.5)/(2 pi) = 0.25 + (pi/6)/(2 pi) = 1/3
         assert omega_closed_form(0.5) == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    def test_dense_grid_against_arctan_form(self):
+        # The arcsin form against the arctan form it replaced,
+        # 1/4 + arctan(rho / sqrt(1 - rho^2)) / (2 pi), wherever that form
+        # was evaluated rather than snapped to its limits (1 - rho^2 > 1e-12).
+        # Near +-1 the arctan form carries the rounding of 1 - rho^2, which
+        # moves it by up to eps / (4 pi sqrt(1 - rho^2)).
+        uniform = np.linspace(-1.0, 1.0, 200_001)
+        rho = np.concatenate([uniform, 1.0 - np.geomspace(1e-16, 1e-3, 2001),
+                              -1.0 + np.geomspace(1e-16, 1e-3, 2001)])
+        rho.sort()
+        got = omega_closed_form(rho)
+        one_minus = 1.0 - rho * rho
+        inner = one_minus > 1e-12
+        old = 0.25 + np.arctan(rho[inner] / np.sqrt(one_minus[inner])) / (2.0 * np.pi)
+        gap = np.abs(got[inner] - old)
+        assert np.all(gap <= 1e-15 + np.finfo(float).eps
+                      / (4.0 * np.pi * np.sqrt(one_minus[inner])))
+        on_uniform = np.isin(rho[inner], uniform)
+        assert np.max(gap[on_uniform]) <= 1e-15
+        assert np.all(np.diff(got) >= 0.0)
+        assert omega_closed_form([-1.0, 0.0, 1.0]).tolist() == [0.0, 0.25, 0.5]
+        # Cosines a rounding outside [-1, 1] are clipped to the limits.
+        edges = omega_closed_form([-1.0 - 1e-15, -np.nextafter(1.0, 2.0),
+                                   np.nextafter(1.0, 2.0), 1.0 + 1e-15])
+        assert edges.tolist() == [0.0, 0.0, 0.5, 0.5]
 
     def test_near_endpoint_continuity(self):
         assert omega_closed_form(1.0 - 1e-14) == pytest.approx(0.5, abs=1e-6)
@@ -170,15 +196,17 @@ class TestWeightMatrix:
                             (gaussian(np.zeros(3), np.eye(3)), np.eye(3)),
                             (gaussian(np.zeros(3), SIGMA), SIGMA)):
             w = z @ np.linalg.cholesky(sigma)
-            norms = np.sqrt(np.einsum("ij,ij->i", w, w))
+            unit = w / np.sqrt(np.einsum("ij,ij->i", w, w))[:, None]
             want = np.empty((31, 31))
             for rows, cols in weights_module.upper_tiles(31):
-                # The tile's own Sigma-weighted Gram, formed as the kernel forms it.
-                gram = w[rows] @ w[cols].T
-                rho = np.clip(gram / np.outer(norms[rows], norms[cols]), -1.0, 1.0)
-                want[rows, cols] = omega_closed_form(rho)
+                # The tile's cosines, the Gram of the unit rows, formed as
+                # the kernel forms them.
+                want[rows, cols] = omega_closed_form(unit[rows] @ unit[cols].T)
                 want[cols, rows] = want[rows, cols].T
-            np.testing.assert_array_equal(weight_matrix(z, spec), want)
+            got = weight_matrix(z, spec)
+            np.testing.assert_array_equal(got, want)
+            # A cosine an ulp inside +-1 moves arcsin by ~1.5e-8.
+            assert abs(got[1, 3] - 0.5) <= 1e-8 and abs(got[1, 4]) <= 1e-8
 
     def test_nonzero_mean_is_bivariate_normal_cdf(self, rng):
         # Rows 0 and 1 have Z'mu = 0 (a_k = 0); row 2 is parallel and row 3
