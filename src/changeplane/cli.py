@@ -78,7 +78,8 @@ def cmd_test(args) -> int:
                        grid_per_direction=args.grid_per_direction,
                        n_resample=args.boot, seed=args.seed)
         grid_info = (f"grid_k={out.diagnostics['grid_size']} "
-                     f"skipped={out.diagnostics['grid_skipped']}")
+                     f"skipped={out.diagnostics['grid_skipped']} "
+                     f"distinct={out.diagnostics['grid_distinct']}")
 
     decision = "reject" if out.p_value < args.level else "fail-to-reject"
     print(f"# seed={args.seed}")

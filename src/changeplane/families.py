@@ -11,8 +11,10 @@ nuisance rows psi1_i = s_i x_base,i.  This module provides:
                          (IRLS) and probit (Fisher scoring), majorize-minimize
                          for quantile,
 * ``refit_null``      -- the same fit, in lock step, on every column of an
-                         n x B bootstrap response matrix, scored,
+                         n x B bootstrap response matrix, with each column's
+                         score factor,
 * ``score_psi0``      -- the n x p theta-free score rows psi0,
+* ``score_rows``      -- the score rows of a block of score factors,
 * ``sst_derivatives`` -- the row factors of K(theta) and the J matrix needed
                          by the supremum score test,
 * ``plane_projections``-- which rows lie inside which change planes,
@@ -40,8 +42,8 @@ from .errors import ParameterError, SingularDesignError
 
 __all__ = [
     "FamilyKind", "NullFit", "SstDerivatives", "plane_projections",
-    "fit_null", "refit_null", "score_psi0", "sst_derivatives", "bootstrap_sampler",
-    "bootstrap_sample",
+    "fit_null", "refit_null", "score_psi0", "score_rows", "sst_derivatives",
+    "bootstrap_sampler", "bootstrap_sample",
 ]
 
 _ALL_FAMILIES = ("gaussian", "binomial", "poisson", "probit", "quantile",
@@ -273,15 +275,6 @@ def _fit_family(family: FamilyKind) -> FamilyKind:
     return FamilyKind("gaussian") if family.name == "semiparametric" else family
 
 
-def _psi0(ds: Dataset, family: FamilyKind, fit: NullFit, s: np.ndarray):
-    """Score rows of every column of the n x B score factor s, side by side
-    as n x (B*p).  For the semiparametric family s is the residual
-    Y - gamma_hat(x_base), and ``fit``'s propensity gives pi_hat(Z)."""
-    if family.name == "semiparametric":
-        return (ds.x_diff - _logistic(ds.z_group @ fit.alpha_hat[: ds.q, None])) * s
-    return (s[:, :, None] * ds.x_diff[:, None, :]).reshape(ds.n, -1)
-
-
 # --------------------------------------------------------------------------
 # public API
 # --------------------------------------------------------------------------
@@ -302,15 +295,31 @@ def fit_null(ds: Dataset, family: FamilyKind, tol: float = DEFAULT_TOL,
 
 
 def refit_null(ds: Dataset, family: FamilyKind, fit: NullFit, y: np.ndarray):
-    """Refit the null model on every column of the n x B response y: the n x
-    (B*p) score stack, replicate b in columns b*p to b*p + p - 1, and
-    converged and iterations per column.  The semiparametric propensity
-    A ~ Z does not involve Y: ``fit``'s is reused, its iterations counted."""
+    """Refit the null model on every column of the n x B response y: the
+    n x B score factor at each column's refit (``score_rows`` gives its
+    score rows), and converged and iterations per column.  The
+    semiparametric propensity A ~ Z does not involve Y: ``fit``'s is
+    reused, its iterations counted."""
     _, converged, iterations, _, s = _fit(_fit_family(family), y, ds.x_base,
                                           DEFAULT_TOL, DEFAULT_MAX_ITER)
     if family.name == "semiparametric":
         iterations = np.maximum(iterations, fit.iterations)
-    return _psi0(ds, family, fit, s), converged, iterations
+    return s, converged, iterations
+
+
+def score_rows(ds: Dataset, family: FamilyKind, fit: NullFit, s: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Score rows of every column of the n x B score factor s, side by side
+    as n x (B*p), column b in columns b*p to b*p + p - 1; written into
+    ``out`` (n x (B*p), any row stride) when given.  For the semiparametric
+    family s is the residual Y - gamma_hat(x_base), and ``fit``'s
+    propensity gives pi_hat(Z)."""
+    if family.name == "semiparametric":
+        resid_a = ds.x_diff - _logistic(ds.z_group @ fit.alpha_hat[: ds.q, None])
+        return np.multiply(resid_a, s, out=out)
+    rows = np.multiply(s[:, :, None], ds.x_diff[:, None, :],
+                       out=None if out is None else out.reshape(ds.n, -1, ds.p))
+    return rows.reshape(ds.n, -1)
 
 
 def score_psi0(ds: Dataset, family: FamilyKind, fit: NullFit) -> np.ndarray:
@@ -320,7 +329,7 @@ def score_psi0(ds: Dataset, family: FamilyKind, fit: NullFit) -> np.ndarray:
     (A - pi_hat(Z)) (Y - gamma_hat(x_base)).
     """
     eta = ds.x_base @ fit.alpha_hat[-ds.r:, None]  # the x_base coefficients come last
-    return _psi0(ds, family, fit, _factor(_fit_family(family), ds.y[:, None], eta)[0])
+    return score_rows(ds, family, fit, _factor(_fit_family(family), ds.y[:, None], eta)[0])
 
 
 def _silverman_f0(resid: np.ndarray) -> float:

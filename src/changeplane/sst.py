@@ -10,8 +10,10 @@ percentile-calibrated intercepts, and the critical value comes from
 perturbation resampling with standard-normal multipliers.
 
 ``score_test_at`` (a grid of one plane), ``sst_statistic`` and ``sst_test``
-share one kernel that gets every plane's quantities through GEMMs of the
-K x n plane indicator and one batched Cholesky.
+share one kernel.  A plane enters only through its membership, the rows
+inside it, and K planes have U <= K distinct memberships: the kernel finds
+them from bit-packed rows and gets their quantities through GEMMs of the
+U x n indicator and one batched Cholesky.
 """
 
 from __future__ import annotations
@@ -34,10 +36,14 @@ __all__ = ["ThetaGrid", "build_theta_grid", "score_test_at", "sst_statistic",
 # Ridge repair for near-singular V(theta): add this multiple of trace/p.
 RIDGE_SCALE = 1e-8
 
-# Multiplier draws resampled together through one (K x n) (n x p*DRAW_BLOCK)
-# GEMM with the indicator; the K x p x DRAW_BLOCK product stays small next to
-# the K x n indicator.
+# Multiplier draws resampled together through one (U x n) (n x p*DRAW_BLOCK)
+# GEMM with the indicator of the U distinct memberships; the U x p x
+# DRAW_BLOCK product stays small next to the U x n indicator.
 DRAW_BLOCK = 32
+
+# Planes whose memberships are compared and bit-packed together: the boolean
+# block stays PLANE_BLOCK x n instead of K x n.
+PLANE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -99,24 +105,51 @@ def _row_quantile(rows: np.ndarray, level: float) -> np.ndarray:
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
+def _distinct_memberships(z: np.ndarray, thetas: np.ndarray):
+    """The distinct plane memberships of the grid and the plane -> row map.
+
+    Row i is inside plane k when its projection is >= -theta_1k.  Each block
+    of ``PLANE_BLOCK`` planes is compared and packed to bits; ``np.unique``
+    over the packed rows gives the U distinct memberships, unpacked into a
+    float U x n indicator over the first U rows of the spent projections,
+    and ``inverse``, plane k's row of it.
+    """
+    n = z.shape[0]
+    proj = plane_projections(z, thetas)
+    packed = np.empty((len(thetas), (n + 7) // 8), np.uint8)
+    for start in range(0, len(thetas), PLANE_BLOCK):
+        block = slice(start, start + PLANE_BLOCK)
+        packed[block] = np.packbits(proj[block] >= -thetas[block, :1], axis=1)
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    ind = proj[:first.size]
+    ind[...] = np.unpackbits(packed[first], axis=1, count=n)
+    return ind, inverse
+
+
 def _grid_planes(ds: Dataset, psi0: np.ndarray, derivs: SstDerivatives,
                  thetas: np.ndarray):
-    """Every plane's quantities at once, through GEMMs of the indicator.
+    """Every plane's quantities at once, over its distinct memberships.
 
-    With D the K x n indicator, the score sums are S = D psi0, K(theta) =
-    D(g x h)/n and C = K J^-1; as d_i^2 = d_i, the covariance of the centered
-    rows d_i psi0_i - C psi1_i is V = [D(psi0 x psi0) - B01 C' - C B01'
+    A plane's quantities depend on it only through its membership, so they
+    are formed once per distinct membership.  With D the U x n indicator of
+    those, the score sums are S = D psi0, K(theta) = D(g x h)/n and
+    C = K J^-1; as d_i^2 = d_i, the covariance of the centered rows
+    d_i psi0_i - C psi1_i is V = [D(psi0 x psi0) - B01 C' - C B01'
     + C (psi1'psi1) C']/n with B01 = D(psi0 x psi1).  One batched Cholesky
-    factors every V; a per-plane loop ridge-repairs or skips the rank-deficient.
+    factors every V; a per-row loop ridge-repairs or skips the rank-deficient.
 
-    Returns (stats, ind, l_inv, c, n_repaired) over the kept planes: the
-    statistics n^-1 |L^-1 S|^2, the indicator rows, L^-1 and C.
+    Returns (stats, ind, l_inv, c, inverse, counts) over the kept distinct
+    memberships: the statistics n^-1 |L^-1 S|^2, the indicator rows, L^-1
+    and C; ``inverse[k]`` is grid plane k's row of them, -1 if skipped, and
+    ``counts`` holds grid_distinct (U) and the grid planes skipped and
+    ridge-repaired.
     """
     n, p = psi0.shape
     psi1 = derivs.psi1
     r = psi1.shape[1]
-    ind = plane_projections(ds.z_group, thetas)
-    np.greater_equal(ind, -thetas[:, :1], out=ind)
+    ind, inverse = _distinct_memberships(ds.z_group, thetas)
+    planes = np.bincount(inverse)  # grid planes per distinct membership
 
     def outer(a, b):
         return (a[:, :, None] * b[:, None, :]).reshape(n, -1)
@@ -128,10 +161,10 @@ def _grid_planes(ds: Dataset, psi0: np.ndarray, derivs: SstDerivatives,
     cross = b01.reshape(-1, p, r) @ c.transpose(0, 2, 1)  # B01 C'
     v = (b00.reshape(-1, p, p) - cross - cross.transpose(0, 2, 1)
          + c @ (psi1.T @ psi1) @ c.transpose(0, 2, 1)) / n
-    # A plane is rank-deficient when its plain Cholesky fails (its factor is
-    # left NaN) or its smallest pivot squared is below tol = RIDGE_SCALE *
-    # trace(V)/p.  It is refactored with tol on the diagonal, and skipped if
-    # that fails too.
+    # A membership is rank-deficient when its plain Cholesky fails (its
+    # factor is left NaN) or its smallest pivot squared is below tol =
+    # RIDGE_SCALE * trace(V)/p.  It is refactored with tol on the diagonal,
+    # and skipped if that fails too.
     tol = RIDGE_SCALE * np.trace(v, axis1=1, axis2=2) / p
     try:
         chol = np.linalg.cholesky(v)
@@ -146,14 +179,17 @@ def _grid_planes(ds: Dataset, psi0: np.ndarray, derivs: SstDerivatives,
         with suppress(np.linalg.LinAlgError):
             chol[k] = np.linalg.cholesky(v[k] + tol[k] * np.eye(p))
             keep[k] = True
-    n_repaired = int(np.count_nonzero(keep & repair))
+    counts = {"grid_distinct": planes.size,
+              "grid_skipped": int(planes[~keep].sum()),
+              "grid_repaired": int(planes[keep & repair].sum())}
     if not keep.any():
         raise NumericalError("V(theta) singular beyond ridge repair at every plane")
     if not keep.all():
         ind, score, chol, c = ind[keep], score[keep], chol[keep], c[keep]
+        inverse = np.where(keep, np.cumsum(keep) - 1, -1)[inverse]
     l_inv = np.linalg.inv(chol)
     w = l_inv @ score[:, :, None]
-    return np.einsum("kpj,kpj->k", w, w) / n, ind, l_inv, c, n_repaired
+    return np.einsum("kpj,kpj->k", w, w) / n, ind, l_inv, c, inverse, counts
 
 
 def score_test_at(ds: Dataset, family: FamilyKind, fit, derivs: SstDerivatives,
@@ -183,14 +219,15 @@ def sst_test(ds: Dataset, family: FamilyKind, k_directions: int = 1000,
              seed: int = 0) -> TestOutcome:
     """SST with perturbation-resampling calibration.
 
-    The perturbed supremum reuses the observed per-plane quantities (the
-    indicator, C = K J^-1 and the inverse Cholesky factor of V) for every
-    multiplier draw nu: the whitened perturbed score is
+    The perturbed supremum reuses the observed quantities of each distinct
+    membership (the indicator, C = K J^-1 and the inverse Cholesky factor of
+    V) for every multiplier draw nu: the whitened perturbed score is
     s = L^-1 [D(psi0 * nu) - C(psi1' nu)].  The p-value is the fraction of
     resampled suprema at or above the observed statistic.  Draws are taken
     ``DRAW_BLOCK`` at a time, each block through one GEMM with the indicator.
-    ``diagnostics`` counts the planes ridge-repaired and skipped and gives
-    the p-value's Monte-Carlo standard error sqrt(p(1-p)/B).
+    ``diagnostics`` counts the distinct memberships (grid_distinct) and the
+    grid planes ridge-repaired and skipped, and gives the p-value's
+    Monte-Carlo standard error sqrt(p(1-p)/B).
     """
     if n_resample < 1:
         raise ParameterError("n_resample must be >= 1")
@@ -201,7 +238,7 @@ def sst_test(ds: Dataset, family: FamilyKind, k_directions: int = 1000,
     grid = build_theta_grid(ds, k_directions, grid_per_direction, seed)
     psi0 = score_psi0(ds, family, fit)
     n, p = psi0.shape
-    stats, ind, l_inv, c, n_repaired = _grid_planes(ds, psi0, derivs, grid.thetas)
+    stats, ind, l_inv, c, _, counts = _grid_planes(ds, psi0, derivs, grid.thetas)
     stat = stats.max()
     c_flat = c.reshape(-1, c.shape[2])
 
@@ -216,6 +253,5 @@ def sst_test(ds: Dataset, family: FamilyKind, k_directions: int = 1000,
         boot[start:stop] = np.einsum("kpj,kpj->kj", s, s).max(axis=0) / n
     return TestOutcome.calibrated(
         stat, boot, family=family.describe(), weight="none", seed=seed, method="sst",
-        diagnostics={"grid_size": len(grid), "grid_skipped": len(grid) - stats.size,
-                     "grid_repaired": n_repaired, "k_directions": k_directions,
+        diagnostics={"grid_size": len(grid), **counts, "k_directions": k_directions,
                      "grid_per_direction": grid_per_direction})

@@ -20,7 +20,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DataError, NumericalError, ParameterError
 from .families import (DEFAULT_MAX_ITER, FamilyKind, bootstrap_sampler, fit_null,
-                       refit_null, score_psi0)
+                       refit_null, score_psi0, score_rows)
 from .families import bootstrap_sample  # noqa: F401  -- traced by bench/worker.py
 from .rng import child_rng
 from .weights import WeightSpec, omega_tiles, standard_gaussian, upper_tiles
@@ -175,9 +175,9 @@ def wast_test(ds: Dataset, family: FamilyKind,
     width, iterations = p, np.empty(n_boot, int)
     for start in range(0, n_boot, BOOT_BLOCK):
         y = draw([child_rng(seed, b) for b in range(start, min(start + BOOT_BLOCK, n_boot))])
-        psi, converged, iterations[start:start + BOOT_BLOCK] = refit_null(ds, family, fit, y)
+        s, converged, iterations[start:start + BOOT_BLOCK] = refit_null(ds, family, fit, y)
         kept = int(np.count_nonzero(converged)) * p
-        np.compress(np.repeat(converged, p), psi, axis=1, out=stack[:, width:width + kept])
+        score_rows(ds, family, fit, s[:, converged], out=stack[:, width:width + kept])
         width += kept
     n_failed = n_boot - (width // p - 1)
     if n_failed > MAX_FAILED_FRACTION * n_boot:

@@ -57,6 +57,10 @@ class TestTestCommand:
              "--seed", "3"], capsys)
         assert code == 0
         assert "method=sst" in out
+        fields = dict(f.split("=") for f in out.splitlines()[1].split()[1:])
+        assert fields["grid_k"] == "50" and fields["skipped"] == "0"
+        assert 1 <= int(fields["distinct"]) <= 50
+        assert list(fields)[-3:] == ["grid_k", "skipped", "distinct"]
 
     def test_deterministic_output(self, glm_csv, capsys):
         argv = ["test", str(glm_csv), "--family", "binomial",

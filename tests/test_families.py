@@ -10,7 +10,7 @@ from changeplane import (FamilyKind, bootstrap_sample, fit_null, score_psi0,
 from changeplane import families as families_module
 from changeplane.errors import ParameterError, SingularDesignError
 from changeplane.families import (DEFAULT_MAX_ITER, DEFAULT_TOL, _factor, _fit, _mills,
-                                  bootstrap_sampler, refit_null)
+                                  bootstrap_sampler, refit_null, score_rows)
 from changeplane.rng import child_rng
 
 from conftest import random_dataset
@@ -143,10 +143,10 @@ class TestLockStepFit:
     def test_reused_factor_is_the_factor_at_alpha(self, rng, monkeypatch, family):
         """The Newton loop hands back the score factor of a column's last
         evaluation, and evaluates a column stopped at the cap once more,
-        since it stepped after that evaluation.  Either way refit_null's
-        scores and _fit's gradient norm are those of _factor evaluated
-        afresh at the returned alpha, over the block by one GEMM as the
-        loop forms eta.  At n = 61 and 4 iterations the block holds both
+        since it stepped after that evaluation.  Either way the scores of
+        refit_null's factor and _fit's gradient norm are those of _factor
+        evaluated afresh at the returned alpha, over the block by one GEMM
+        as the loop forms eta.  At n = 61 and 4 iterations the block holds both
         converged and capped columns."""
         ds = random_dataset(rng, n=61, family=family)
         fam = FamilyKind(family)
@@ -162,8 +162,9 @@ class TestLockStepFit:
             np.testing.assert_array_equal(s[:, b], fresh[:, b])
             assert gnorm[b] == np.max(np.abs(x.T @ fresh[:, b])) / ds.n
         monkeypatch.setattr(families_module, "DEFAULT_MAX_ITER", max_iter)
-        psi, refit_converged, _ = refit_null(ds, fam, fit, y)
+        s, refit_converged, _ = refit_null(ds, fam, fit, y)
         np.testing.assert_array_equal(refit_converged, converged)
+        psi = score_rows(ds, fam, fit, s)
         p = ds.p
         for b in range(64):
             np.testing.assert_array_equal(psi[:, b * p:(b + 1) * p],
@@ -223,6 +224,28 @@ class TestScorePsi0:
         fam = FamilyKind("semiparametric")
         psi0 = score_psi0(ds, fam, fit_null(ds, fam))
         assert psi0.shape == (80, 1)
+
+    @pytest.mark.parametrize("family", ["binomial", "semiparametric"])
+    def test_rows_written_into_a_stack_slice(self, rng, family):
+        # wast_test writes a block's kept scores straight into a column
+        # slice of its wider score stack; they must equal the rows formed
+        # afresh, column for column.
+        ds = random_dataset(rng, n=50, family="binomial")
+        if family == "semiparametric":
+            ds = replace(ds, x_diff=(rng.random(50) < 0.5).astype(float)[:, None])
+        fam = FamilyKind(family)
+        fit = fit_null(ds, fam)
+        s = rng.standard_normal((50, 9))
+        kept = rng.random(9) < 0.6
+        p = ds.p
+        stack = np.full((50, 20 * p), np.nan)
+        width = int(np.count_nonzero(kept)) * p
+        out = score_rows(ds, fam, fit, s[:, kept], out=stack[:, 3 * p:3 * p + width])
+        fresh = score_rows(ds, fam, fit, s)
+        np.testing.assert_array_equal(stack[:, 3 * p:3 * p + width],
+                                      fresh[:, np.repeat(kept, p)])
+        np.testing.assert_array_equal(out, stack[:, 3 * p:3 * p + width])
+        assert np.isnan(stack[:, :3 * p]).all() and np.isnan(stack[:, 3 * p + width:]).all()
 
 
 class TestSstDerivatives:

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from changeplane import (Dataset, FamilyKind, ThetaGrid, build_theta_grid, fit_null,
                          score_psi0, score_test_at, sst_derivatives,
                          sst_statistic, sst_test)
+from changeplane import cli
 from changeplane import sst as sst_module
-from changeplane.errors import ParameterError
+from changeplane.errors import NumericalError, ParameterError
 from changeplane.families import plane_projections
 from changeplane.rng import child_rng
 
@@ -127,16 +128,23 @@ class TestThetaGrid:
     def test_quantile_row_is_inside_its_plane(self, rng, n):
         # The kernel's indicator and the grid's intercepts come from one
         # projection product, so at odd n the median row is always inside.
+        # The kernel keeps one indicator row per distinct membership;
+        # ind[inverse] gives back each grid plane's row.
         ds = random_dataset(rng, n=n, q=3)
         fam = FamilyKind("gaussian")
         fit = fit_null(ds, fam)
         args = ds, score_psi0(ds, fam, fit), sst_derivatives(ds, fam, fit)
+
+        def plane_rows(thetas):
+            _, ind, _, _, inverse, _ = sst_module._grid_planes(*args, thetas)
+            return ind[inverse]
+
         grid = build_theta_grid(ds, k_directions=300, seed=6)
-        ind = sst_module._grid_planes(*args, grid.thetas)[1]
+        ind = plane_rows(grid.thetas)
         assert np.all(ind.sum(axis=1) == (n + 1) // 2)
         levels = np.linspace(0.10, 0.90, 4)
         grid = build_theta_grid(ds, k_directions=300, grid_per_direction=4, seed=6)
-        ind = sst_module._grid_planes(*args, grid.thetas)[1]
+        ind = plane_rows(grid.thetas)
         proj = plane_projections(ds.z_group, grid.thetas)
         # np.quantile interpolates between the order statistics at
         # floor and ceil of level * (n - 1); the upper one is inside.
@@ -275,6 +283,121 @@ class TestSstTest:
         np.testing.assert_allclose(
             out.boot_stats, loop_resampled(ds, fam, thetas, 33, 2),
             rtol=1e-12, atol=0)
+
+    def test_grid_stacked_twice_scores_each_membership_once(self, rng, monkeypatch):
+        # A grid and the same grid twice have the same distinct memberships,
+        # so every number is the same while the plane counts double.
+        ds = random_dataset(rng, n=301, family="binomial")
+        fam = FamilyKind("binomial")
+        good = build_theta_grid(ds, k_directions=60, grid_per_direction=4, seed=4).thetas
+        empty = np.array([-1e6, 1.0, 0.0])
+        once = np.vstack([empty, good])
+        outs = []
+        for thetas in (once, np.vstack([once, once])):
+            monkeypatch.setattr(sst_module, "build_theta_grid",
+                                lambda *args, t=thetas: ThetaGrid(thetas=t))
+            outs.append(sst_test(ds, fam, k_directions=60, grid_per_direction=4,
+                                 n_resample=40, seed=4))
+        single, double = outs
+        assert double.statistic == single.statistic
+        np.testing.assert_array_equal(double.boot_stats, single.boot_stats)
+        assert double.p_value == single.p_value
+        d1, d2 = single.diagnostics, double.diagnostics
+        assert (d1["grid_size"], d2["grid_size"]) == (241, 482)
+        assert d1["grid_skipped"] == 1 and d2["grid_skipped"] == 2
+        assert d2["grid_repaired"] == 2 * d1["grid_repaired"]
+        assert d2["grid_distinct"] == d1["grid_distinct"] <= 241
+
+    @pytest.mark.parametrize("n", [300, 301])
+    def test_plane_blocks_cross_directions(self, rng, monkeypatch, n):
+        # Seven planes per block: blocks straddle directions and levels, and
+        # do not divide K = 160.
+        ds = random_dataset(rng, n=n, family="gaussian")
+        fam = FamilyKind("gaussian")
+        fit = fit_null(ds, fam)
+        args = ds, score_psi0(ds, fam, fit), sst_derivatives(ds, fam, fit)
+        thetas = build_theta_grid(ds, k_directions=40, grid_per_direction=4, seed=7).thetas
+        whole = sst_module._grid_planes(*args, thetas)
+        whole_test = sst_test(ds, fam, k_directions=40, grid_per_direction=4,
+                              n_resample=40, seed=7)
+        monkeypatch.setattr(sst_module, "PLANE_BLOCK", 7)
+        blocked = sst_module._grid_planes(*args, thetas)
+        for a, b in zip(whole[:5], blocked[:5]):
+            np.testing.assert_array_equal(a, b)
+        assert whole[5] == blocked[5]
+        out = sst_test(ds, fam, k_directions=40, grid_per_direction=4,
+                       n_resample=40, seed=7)
+        assert out.statistic == whole_test.statistic
+        np.testing.assert_array_equal(out.boot_stats, whole_test.boot_stats)
+        assert out.diagnostics == whole_test.diagnostics
+
+    def test_every_plane_irreparable_raises(self, rng, monkeypatch, tmp_path, capsys):
+        # Empty planes have V(theta) = 0, beyond ridge repair; with no plane
+        # left the test raises, and the CLI exits with the numeric code.
+        ds = random_dataset(rng, n=70, family="gaussian")
+        empty = np.array([[-1e6, 1.0, 0.0], [-1e6, 0.6, 0.8], [-1e6, 1.0, 0.0]])
+        monkeypatch.setattr(sst_module, "build_theta_grid",
+                            lambda *args: ThetaGrid(thetas=empty))
+        with pytest.raises(NumericalError, match="every plane"):
+            sst_test(ds, FamilyKind("gaussian"), k_directions=3, n_resample=10, seed=1)
+        path = tmp_path / "data.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("y,x1,z1,z2\n")
+            for i in range(ds.n):
+                fh.write(f"{ds.y[i]:.17g},{ds.x_base[i, 1]:.17g},"
+                         f"{ds.z_group[i, 1]:.17g},{ds.z_group[i, 2]:.17g}\n")
+        code = cli.main(["test", str(path), "--method", "sst", "--family", "gaussian",
+                         "--response", "y", "--baseline", "x1", "--diff", "x1",
+                         "--grouping", "z1,z2", "--boot", "10", "--grid-k", "3",
+                         "--seed", "1"])
+        assert code == cli.NUMERIC_EXIT == 3
+        assert "beyond ridge repair" in capsys.readouterr().err
+
+    # (family, levels, statistic, sum, min and max of boot_stats, p-value,
+    # grid_skipped, grid_repaired) of sst_test at n = 121, K = 300 planes,
+    # B = 70, as computed before the kernel scored distinct memberships.
+    PINNED = [
+        ("gaussian", 1, 7.532014447076746, 331.87966211529397,
+         0.998455228927223, 10.395745516550141, 0.05714285714285714, 0, 0),
+        ("binomial", 1, 7.650507449396758, 380.7791986121823,
+         1.2605919481628454, 17.254910991127925, 0.15714285714285714, 0, 0),
+        ("poisson", 1, 3.82929798817644, 349.9388364993119,
+         1.7106870096491487, 14.583761453997788, 0.5142857142857142, 0, 0),
+        ("probit", 1, 4.224775600580555, 404.85231268211936,
+         1.340427363278141, 15.163986103214514, 0.7142857142857143, 0, 0),
+        ("quantile", 1, 11.572047822596424, 399.26018353661107,
+         1.2574971285580827, 13.849729502499093, 0.014285714285714285, 0, 0),
+        ("semiparametric", 1, 3.097861540121342, 258.1240940117771,
+         0.5897757782913864, 10.727219938372869, 0.4857142857142857, 0, 0),
+        ("gaussian", 4, 7.988140301416599, 502.14394723191367,
+         3.209264188174813, 12.325918817950784, 0.3142857142857143, 0, 0),
+        ("binomial", 4, 9.788945813138058, 582.459903626512,
+         3.8415192645116356, 15.320091660235967, 0.2714285714285714, 0, 0),
+        ("poisson", 4, 5.476563177532954, 545.1464483762292,
+         3.195447926016565, 16.826324160652383, 0.7857142857142857, 0, 0),
+        ("probit", 4, 6.745408652873418, 543.9574323430865,
+         2.4755074375581563, 16.11483896187481, 0.5285714285714286, 0, 0),
+        ("quantile", 4, 11.86564434983942, 566.3655769161878,
+         3.602070034581197, 16.471801506028637, 0.1, 0, 0),
+        ("semiparametric", 4, 4.8319271368259935, 363.3712050899538,
+         1.1117578460175555, 12.560332493695517, 0.45714285714285713, 0, 0),
+    ]
+
+    @pytest.mark.parametrize("index", range(len(PINNED)))
+    def test_fixed_seed_regression_pins(self, index):
+        family, levels, statistic, total, low, high, p_value, skipped, repaired = \
+            self.PINNED[index]
+        k = FAMILIES.index(family)
+        ds = family_dataset(np.random.default_rng([2025, k]), 121, family)
+        out = sst_test(ds, FamilyKind(family), k_directions=300 // levels,
+                       grid_per_direction=levels, n_resample=70, seed=200 + k)
+        b = out.boot_stats
+        np.testing.assert_allclose([out.statistic, b.sum(), b.min(), b.max()],
+                                   [statistic, total, low, high], rtol=1e-12, atol=0)
+        assert out.p_value == p_value
+        assert out.diagnostics["grid_size"] == 300
+        assert out.diagnostics["grid_skipped"] == skipped
+        assert out.diagnostics["grid_repaired"] == repaired
 
     def test_invalid_resample_count(self, rng):
         ds = random_dataset(rng, n=30)
