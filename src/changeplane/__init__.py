@@ -12,10 +12,9 @@ from .families import (FamilyKind, NullFit, SstDerivatives,
 from .sim import PowerTable, Scenario, generate, run_power, run_size
 from .sst import ThetaGrid, build_theta_grid, score_test_at, sst_statistic, sst_test
 from .wast import PlaneBlock, TestOutcome, wast_multi_statistic, wast_statistic, wast_test
-from .weights import (WeightSpec, beta_prior, gaussian, omega_beta,
-                      omega_closed_form, omega_gaussian_mc,
-                      omega_univariate_gaussian, standard_gaussian,
-                      univariate_gaussian, varrho, weight_matrix)
+from .weights import (WeightSpec, beta_prior, gaussian, omega_closed_form,
+                      omega_gaussian_mc, standard_gaussian, univariate_gaussian,
+                      varrho, weight_matrix)
 
 __version__ = "0.1.0"
 
@@ -26,7 +25,7 @@ __all__ = [
     "PowerTable", "Scenario", "generate", "run_power", "run_size",
     "ThetaGrid", "build_theta_grid", "score_test_at", "sst_statistic", "sst_test",
     "PlaneBlock", "TestOutcome", "wast_multi_statistic", "wast_statistic", "wast_test",
-    "WeightSpec", "beta_prior", "gaussian", "omega_beta", "omega_closed_form",
-    "omega_gaussian_mc", "omega_univariate_gaussian", "standard_gaussian",
-    "univariate_gaussian", "varrho", "weight_matrix",
+    "WeightSpec", "beta_prior", "gaussian", "omega_closed_form",
+    "omega_gaussian_mc", "standard_gaussian", "univariate_gaussian", "varrho",
+    "weight_matrix",
 ]

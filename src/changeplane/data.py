@@ -81,7 +81,7 @@ class ColumnSpec:
 
     A name may serve several roles at once (e.g. a covariate that is both a
     baseline and a grouping variable), but none of the lists may contain the
-    response column.
+    response column, and no list may name a column twice.
     """
 
     response: str
@@ -97,6 +97,9 @@ class ColumnSpec:
             if self.response in names:
                 raise DataError(
                     f"response column {self.response!r} also listed in {role}")
+            twice = [c for c in names if names.count(c) > 1]
+            if twice:
+                raise DataError(f"column {twice[0]!r} listed twice in {role}")
         if not self.diff:
             raise DataError("at least one grouping-difference (diff) column required")
         if not self.baseline and not self.add_intercept_baseline:
@@ -109,7 +112,8 @@ def load_csv(path, spec: ColumnSpec) -> Dataset:
     """Read a header-row CSV into a Dataset according to ``spec``.
 
     Intercept columns are prepended to the baseline / grouping blocks when the
-    corresponding flags are set.  Row order is preserved.
+    corresponding flags are set.  Row order is preserved.  A column the spec
+    reads must appear once in the header.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -125,6 +129,8 @@ def load_csv(path, spec: ColumnSpec) -> Dataset:
     for name in needed:
         if name not in col_index:
             raise DataError(f"{path}: column {name!r} not found in header {header}")
+        if header.count(name) > 1:
+            raise DataError(f"{path}: column {name!r} appears more than once in the header")
 
     if len(rows) < 2:
         raise DataError(f"{path}: need at least 2 data rows, found {len(rows)}")

@@ -127,6 +127,20 @@ def _distinct_memberships(z: np.ndarray, thetas: np.ndarray):
     return ind, inverse
 
 
+def _cholesky(v: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a stack of matrices: one batched call, and
+    one matrix at a time only when that fails, with NaN where a matrix has
+    no factor."""
+    try:
+        return np.linalg.cholesky(v)
+    except np.linalg.LinAlgError:
+        chol = np.full_like(v, np.nan)
+        for k, v_k in enumerate(v):
+            with suppress(np.linalg.LinAlgError):
+                chol[k] = np.linalg.cholesky(v_k)
+        return chol
+
+
 def _grid_planes(ds: Dataset, psi0: np.ndarray, derivs: SstDerivatives,
                  thetas: np.ndarray):
     """Every plane's quantities at once, over its distinct memberships.
@@ -136,14 +150,14 @@ def _grid_planes(ds: Dataset, psi0: np.ndarray, derivs: SstDerivatives,
     those, the score sums are S = D psi0, K(theta) = D(g x h)/n and
     C = K J^-1; as d_i^2 = d_i, the covariance of the centered rows
     d_i psi0_i - C psi1_i is V = [D(psi0 x psi0) - B01 C' - C B01'
-    + C (psi1'psi1) C']/n with B01 = D(psi0 x psi1).  One batched Cholesky
-    factors every V; a per-row loop ridge-repairs or skips the rank-deficient.
+    + C (psi1'psi1) C']/n with B01 = D(psi0 x psi1).  ``_cholesky`` factors
+    every V, then again with a ridge those that are rank-deficient; those
+    with no factor either way are skipped.
 
-    Returns (stats, ind, l_inv, c, inverse, counts) over the kept distinct
+    Returns (stats, ind, l_inv, c, counts) over the kept distinct
     memberships: the statistics n^-1 |L^-1 S|^2, the indicator rows, L^-1
-    and C; ``inverse[k]`` is grid plane k's row of them, -1 if skipped, and
-    ``counts`` holds grid_distinct (U) and the grid planes skipped and
-    ridge-repaired.
+    and C, and ``counts``, which holds grid_distinct (U) and the grid
+    planes skipped and ridge-repaired.
     """
     n, p = psi0.shape
     psi1 = derivs.psi1
@@ -162,23 +176,14 @@ def _grid_planes(ds: Dataset, psi0: np.ndarray, derivs: SstDerivatives,
     v = (b00.reshape(-1, p, p) - cross - cross.transpose(0, 2, 1)
          + c @ (psi1.T @ psi1) @ c.transpose(0, 2, 1)) / n
     # A membership is rank-deficient when its plain Cholesky fails (its
-    # factor is left NaN) or its smallest pivot squared is below tol =
+    # factor is NaN) or its smallest pivot squared is below tol =
     # RIDGE_SCALE * trace(V)/p.  It is refactored with tol on the diagonal,
     # and skipped if that fails too.
     tol = RIDGE_SCALE * np.trace(v, axis1=1, axis2=2) / p
-    try:
-        chol = np.linalg.cholesky(v)
-    except np.linalg.LinAlgError:
-        chol = np.full_like(v, np.nan)
-        for k, v_k in enumerate(v):
-            with suppress(np.linalg.LinAlgError):
-                chol[k] = np.linalg.cholesky(v_k)
+    chol = _cholesky(v)
     repair = ~(np.diagonal(chol, axis1=1, axis2=2).min(axis=1) ** 2 >= tol)
-    keep = ~repair
-    for k in np.flatnonzero(repair):
-        with suppress(np.linalg.LinAlgError):
-            chol[k] = np.linalg.cholesky(v[k] + tol[k] * np.eye(p))
-            keep[k] = True
+    chol[repair] = _cholesky(v[repair] + tol[repair, None, None] * np.eye(p))
+    keep = ~np.isnan(chol[:, 0, 0])
     counts = {"grid_distinct": planes.size,
               "grid_skipped": int(planes[~keep].sum()),
               "grid_repaired": int(planes[keep & repair].sum())}
@@ -186,10 +191,9 @@ def _grid_planes(ds: Dataset, psi0: np.ndarray, derivs: SstDerivatives,
         raise NumericalError("V(theta) singular beyond ridge repair at every plane")
     if not keep.all():
         ind, score, chol, c = ind[keep], score[keep], chol[keep], c[keep]
-        inverse = np.where(keep, np.cumsum(keep) - 1, -1)[inverse]
     l_inv = np.linalg.inv(chol)
     w = l_inv @ score[:, :, None]
-    return np.einsum("kpj,kpj->k", w, w) / n, ind, l_inv, c, inverse, counts
+    return np.einsum("kpj,kpj->k", w, w) / n, ind, l_inv, c, counts
 
 
 def score_test_at(ds: Dataset, family: FamilyKind, fit, derivs: SstDerivatives,
@@ -238,7 +242,7 @@ def sst_test(ds: Dataset, family: FamilyKind, k_directions: int = 1000,
     grid = build_theta_grid(ds, k_directions, grid_per_direction, seed)
     psi0 = score_psi0(ds, family, fit)
     n, p = psi0.shape
-    stats, ind, l_inv, c, _, counts = _grid_planes(ds, psi0, derivs, grid.thetas)
+    stats, ind, l_inv, c, counts = _grid_planes(ds, psi0, derivs, grid.thetas)
     stat = stats.max()
     c_flat = c.reshape(-1, c.shape[2])
 

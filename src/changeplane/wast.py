@@ -112,34 +112,26 @@ def wast_statistic(psi0: np.ndarray, omega: np.ndarray) -> float:
 
 def wast_multi_statistic(psi0_scalar: np.ndarray,
                          planes: list[PlaneBlock]) -> float:
-    """Multi-plane statistic with the summed per-plane pairwise kernel.
+    """Multi-plane statistic with the combined weight
+    omega~_ij = sum_t (X_t,i' X_t,j) * omega^(t)_ij on the scalar score s.
 
-    The combined weight is
-    omega~_ij = sum_t (X_t,i' X_t,j) * omega^(t)_ij, applied to the scalar
-    score factor shared across planes.  It is formed a tile at a time from
-    one ``omega_tiles`` iterator per plane, so omega~ is never n x n either.
+    As omega~ is a sum over planes, so is the statistic: plane t adds the
+    single-plane statistic of the score rows s_i X_t,i under its own omega.
     """
     if not planes:
         raise ParameterError("need at least one plane")
     psi = np.asarray(psi0_scalar, float).ravel()
     n = psi.shape[0]
-    xs, per_plane = [], []
+    total = 0.0
     for block in planes:
         x = np.asarray(block.x, float)
         if x.ndim == 1:
             x = x[:, None]
         if x.shape[0] != n or np.shape(block.z)[0] != n:
             raise ParameterError("plane X or Z block row count mismatch")
-        xs.append(x)
-        per_plane.append(omega_tiles(block.z, block.weight))
-
-    def tiles():
-        for parts in zip(*per_plane):
-            rows, cols = parts[0][:2]
-            yield rows, cols, sum((x[rows] @ x[cols].T) * tile
-                                  for x, (_, _, tile) in zip(xs, parts))
-
-    return float(_pair_sums(tiles(), psi[:, None], 1)[0])
+        total += _pair_sums(omega_tiles(block.z, block.weight), psi[:, None] * x,
+                            x.shape[1])[0]
+    return float(total)
 
 
 def wast_test(ds: Dataset, family: FamilyKind,

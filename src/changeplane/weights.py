@@ -31,8 +31,7 @@ from .errors import DegenerateVectorError, ParameterError
 __all__ = [
     "WeightSpec", "standard_gaussian", "gaussian", "beta_prior",
     "univariate_gaussian", "varrho", "omega_closed_form", "omega_gaussian_mc",
-    "omega_beta", "omega_univariate_gaussian", "omega_tiles", "upper_tiles",
-    "weight_matrix",
+    "omega_tiles", "upper_tiles", "weight_matrix",
 ]
 
 # Endpoint guard of the Owen's T and Monte-Carlo paths, which divide by
@@ -176,26 +175,6 @@ def omega_gaussian_mc(z_i, z_j, mu, sigma, n_draws: int | None = None,
     else:
         vals = ndtr((a_i - rho * draws) / np.sqrt(one_minus))
     return float(np.mean(vals * inside))
-
-
-def omega_beta(z_i: float, z_j: float, lambda1: float, lambda2: float) -> float:
-    """Beta(lambda1, lambda2) CDF at min(z_i, z_j), clamped to [0, 1] support."""
-    if not (0 < lambda1 < np.inf and 0 < lambda2 < np.inf):
-        raise ParameterError("beta shape parameters must be finite and positive")
-    m = min(float(z_i), float(z_j))
-    if m <= 0.0:
-        return 0.0
-    if m >= 1.0:
-        return 1.0
-    return float(betainc(lambda1, lambda2, m))
-
-
-def omega_univariate_gaussian(z_i: float, z_j: float, mu: float, sigma2: float) -> float:
-    """N(mu, sigma2) CDF at min(z_i, z_j)."""
-    if not (np.isfinite(mu) and 0 < sigma2 < np.inf):
-        raise ParameterError("mu must be finite and sigma2 finite and positive")
-    m = min(float(z_i), float(z_j))
-    return float(ndtr((m - mu) / np.sqrt(sigma2)))
 
 
 def _orthant(h, k, rho):

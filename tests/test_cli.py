@@ -87,6 +87,30 @@ class TestTestCommand:
              "--seed", "1"], capsys)
         assert code == USAGE_EXIT
 
+    def test_duplicate_header_usage_exit(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        rows = "\n".join(f"{i % 2},{i * 0.1},{-i * 0.2},{(i * 7) % 5}" for i in range(30))
+        path.write_text("y,x,x,z\n" + rows + "\n")
+        code, _, err = run_cli(
+            ["test", str(path), "--family", "binomial", "--response", "y",
+             "--baseline", "x", "--diff", "x", "--grouping", "z", "--seed", "1"], capsys)
+        assert code == USAGE_EXIT
+        assert "column 'x' appears more than once" in err
+
+    @pytest.mark.parametrize("role, columns", [("diff", "x1,x1"), ("grouping", "z1,z1"),
+                                               ("baseline", "x1,x1")])
+    def test_column_repeated_in_one_role_usage_exit(self, glm_csv, capsys, role, columns):
+        # A repeated name is a usage error, not a singular design for SST to
+        # ridge-repair or for the null fit to refuse.
+        flags = {"baseline": "x1", "diff": "x1", "grouping": "z1,z2", role: columns}
+        code, _, err = run_cli(
+            ["test", str(glm_csv), "--method", "sst", "--family", "binomial",
+             "--response", "y", "--baseline", flags["baseline"], "--diff", flags["diff"],
+             "--grouping", flags["grouping"], "--boot", "10", "--grid-k", "10",
+             "--seed", "1"], capsys)
+        assert code == USAGE_EXIT
+        assert f"column '{columns[:2]}' listed twice in {role}" in err
+
     def test_singular_design_numeric_exit(self, tmp_path, capsys):
         path = tmp_path / "sing.csv"
         rows = "\n".join(f"{i * 0.5},1,2,{i * 0.1}" for i in range(20))

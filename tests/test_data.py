@@ -116,3 +116,24 @@ def test_validate_is_pure():
 def test_column_spec_response_overlap():
     with pytest.raises(DataError):
         ColumnSpec(response="y", baseline=["y"], diff=["x"], grouping=["z"])
+
+
+def test_load_csv_duplicate_header_name(tmp_path):
+    # Which "x" the spec means is ambiguous, so the load fails rather than
+    # pick one.
+    f = write_csv(tmp_path / "d.csv", "y,x,x,z\n1,0.5,9,2\n2,1.5,8,3\n3,2.5,7,4\n")
+    spec = ColumnSpec(response="y", baseline=["x"], diff=["x"], grouping=["z"])
+    with pytest.raises(DataError, match="column 'x' appears more than once"):
+        load_csv(f, spec)
+    # A repeated name the spec does not read is left alone.
+    ds = load_csv(f, ColumnSpec(response="y", diff=["z"]))
+    np.testing.assert_array_equal(ds.x_diff[:, 0], [2, 3, 4])
+
+
+@pytest.mark.parametrize("role", ["baseline", "diff", "grouping"])
+def test_column_spec_name_twice_in_one_role(role):
+    roles = {"baseline": ["x1"], "diff": ["x1"], "grouping": ["z1"]}
+    roles[role] = [*roles[role], "w", roles[role][0]]
+    with pytest.raises(DataError, match=f"column '{roles[role][0]}' listed twice in {role}"):
+        ColumnSpec(response="y", **roles)
+

@@ -131,12 +131,9 @@ class TestThetaGrid:
         # The kernel keeps one indicator row per distinct membership;
         # ind[inverse] gives back each grid plane's row.
         ds = random_dataset(rng, n=n, q=3)
-        fam = FamilyKind("gaussian")
-        fit = fit_null(ds, fam)
-        args = ds, score_psi0(ds, fam, fit), sst_derivatives(ds, fam, fit)
 
         def plane_rows(thetas):
-            _, ind, _, _, inverse, _ = sst_module._grid_planes(*args, thetas)
+            ind, inverse = sst_module._distinct_memberships(ds.z_group, thetas)
             return ind[inverse]
 
         grid = build_theta_grid(ds, k_directions=300, seed=6)
@@ -318,13 +315,16 @@ class TestSstTest:
         args = ds, score_psi0(ds, fam, fit), sst_derivatives(ds, fam, fit)
         thetas = build_theta_grid(ds, k_directions=40, grid_per_direction=4, seed=7).thetas
         whole = sst_module._grid_planes(*args, thetas)
+        whole_rows = sst_module._distinct_memberships(ds.z_group, thetas)
         whole_test = sst_test(ds, fam, k_directions=40, grid_per_direction=4,
                               n_resample=40, seed=7)
         monkeypatch.setattr(sst_module, "PLANE_BLOCK", 7)
         blocked = sst_module._grid_planes(*args, thetas)
-        for a, b in zip(whole[:5], blocked[:5]):
+        for a, b in zip(whole[:4], blocked[:4]):
             np.testing.assert_array_equal(a, b)
-        assert whole[5] == blocked[5]
+        assert whole[4] == blocked[4]
+        for a, b in zip(whole_rows, sst_module._distinct_memberships(ds.z_group, thetas)):
+            np.testing.assert_array_equal(a, b)
         out = sst_test(ds, fam, k_directions=40, grid_per_direction=4,
                        n_resample=40, seed=7)
         assert out.statistic == whole_test.statistic
@@ -398,6 +398,13 @@ class TestSstTest:
         assert out.diagnostics["grid_size"] == 300
         assert out.diagnostics["grid_skipped"] == skipped
         assert out.diagnostics["grid_repaired"] == repaired
+
+    def test_observed_fit_not_converged_raises(self, rng, monkeypatch):
+        ds = random_dataset(rng, n=60, family="binomial")
+        monkeypatch.setattr(sst_module, "fit_null",
+                            lambda *args: replace(fit_null(*args), converged=False))
+        with pytest.raises(NumericalError, match="null fit did not converge"):
+            sst_test(ds, FamilyKind("binomial"), k_directions=10, n_resample=10, seed=1)
 
     def test_invalid_resample_count(self, rng):
         ds = random_dataset(rng, n=30)

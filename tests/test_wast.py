@@ -11,11 +11,12 @@ from changeplane import (Dataset, FamilyKind, PlaneBlock, beta_prior, bootstrap_
                          fit_null, gaussian, score_psi0, standard_gaussian,
                          univariate_gaussian, wast_multi_statistic,
                          wast_statistic, wast_test, weight_matrix)
+from changeplane import cli
 from changeplane import families as families_module
 from changeplane import wast as wast_module
 from changeplane import weights as weights_module
 from changeplane.families import refit_null
-from changeplane.errors import DataError, ParameterError
+from changeplane.errors import DataError, NumericalError, ParameterError
 from changeplane.rng import child_rng
 
 from conftest import random_dataset
@@ -150,7 +151,10 @@ class TestMultiPlane:
                   PlaneBlock(x=rng.standard_normal((n, 1)), z=z2,
                              weight=univariate_gaussian(0.0, 1.0))]
         val = wast_multi_statistic(psi, blocks)
-        assert np.isfinite(val)
+        parts = sum(
+            (b.x @ b.x.T) * weight_matrix(b.z, b.weight) for b in blocks)
+        assert val == pytest.approx(
+            double_loop_statistic(psi[:, None], parts), rel=1e-12)
 
     def test_no_planes(self, rng):
         with pytest.raises(ParameterError):
@@ -201,6 +205,36 @@ class TestWastTest:
         ds = random_dataset(rng, n=30)
         with pytest.raises(ParameterError):
             wast_test(ds, FamilyKind("gaussian"), n_boot=0)
+
+    def test_observed_fit_not_converged_raises(self, rng, monkeypatch, tmp_path, capsys):
+        # The observed null fit is reported as not converged; the test
+        # raises, and the CLI exits with the numeric code.
+        ds = random_dataset(rng, n=60, family="binomial")
+        monkeypatch.setattr(wast_module, "fit_null",
+                            lambda *args: replace(fit_null(*args), converged=False))
+        with pytest.raises(NumericalError, match="null fit did not converge"):
+            wast_test(ds, FamilyKind("binomial"), n_boot=10, seed=1)
+        path = tmp_path / "data.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("y,x1,z1,z2\n")
+            for i in range(ds.n):
+                fh.write(f"{ds.y[i]:.17g},{ds.x_base[i, 1]:.17g},"
+                         f"{ds.z_group[i, 1]:.17g},{ds.z_group[i, 2]:.17g}\n")
+        code = cli.main(["test", str(path), "--family", "binomial", "--response", "y",
+                         "--baseline", "x1", "--diff", "x1", "--grouping", "z1,z2",
+                         "--boot", "10", "--seed", "1"])
+        assert code == cli.NUMERIC_EXIT == 3
+        assert "null fit did not converge" in capsys.readouterr().err
+
+    def test_too_many_failed_refits_raise(self, rng, monkeypatch):
+        # Up to 5 % of the B refits may fail: 2 of 40 are skipped, 3 of 40 raise.
+        ds = random_dataset(rng, n=60, family="binomial")
+        fam = FamilyKind("binomial")
+        flaky_refits(monkeypatch, failed=(3, 17))
+        assert wast_test(ds, fam, n_boot=40, seed=2).n_failed == 2
+        flaky_refits(monkeypatch, failed=(3, 17, 39))
+        with pytest.raises(NumericalError, match="3/40 bootstrap refits failed"):
+            wast_test(ds, fam, n_boot=40, seed=2)
 
     def test_small_pvalue_under_strong_alternative(self, rng):
         # Plant a large change-plane effect; the test should reject.

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from scipy.special import betainc, ndtr
 from scipy.stats import multivariate_normal, norm
 
-from changeplane import (Dataset, WeightSpec, beta_prior, gaussian, omega_beta,
-                         omega_closed_form, omega_gaussian_mc,
-                         omega_univariate_gaussian, standard_gaussian,
-                         univariate_gaussian, varrho, weight_matrix)
+from changeplane import (Dataset, WeightSpec, beta_prior, gaussian, omega_closed_form,
+                         omega_gaussian_mc, standard_gaussian, univariate_gaussian,
+                         varrho, weight_matrix)
 from changeplane import weights as weights_module
 from changeplane.errors import DegenerateVectorError, ParameterError
 
@@ -117,34 +116,41 @@ class TestGaussianMC:
             omega_gaussian_mc([1, 0], [0, 1], np.zeros(2), np.eye(2), n_draws=0)
 
 
+def pair_omega(z_i, z_j, spec):
+    """omega of one pair of scalar grouping values: the off-diagonal entry of
+    ``weight_matrix`` on the two-row Z."""
+    return weight_matrix(np.array([[z_i], [z_j]], float), spec)[0, 1]
+
+
 class TestScalarPriors:
     def test_beta_uniform(self):
-        assert omega_beta(0.5, 0.9, 1.0, 1.0) == pytest.approx(0.5)
+        assert pair_omega(0.5, 0.9, beta_prior(1.0, 1.0)) == pytest.approx(0.5)
 
     def test_beta_upper_support(self):
-        assert omega_beta(1.0, 2.0, 3.0, 0.5) == pytest.approx(1.0)
+        assert pair_omega(1.0, 2.0, beta_prior(3.0, 0.5)) == 1.0
+        assert pair_omega(-0.5, 0.4, beta_prior(3.0, 0.5)) == 0.0
 
     def test_beta_22(self):
         # Beta(2,2) CDF is 3x^2 - 2x^3; at 0.3: 0.27 - 0.054 = 0.216
-        assert omega_beta(0.3, 0.8, 2.0, 2.0) == pytest.approx(0.216, abs=1e-12)
+        assert pair_omega(0.3, 0.8, beta_prior(2.0, 2.0)) == pytest.approx(0.216, abs=1e-12)
 
     def test_beta_bad_params(self):
         with pytest.raises(ParameterError):
-            omega_beta(0.3, 0.8, -1.0, 2.0)
+            beta_prior(-1.0, 2.0)
 
     def test_uni_gaussian_at_mean(self):
-        assert omega_univariate_gaussian(0.7, 2.0, 0.7, 1.5) == pytest.approx(0.5)
+        assert pair_omega(0.7, 2.0, univariate_gaussian(0.7, 1.5)) == pytest.approx(0.5)
 
     def test_uni_gaussian_far_right(self):
-        assert omega_univariate_gaussian(100.0, 200.0, 0.0, 1.0) == pytest.approx(1.0)
+        assert pair_omega(100.0, 200.0, univariate_gaussian(0.0, 1.0)) == pytest.approx(1.0)
 
     def test_uni_gaussian_one_sd(self):
-        assert omega_univariate_gaussian(1.0, 5.0, 0.0, 1.0) == pytest.approx(
+        assert pair_omega(1.0, 5.0, univariate_gaussian(0.0, 1.0)) == pytest.approx(
             0.8413447460685429, abs=1e-12)
 
     def test_uni_gaussian_bad_variance(self):
         with pytest.raises(ParameterError):
-            omega_univariate_gaussian(0.0, 1.0, 0.0, 0.0)
+            univariate_gaussian(0.0, 0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("make", [
@@ -152,10 +158,10 @@ class TestScalarPriors:
         lambda v: beta_prior(1.0, v),
         lambda v: univariate_gaussian(v, 1.0),
         lambda v: univariate_gaussian(0.0, v),
-        lambda v: omega_beta(0.3, 0.8, v, 1.0),
-        lambda v: omega_beta(0.3, 0.8, 1.0, v),
-        lambda v: omega_univariate_gaussian(0.3, 0.8, v, 1.0),
-        lambda v: omega_univariate_gaussian(0.3, 0.8, 0.0, v),
+        lambda v: pair_omega(0.3, 0.8, WeightSpec("beta", lambda1=v)),
+        lambda v: pair_omega(0.3, 0.8, WeightSpec("beta", lambda2=v)),
+        lambda v: pair_omega(0.3, 0.8, WeightSpec("uni_gaussian", scalar_mu=v)),
+        lambda v: pair_omega(0.3, 0.8, WeightSpec("uni_gaussian", sigma2=v)),
     ], ids=["lambda1", "lambda2", "scalar_mu", "sigma2", "omega_beta_lambda1",
             "omega_beta_lambda2", "omega_uni_mu", "omega_uni_sigma2"])
     def test_non_finite_parameters_rejected(self, make, bad):
