@@ -96,7 +96,11 @@ def cmd_test(args) -> int:
 
 
 def _scenario(args) -> Scenario:
-    r, p, q = (int(v) for v in args.dims.split(","))
+    try:
+        r, p, q = (int(v) for v in args.dims.split(","))
+    except ValueError:
+        raise ParameterError(
+            f"--dims must be three comma-separated integers r,p,q, got {args.dims!r}") from None
     return Scenario(
         family=_family(args), dims=(r, p, q), n=args.n, rho=args.rho,
         kappa=args.kappa, theta_rule=args.theta_rule,
@@ -115,7 +119,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_power(args) -> int:
-    return _study(args, [float(v) for v in _columns(args.kappa_grid)], "power.csv",
+    try:
+        kappas = [float(v) for v in _columns(args.kappa_grid)]
+    except ValueError:
+        raise ParameterError(
+            f"--kappa-grid must be a comma list of numbers, got {args.kappa_grid!r}") from None
+    return _study(args, kappas, "power.csv",
                   "running power study: methods={methods} kappas={kappa_grid} reps={reps}",
                   "kappa={kappa} method={method} rate={rate} stderr={stderr}")
 

@@ -33,9 +33,9 @@ baseline gamma(x_base), whose scalar score factor is (A - pi(Z))(Y - gamma).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .data import Dataset, validate
 from .errors import ParameterError, SingularDesignError
@@ -52,10 +52,53 @@ _ALL_FAMILIES = ("gaussian", "binomial", "poisson", "probit", "quantile",
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
 
-# sqrt(2 pi) and its log, formed as scipy.stats.norm forms them, so the
-# normal density and the Mills ratio below keep scipy's bits.
 _SQRT_2PI = np.sqrt(2 * np.pi)
-_LOG_SQRT_2PI = np.log(_SQRT_2PI)
+
+# The rational forms of erf and erfc below are those of fdlibm's s_erf.c:
+#
+#   Copyright (C) 1993 by Sun Microsystems, Inc. All rights reserved.
+#
+#   Developed at SunPro, a Sun Microsystems, Inc. business.
+#   Permission to use, copy, modify, and distribute this
+#   software is freely granted, provided that this notice
+#   is preserved.
+#
+# Each pair (numerator, denominator) lists coefficients in increasing powers.
+# erf(x) = x + x R(x^2)/S(x^2) on [0, 0.84375):
+_ERF_LOW = ((1.28379167095512558561e-01, -3.25042107247001499370e-01,
+             -2.84817495755985104766e-02, -5.77027029648944159157e-03,
+             -2.37630166566501626084e-05),
+            (1.0, 3.97917223959155352819e-01, 6.50222499887672944485e-02,
+             5.08130628187576562776e-03, 1.32494738004321644526e-04,
+             -3.96022827877536812320e-06))
+# erf(x) = erx + P(x - 1)/Q(x - 1) on [0.84375, 1.25):
+_ERX = 8.45062911510467529297e-01
+_ERF_MID = ((-2.36211856075265944077e-03, 4.14856118683748331666e-01,
+             -3.72207876035701323847e-01, 3.18346619901161753674e-01,
+             -1.10894694282396677476e-01, 3.54783043256182359371e-02,
+             -2.16637559486879084300e-03),
+            (1.0, 1.06420880400844228286e-01, 5.40397917702171048937e-01,
+             7.18286544141962662868e-02, 1.26171219808761642112e-01,
+             1.36370839120290507362e-02, 1.19844998467991074170e-02))
+# erfc(x) = exp(-x^2 - 0.5625 + R(1/x^2)/S(1/x^2)) / x on [1.25, 1/0.35) ...
+_ERFC_NEAR = ((-9.86494403484714822705e-03, -6.93858572707181764372e-01,
+               -1.05586262253232909814e+01, -6.23753324503260060396e+01,
+               -1.62396669462573470355e+02, -1.84605092906711035994e+02,
+               -8.12874355063065934246e+01, -9.81432934416914548592e+00),
+              (1.0, 1.96512716674392571292e+01, 1.37657754143519042600e+02,
+               4.34565877475229228821e+02, 6.45387271733267880336e+02,
+               4.29008140027567833386e+02, 1.08635005541779435134e+02,
+               6.57024977031928170135e+00, -6.04244152148580987438e-02))
+# ... and on [1/0.35, inf).  fdlibm stops at 28, where erfc underflows; the
+# Mills ratio takes R/S alone and needs no such end.
+_ERFC_FAR = ((-9.86494292470009928597e-03, -7.99283237680523006574e-01,
+              -1.77579549177547519889e+01, -1.60636384855821916062e+02,
+              -6.37566443368389627722e+02, -1.02509513161107724954e+03,
+              -4.83519191608651397019e+02),
+             (1.0, 3.03380607434824582924e+01, 3.25792512996573918826e+02,
+              1.53672958608443695994e+03, 3.19985821950859553908e+03,
+              2.55305040643316442583e+03, 4.74528541206955367215e+02,
+              -2.24409524465858183362e+01))
 
 
 @dataclass(frozen=True)
@@ -149,16 +192,72 @@ def _logistic(eta: np.ndarray) -> np.ndarray:
     return np.reciprocal(mu, out=mu)
 
 
-def _mills(eta: np.ndarray) -> np.ndarray:
-    """phi(eta)/Phi(eta), computed on the log scale to avoid overflow."""
-    return np.exp(-eta**2 / 2.0 - _LOG_SQRT_2PI - log_ndtr(eta))
+def _rational(coef, t: np.ndarray) -> np.ndarray:
+    """P(t)/Q(t) by Horner's rule, for coef = (P's, Q's coefficients)."""
+    p, q = coef
+    num, den = p[-1] * t, q[-1] * t
+    for c in p[-2:0:-1]:
+        num += c
+        num *= t
+    for c in q[-2:0:-1]:
+        den += c
+        den *= t
+    num += p[0]
+    den += q[0]
+    num /= den
+    return num
+
+
+def _lam_low(x, phi):
+    """2 phi / erfc(x) for x < 0.84375; 1 - erf(x) is formed as fdlibm does."""
+    return 2.0 * phi / (0.5 - (x * _rational(_ERF_LOW, x * x) + (x - 0.5)))
+
+
+def _lam_mid(x, phi):
+    """2 phi / erfc(x) for 0.84375 <= x < 1.25."""
+    return 2.0 * phi / ((1.0 - _ERX) - _rational(_ERF_MID, x - 1.0))
+
+
+def _lam_tail(coef, x, phi):
+    """2 phi / erfc(x) for x >= 1.25, with phi = exp(-x^2)/sqrt(2 pi): the
+    exp(-x^2) of phi and of erfc cancel exactly, so no exp(-x^2) is formed
+    and nothing underflows."""
+    return (2.0 / _SQRT_2PI) * x * np.exp(0.5625 - _rational(coef, 1.0 / (x * x)))
+
+
+def _mills_pair(eta: np.ndarray):
+    """The Mills ratios lambda(eta) = phi(eta)/Phi(eta) and lambda(-eta).
+
+    Both come from one erfc of x = |eta|/sqrt(2), by fdlibm's rational
+    forms: lam_s = phi/Phi(-|eta|) = 2 phi/erfc(x), which on the tail branch
+    (x >= 1.25) is free of cancellation, and lam_l = phi/Phi(|eta|) =
+    phi / (1 - phi/lam_s).  Relative error is within (4 + eta^2/2) eps for
+    |eta| <= 37, where the rounding of exp(-eta^2/2) sets it; on the left
+    tail lambda(eta) ~ |eta| stays accurate for any finite eta.
+    """
+    e = np.ravel(eta)
+    x = np.abs(e) * np.sqrt(0.5)
+    phi = np.exp(-0.5 * e * e) / _SQRT_2PI
+    lam_s = np.empty_like(x)
+    # Four branches partition x; NaN goes to the third and stays NaN.
+    near, low, far = x < 1.25, x < 0.84375, x >= 1.0 / 0.35
+    for inside, branch in ((low, _lam_low), (near ^ low, _lam_mid),
+                           (~(near | far), partial(_lam_tail, _ERFC_NEAR)),
+                           (far, partial(_lam_tail, _ERFC_FAR))):
+        rows = np.flatnonzero(inside)
+        if rows.size:
+            lam_s[rows] = branch(x[rows], phi[rows])
+    lam_l = phi / (1.0 - phi / lam_s)
+    pos = e >= 0
+    return (np.where(pos, lam_l, lam_s).reshape(np.shape(eta)),
+            np.where(pos, lam_s, lam_l).reshape(np.shape(eta)))
 
 
 def _factor(family: FamilyKind, y: np.ndarray, eta: np.ndarray):
     """Score factor s(y, eta) of every family but the semiparametric one, and
     its Newton weight: c''(eta) = -ds/d eta of a canonical GLM, for probit the
     expected information phi^2 / (Phi Phi(-)) = lam(eta) lam(-eta), None for
-    quantile.  The mean, or each Mills ratio, is evaluated once for both."""
+    quantile.  The mean, or the Mills-ratio pair, is evaluated once for both."""
     name = family.name
     if name == "gaussian":
         return y - eta, np.ones_like(eta)
@@ -169,7 +268,7 @@ def _factor(family: FamilyKind, y: np.ndarray, eta: np.ndarray):
         mu = np.exp(eta)
         return y - mu, mu
     if name == "probit":
-        lam_p, lam_m = _mills(eta), _mills(-eta)
+        lam_p, lam_m = _mills_pair(eta)
         return y * lam_p - (1.0 - y) * lam_m, lam_p * lam_m
     # quantile: the check-loss subgradient 1(y - eta <= 0) - tau
     return np.where(y - eta <= 0, 1.0, 0.0) - family.tau, None

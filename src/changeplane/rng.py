@@ -7,16 +7,19 @@ any worker in any order and still reproduce bit-identically.
 
 from __future__ import annotations
 
-import numpy as np
+# numpy loads numpy.random on first use; importing it here puts that cost
+# in the package's start-up, which every test run pays anyway, and not in
+# the first test.
+from numpy.random import Generator, SeedSequence, default_rng
 
 __all__ = ["child_rng", "child_seed_sequence"]
 
 
-def child_seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
+def child_seed_sequence(seed: int, *key: int) -> SeedSequence:
     """SeedSequence for the stream identified by (seed, *key)."""
-    return np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))
+    return SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))
 
 
-def child_rng(seed: int, *key: int) -> np.random.Generator:
+def child_rng(seed: int, *key: int) -> Generator:
     """Generator for the stream identified by (seed, *key)."""
-    return np.random.default_rng(child_seed_sequence(seed, *key))
+    return default_rng(child_seed_sequence(seed, *key))

@@ -11,15 +11,13 @@ bit-identically on any worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset
 from .errors import ParameterError
-from .families import FamilyKind
+from .families import FamilyKind, _logistic
 from .rng import child_rng, child_seed_sequence
 from .sst import sst_test
 from .wast import wast_test
@@ -115,12 +113,12 @@ def _split_indicator(z_tail: np.ndarray, theta_tail: np.ndarray,
 
 
 def _binomial_intercept(shift: np.ndarray, target: float = 1.0 / 3.0) -> float:
-    """Solve mean(expit(a1 + shift)) = target for the binomial baseline."""
+    """Solve mean(logistic(a1 + shift)) = target for the binomial baseline."""
     # Imported here: only this design needs a root finder, and importing
-    # scipy.optimize takes about 40 % of the package's import time.
+    # scipy costs more than importing the rest of the package.
     from scipy.optimize import brentq
     def f(a1):
-        return float(np.mean(expit(a1 + shift))) - target
+        return float(np.mean(_logistic(a1 + shift))) - target
     return brentq(f, -30.0, 30.0)
 
 
@@ -161,7 +159,7 @@ def _generate_glm(sc: Scenario, rng) -> Dataset:
     if sc.family.name == "gaussian":
         y = mu + rng.standard_normal(n)
     elif sc.family.name == "binomial":
-        y = (rng.random(n) < expit(mu)).astype(float)
+        y = (rng.random(n) < _logistic(mu)).astype(float)
     else:
         y = rng.poisson(np.exp(np.clip(mu, None, 30.0))).astype(float)
     return Dataset(y=y, x_base=x_base, x_diff=x_diff, z_group=z_group)
@@ -246,6 +244,7 @@ def _pvalues(sc: Scenario, method: str, reps: int, n_boot: int,
     if threads <= 1:
         vals = [_one_pvalue(job) for job in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             # map preserves submission order: reduction is by index, so the
             # result is identical for any worker count.

@@ -17,6 +17,10 @@ evaluations at min(Z_i, Z_j).
 Every prior gives omega through one generator, ``omega_tiles``, a square
 tile of the upper triangle at a time; ``weight_matrix`` assembles the n x n
 matrix from those tiles.
+
+scipy.special is imported inside the paths that need it (the scalar priors,
+mu != 0 and the Monte-Carlo reference): its import costs more than the rest
+of the package, and the default mu = 0 prior uses numpy alone.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, ndtr, owens_t
 
 from .errors import DegenerateVectorError, ParameterError
 
@@ -161,6 +164,7 @@ def omega_gaussian_mc(z_i, z_j, mu, sigma, n_draws: int | None = None,
             raise ParameterError("n_draws must be >= 1")
         rng = np.random.default_rng(rng)
         draws = rng.standard_normal(n_draws)
+    from scipy.special import ndtr
     rho = varrho(z_i, z_j, sigma)
     a_i = (z_i @ mu) / np.sqrt(z_i @ sigma @ z_i)
     a_j = (z_j @ mu) / np.sqrt(z_j @ sigma @ z_j)
@@ -186,6 +190,7 @@ def _orthant(h, k, rho):
     the arcsin closed form is used, and where 1 - rho^2 is not above the
     guard the limits at rho = +-1.  rho must already lie in [-1, 1].
     """
+    from scipy.special import ndtr, owens_t
     one_minus = 1.0 - rho * rho
     interior = one_minus > _ENDPOINT_EPS
     s = np.sqrt(np.where(interior, one_minus, 1.0))
@@ -267,6 +272,7 @@ def omega_tiles(ds_or_z, spec: WeightSpec | None = None):
             raise ParameterError(
                 f"{spec.variant} weight requires exactly one grouping column, got q={q}")
         # The prior CDF F is nondecreasing: F(min(z_i, z_j)) = min(F(z_i), F(z_j)).
+        from scipy.special import betainc, ndtr
         zv = z[:, 0]
         if spec.variant == "beta":
             cdf = betainc(spec.lambda1, spec.lambda2, np.clip(zv, 0.0, 1.0))

@@ -248,6 +248,17 @@ class TestSimulateCommand:
         assert code == USAGE_EXIT
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "power"])
+    @pytest.mark.parametrize("dims", ["2,2", "2,2,3,4", "2,x,3"])
+    def test_malformed_dims_usage_exit(self, tmp_path, capsys, command, dims):
+        extra = ["--kappa-grid", "0"] if command == "power" else []
+        code, out, err = run_cli(
+            [command, "--family", "gaussian", "--seed", "1", "--dims", dims, *extra,
+             "--output", str(tmp_path / "out.csv")], capsys)
+        assert code == USAGE_EXIT
+        assert "--dims must be three comma-separated integers" in err
+        assert out == "" and not (tmp_path / "out.csv").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["simulate", "--family", "gaussian", "--seed", "1",
@@ -269,16 +280,72 @@ class TestPowerCommand:
         assert len(lines) == 5  # 2 kappas x 2 methods
         assert "# seed=12" in out
 
+    @pytest.mark.parametrize("grid", ["0,abc", "0,,x"])
+    def test_malformed_kappa_grid_usage_exit(self, tmp_path, capsys, grid):
+        code, out, err = run_cli(
+            ["power", "--family", "gaussian", "--seed", "1", "--kappa-grid", grid,
+             "--output", str(tmp_path / "power.csv")], capsys)
+        assert code == USAGE_EXIT
+        assert "--kappa-grid must be a comma list of numbers" in err
+        assert out == "" and not (tmp_path / "power.csv").exists()
 
-def test_import_loads_neither_scipy_optimize_nor_linalg():
-    # Both are slow to import and the CLI pays that on every run; only the
-    # binomial simulation design imports scipy.optimize, when it runs.
-    code = ("import sys, changeplane, changeplane.cli; "
-            "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])")
+
+def run_python(code: str) -> list[str]:
+    """stdout lines of ``python -c code`` in a fresh interpreter that imports
+    this source tree; it must exit 0."""
     src = str(Path(changeplane.__file__).resolve().parent.parent)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip().splitlines()
+
+
+SCIPY_LOADED = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
+
+
+class TestStartup:
+    """The import and a default ``changeplane test`` run on numpy and the
+    standard library alone; scipy is imported only by the priors and the
+    simulation design that need it."""
+
+    @pytest.fixture
+    def probit_csv(self, tmp_path):
+        rng = np.random.default_rng(4)
+        x1, d1, z1, z2 = rng.standard_normal((4, 120))
+        y = (rng.standard_normal(120) <= 0.3 + 0.5 * x1).astype(float)
+        path = tmp_path / "probit.csv"
+        np.savetxt(path, np.column_stack([y, x1, d1, z1, z2]), delimiter=",",
+                   header="y,x1,d1,z1,z2", comments="")
+        return path
+
+    def test_import_loads_no_scipy_and_no_process_pool(self):
+        # numpy.random is loaded by the import, so no test pays for it later.
+        out = run_python("import sys, changeplane, changeplane.cli\n"
+                         f"print({SCIPY_LOADED}, "
+                         "'concurrent.futures.process' in sys.modules, "
+                         "'numpy.random' in sys.modules)")
+        assert out == ["[] False True"]
+
+    @pytest.mark.parametrize("weight", [[], ["--weight", "gaussian"]])
+    def test_probit_test_command_loads_no_scipy(self, probit_csv, weight):
+        argv = ["test", str(probit_csv), "--family", "probit", "--response", "y",
+                "--baseline", "x1", "--diff", "d1", "--grouping", "z1,z2",
+                "--boot", "30", "--seed", "3", *weight]
+        out = run_python("import sys\nfrom changeplane.cli import main\n"
+                         f"code = main({argv!r})\nprint(code, {SCIPY_LOADED})")
+        assert out[-1] == "0 []"
+        assert any(line.startswith("p_value=") for line in out)
+
+    def test_beta_prior_imports_scipy_special_when_it_runs(self, probit_csv):
+        argv = ["test", str(probit_csv), "--family", "probit", "--response", "y",
+                "--baseline", "x1", "--diff", "d1", "--grouping", "z1",
+                "--no-intercept-grouping", "--weight", "beta", "--boot", "30",
+                "--seed", "3"]
+        out = run_python("import sys\nfrom changeplane.cli import main\n"
+                         "print('scipy.special' in sys.modules)\n"
+                         f"code = main({argv!r})\n"
+                         "print(code, 'scipy.special' in sys.modules)")
+        assert out[0] == "False" and out[-1] == "0 True"
+        assert any(line.startswith("p_value=") for line in out)

@@ -9,7 +9,7 @@ from changeplane import (FamilyKind, bootstrap_sample, fit_null, score_psi0,
                          sst_derivatives)
 from changeplane import families as families_module
 from changeplane.errors import ParameterError, SingularDesignError
-from changeplane.families import (DEFAULT_MAX_ITER, DEFAULT_TOL, _factor, _fit, _mills,
+from changeplane.families import (DEFAULT_MAX_ITER, DEFAULT_TOL, _factor, _fit, _mills_pair,
                                   bootstrap_sampler, refit_null, score_rows)
 from changeplane.rng import child_rng
 
@@ -24,9 +24,56 @@ def test_family_kind_validates():
     assert FamilyKind("quantile", tau=0.25).describe() == "quantile(tau=0.25)"
 
 
-def test_mills_ratio_matches_scipy_norm_bits():
-    x = np.linspace(-40, 40, 2001)
-    np.testing.assert_array_equal(_mills(x), np.exp(norm.logpdf(x) - norm.logcdf(x)))
+class TestMillsPair:
+    """lambda(eta) = phi(eta)/Phi(eta) and lambda(-eta), as ``_mills_pair``
+    returns them, against oracles computed apart from it."""
+
+    eps = np.finfo(float).eps
+
+    def test_matches_log_difference_within_both_roundings(self):
+        eta = np.linspace(-37.0, 37.0, 20001)
+        lam_p, lam_m = _mills_pair(eta)
+        log_pdf, log_cdf = norm.logpdf(eta), norm.logcdf(eta)
+        ref = np.exp(log_pdf - log_cdf)
+        # The pair's own error, (4 + eta^2/2) eps, is set by the rounding of
+        # exp(-eta^2/2); the reference exponentiates a difference of two logs
+        # and adds their rounding, (|log phi| + |log Phi|) eps.
+        bound = (4.0 + eta**2 / 2.0 + np.abs(log_pdf) + np.abs(log_cdf)) * self.eps
+        assert np.all(np.abs(lam_p / ref - 1.0) <= bound)
+        np.testing.assert_array_equal(lam_m, _mills_pair(-eta)[0])
+
+    def test_left_tail_against_continued_fraction(self):
+        # Laplace: Phi(-x)/phi(x) = 1/(x + 1/(x + 2/(x + 3/(x + ...)))), so
+        # lambda(-x) is that denominator; at x >= 37 thirty terms converge.
+        x = np.geomspace(37.0, 1e8, 400)
+        cf = x.copy()
+        for k in range(30, 0, -1):
+            cf = x + k / cf
+        lam, lam_other = _mills_pair(-x)
+        np.testing.assert_allclose(lam, cf, rtol=4 * self.eps, atol=0)
+        assert np.all((lam_other >= 0) & (lam_other <= norm.pdf(x) * (1 + 4 * self.eps)))
+
+    @pytest.mark.parametrize("eta, expected", [
+        # mpmath at 50 digits; the log-difference form was off by 1.0e-11,
+        # 6.1e-9 and 1.0e-4 relative at these points.
+        (-1e3, 1000.000999998), (-1e4, 10000.000099999997), (-1e6, 1000000.000001)])
+    def test_left_tail_pins(self, eta, expected):
+        assert _mills_pair(np.array([eta]))[0][0] == pytest.approx(expected, rel=2 * self.eps)
+
+    def test_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        eta = np.concatenate([np.linspace(-4.0, 4.0, 801), np.linspace(-37.0, 37.0, 297)])
+        with mp.workdps(40):
+            ref = np.array([float(mp.npdf(v) / mp.ncdf(v)) for v in eta])
+        err = np.abs(_mills_pair(eta)[0] / ref - 1.0)
+        assert np.all(err <= (4.0 + eta**2 / 2.0) * self.eps)
+        assert np.max(err[np.abs(eta) <= 4.0]) <= 4 * self.eps
+
+    def test_limits_and_shape(self):
+        lam_p, lam_m = _mills_pair(np.array([[0.0, np.inf], [-np.inf, np.nan]]))
+        assert lam_p.shape == (2, 2)
+        np.testing.assert_array_equal(lam_p, [[2 / np.sqrt(2 * np.pi), 0.0], [np.inf, np.nan]])
+        np.testing.assert_array_equal(lam_m, [[2 / np.sqrt(2 * np.pi), np.inf], [0.0, np.nan]])
 
 
 class TestFitNull:
