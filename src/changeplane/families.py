@@ -8,8 +8,9 @@ nuisance rows psi1_i = s_i x_base,i.  This module provides:
 * ``fit_null``        -- the null-model fit (beta = 0) solving the nuisance
                          estimating equation: one least-squares solve for
                          gaussian, one Newton loop for binomial and poisson
-                         (IRLS) and probit (Fisher scoring), majorize-minimize
-                         for quantile,
+                         (IRLS) and probit (Fisher scoring), an exact simplex
+                         certified by the Koenker-Bassett condition for
+                         quantile,
 * ``refit_null``      -- the same fit, in lock step, on every column of an
                          n x B bootstrap response matrix, with each column's
                          score factor,
@@ -51,6 +52,11 @@ _ALL_FAMILIES = ("gaussian", "binomial", "poisson", "probit", "quantile",
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
+
+_EPS = np.finfo(float).eps
+# A quantile residual within _ZERO_ULPS ulps of its rounding scale is zero
+# (``_quantile_residual``).
+_ZERO_ULPS = 16
 
 _SQRT_2PI = np.sqrt(2 * np.pi)
 
@@ -253,12 +259,16 @@ def _mills_pair(eta: np.ndarray):
             np.where(pos, lam_s, lam_l).reshape(np.shape(eta)))
 
 
-def _factor(family: FamilyKind, y: np.ndarray, eta: np.ndarray):
-    """Score factor s(y, eta) of every family but the semiparametric one, and
-    its Newton weight: c''(eta) = -ds/d eta of a canonical GLM, for probit the
-    expected information phi^2 / (Phi Phi(-)) = lam(eta) lam(-eta), None for
-    quantile.  The mean, or the Mills-ratio pair, is evaluated once for both."""
+def _factor(family: FamilyKind, y: np.ndarray, x: np.ndarray, alpha: np.ndarray):
+    """Score factor s(y, eta) at eta = x alpha of every family but the
+    semiparametric one, and its Newton weight: c''(eta) = -ds/d eta of a
+    canonical GLM, for probit the expected information phi^2 / (Phi Phi(-))
+    = lam(eta) lam(-eta), None for quantile.  The mean, or the Mills-ratio
+    pair, is evaluated once for both."""
     name = family.name
+    if name == "quantile":  # the check-loss subgradient 1(y - eta <= 0) - tau
+        return np.where(_quantile_residual(y, x, alpha) <= 0, 1.0, 0.0) - family.tau, None
+    eta = x @ alpha
     if name == "gaussian":
         return y - eta, np.ones_like(eta)
     if name == "binomial":
@@ -267,11 +277,22 @@ def _factor(family: FamilyKind, y: np.ndarray, eta: np.ndarray):
     if name == "poisson":
         mu = np.exp(eta)
         return y - mu, mu
-    if name == "probit":
-        lam_p, lam_m = _mills_pair(eta)
-        return y * lam_p - (1.0 - y) * lam_m, lam_p * lam_m
-    # quantile: the check-loss subgradient 1(y - eta <= 0) - tau
-    return np.where(y - eta <= 0, 1.0, 0.0) - family.tau, None
+    # probit
+    lam_p, lam_m = _mills_pair(eta)
+    return y * lam_p - (1.0 - y) * lam_m, lam_p * lam_m
+
+
+def _quantile_residual(y: np.ndarray, x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """y - x alpha, with a residual within _ZERO_ULPS ulps of its rounding
+    scale |y| + |x| |alpha| counted as zero.  An exact fit leaves its basis
+    rows at a few ulps of that scale, with a sign that depends on the shape
+    of the product forming x alpha; counted as zero, they take
+    1(y - eta <= 0) = 1 whatever product formed it.  The scale is not
+    max(|y|, |eta|): a row with y near 0 is rounded on the size of the terms
+    x_ik alpha_k that cancel in eta."""
+    resid = y - x @ alpha
+    resid[np.abs(resid) <= _ZERO_ULPS * _EPS * (np.abs(y) + np.abs(x) @ np.abs(alpha))] = 0.0
+    return resid
 
 
 # --------------------------------------------------------------------------
@@ -301,7 +322,7 @@ def _newton(family: FamilyKind, y, x, tol, max_iter):
     s_at_alpha = np.empty(y.shape)
     iterations, live = np.full(y.shape[1], max_iter), np.arange(y.shape[1])
     for it in range(1, max_iter + 1):
-        s, w = _factor(family, y[:, live], x @ alpha[:, live])
+        s, w = _factor(family, y[:, live], x, alpha[:, live])
         score = x.T @ s
         done = np.max(np.abs(score), axis=0) / n <= tol
         iterations[live[done]] = it
@@ -311,40 +332,20 @@ def _newton(family: FamilyKind, y, x, tol, max_iter):
             break
         alpha[:, live] += _solve_spd(x, x[:, :, None] * w[:, None, :], score.T[:, :, None])
     if live.size:
-        s_at_alpha[:, live] = _factor(family, y[:, live], x @ alpha[:, live])[0]
+        s_at_alpha[:, live] = _factor(family, y[:, live], x, alpha[:, live])[0]
     return alpha, iterations, s_at_alpha
-
-
-def _fit_quantile(y, x, tau, tol, max_iter):
-    """IRLS on |r| + eps weights with eps annealed to 1e-8.  A column stops
-    at the first step <= tol once eps is at 1e-8."""
-    alpha = np.linalg.lstsq(x, y, rcond=None)[0]
-    iterations, live = np.full(y.shape[1], max_iter), np.arange(y.shape[1])
-    eps = 1e-2
-    for it in range(1, max_iter + 1):
-        y_live = y[:, live]
-        resid = y_live - x @ alpha[:, live]
-        # check-loss weights: rho_tau(r) = r (tau - 1(r<=0)); MM surrogate
-        w = np.where(resid > 0, tau, 1.0 - tau) / np.maximum(np.abs(resid), eps)
-        xw = x[:, :, None] * w[:, None, :]
-        new = _solve_spd(x, xw, xw.transpose(2, 1, 0) @ y_live.T[:, :, None])
-        eps = max(eps * 0.5, 1e-8)
-        done = (np.max(np.abs(new - alpha[:, live]), axis=0) <= tol) & (eps <= 1e-8)
-        alpha[:, live] = new
-        iterations[live[done]] = it
-        live = live[~done]
-        if not live.size:
-            break
-    return alpha, iterations
 
 
 def _fit(family: FamilyKind, y, x, tol, max_iter, design="baseline"):
     """Solve X's = 0 on the full-rank design x for every column of the n x B
     response y in lock step; a stopped column is never touched again.
     Returns alpha (r x B), per column converged, iterations and the gradient
-    norm max|X's|/n (for quantile max|X's|, converged inside the subgradient
-    box r * max|x|, the discrete analogue of the equation), and the n x B
-    score factor s at alpha, evaluated once."""
+    norm max|X's|/n, the n x B score factor s at alpha, evaluated once, and
+    per column degenerate.  For quantile, X's = 0 is the minimum of the
+    check loss: converged means certified optimal (``quantile.fit_quantile``),
+    iterations counts simplex pivots, the gradient norm is max|X's|, and
+    degenerate marks a fit that met a degenerate vertex; it is False for
+    every other family."""
     n, r = x.shape
     if np.linalg.matrix_rank(x) < r:
         raise SingularDesignError(f"{design} design is rank-deficient")
@@ -352,15 +353,15 @@ def _fit(family: FamilyKind, y, x, tol, max_iter, design="baseline"):
         alpha = np.linalg.lstsq(x, y, rcond=None)[0]
         iterations, s = np.ones(y.shape[1], int), y - x @ alpha
     elif family.name == "quantile":
-        alpha, iterations = _fit_quantile(y, x, family.tau, tol, max_iter)
-        s = _factor(family, y, x @ alpha)[0]
+        from .quantile import fit_quantile  # compiled only when a quantile fit runs
+        alpha, converged, iterations, degenerate = fit_quantile(y, x, family.tau, max_iter)
+        s = _factor(family, y, x, alpha)[0]
+        return alpha, converged, iterations, np.max(np.abs(x.T @ s), axis=0), s, degenerate
     else:
         alpha, iterations, s = _newton(family, y, x, tol, max_iter)
-    gnorm = np.max(np.abs(x.T @ s), axis=0)
-    if family.name == "quantile":
-        return alpha, gnorm <= r * np.max(np.abs(x)), iterations, gnorm, s
-    gnorm /= n
-    return alpha, (gnorm <= tol) | (family.name == "gaussian"), iterations, gnorm, s
+    gnorm = np.max(np.abs(x.T @ s), axis=0) / n
+    return (alpha, (gnorm <= tol) | (family.name == "gaussian"), iterations, gnorm, s,
+            np.zeros(y.shape[1], bool))
 
 
 def _semi_fitted(ds: Dataset, alpha: np.ndarray):
@@ -396,14 +397,14 @@ def fit_null(ds: Dataset, family: FamilyKind, tol: float = DEFAULT_TOL,
 def refit_null(ds: Dataset, family: FamilyKind, fit: NullFit, y: np.ndarray):
     """Refit the null model on every column of the n x B response y: the
     n x B score factor at each column's refit (``score_rows`` gives its
-    score rows), and converged and iterations per column.  The
-    semiparametric propensity A ~ Z does not involve Y: ``fit``'s is
-    reused, its iterations counted."""
-    _, converged, iterations, _, s = _fit(_fit_family(family), y, ds.x_base,
-                                          DEFAULT_TOL, DEFAULT_MAX_ITER)
+    score rows), and converged, iterations and degenerate (a quantile fit
+    that met a degenerate vertex) per column.  The semiparametric propensity
+    A ~ Z does not involve Y: ``fit``'s is reused, its iterations counted."""
+    _, converged, iterations, _, s, degenerate = _fit(_fit_family(family), y, ds.x_base,
+                                                      DEFAULT_TOL, DEFAULT_MAX_ITER)
     if family.name == "semiparametric":
         iterations = np.maximum(iterations, fit.iterations)
-    return s, converged, iterations
+    return s, converged, iterations, degenerate
 
 
 def score_rows(ds: Dataset, family: FamilyKind, fit: NullFit, s: np.ndarray,
@@ -427,8 +428,9 @@ def score_psi0(ds: Dataset, family: FamilyKind, fit: NullFit) -> np.ndarray:
     For the semiparametric family it is the n x 1 scalar factor
     (A - pi_hat(Z)) (Y - gamma_hat(x_base)).
     """
-    eta = ds.x_base @ fit.alpha_hat[-ds.r:, None]  # the x_base coefficients come last
-    return score_rows(ds, family, fit, _factor(_fit_family(family), ds.y[:, None], eta)[0])
+    alpha = fit.alpha_hat[-ds.r:, None]  # the x_base coefficients come last
+    s = _factor(_fit_family(family), ds.y[:, None], ds.x_base, alpha)[0]
+    return score_rows(ds, family, fit, s)
 
 
 def _silverman_f0(resid: np.ndarray) -> float:
@@ -457,7 +459,7 @@ def sst_derivatives(ds: Dataset, family: FamilyKind, fit: NullFit) -> SstDerivat
         h = -np.hstack([(w1 * resid_y)[:, None] * z, resid_a[:, None] * x])
     else:
         eta = x @ fit.alpha_hat
-        s, w = _factor(family, ds.y, eta)
+        s, w = _factor(family, ds.y, x, fit.alpha_hat)
         psi1 = s[:, None] * x
         h = x
         if family.name == "quantile":
@@ -480,7 +482,8 @@ def bootstrap_sampler(ds: Dataset, family: FamilyKind, fit: NullFit):
 
     GLM/probit draw from the fitted null distribution; quantile uses the
     two-point wild multiplier P(nu = 2(1-tau)) = 1 - tau, P(nu = -2 tau) = tau
-    on absolute residuals; the semiparametric model uses a Gaussian wild
+    on absolute residuals (0 at the fit's basis rows, ``_quantile_residual``,
+    so those are redrawn at eta); the semiparametric model uses a Gaussian wild
     multiplier on signed residuals around gamma_hat(x_base).  The fitted
     eta, the mean, the dispersion and the residuals are formed here, once;
     the returned ``draw(rngs)`` gives the n x m block whose column b is drawn
@@ -498,7 +501,7 @@ def bootstrap_sampler(ds: Dataset, family: FamilyKind, fit: NullFit):
     elif name == "poisson":
         lam = np.exp(eta)
     elif name == "quantile":
-        spread = np.abs(ds.y - eta)[:, None]
+        spread = np.abs(_quantile_residual(ds.y, ds.x_base, fit.alpha_hat))[:, None]
 
     def one(rng) -> np.ndarray:
         if name == "poisson":

@@ -148,7 +148,8 @@ def wast_test(ds: Dataset, family: FamilyKind,
     and no n x n array is formed.  Replicates
     whose refit fails to converge are excluded; if more than 5% are, the
     test raises.  ``diagnostics`` counts the refits' (min, median, max)
-    iterations and those stopped at the iteration cap.
+    iterations, those stopped at the iteration cap and the quantile refits
+    that met a degenerate vertex.
     """
     if n_boot < 1:
         raise ParameterError("n_boot must be >= 1")
@@ -164,10 +165,11 @@ def wast_test(ds: Dataset, family: FamilyKind,
     n, p = psi0.shape
     stack = np.empty((n, (1 + n_boot) * p))
     stack[:, :p] = psi0
-    width, iterations = p, np.empty(n_boot, int)
+    width, iterations, degenerate = p, np.empty(n_boot, int), 0
     for start in range(0, n_boot, BOOT_BLOCK):
         y = draw([child_rng(seed, b) for b in range(start, min(start + BOOT_BLOCK, n_boot))])
-        s, converged, iterations[start:start + BOOT_BLOCK] = refit_null(ds, family, fit, y)
+        s, converged, iterations[start:start + BOOT_BLOCK], met = refit_null(ds, family, fit, y)
+        degenerate += int(np.count_nonzero(met))
         kept = int(np.count_nonzero(converged)) * p
         score_rows(ds, family, fit, s[:, converged], out=stack[:, width:width + kept])
         width += kept
@@ -182,4 +184,5 @@ def wast_test(ds: Dataset, family: FamilyKind,
                      "fit_gradient_norm": fit.gradient_norm,
                      "refit_iterations": (int(iterations.min()), float(np.median(iterations)),
                                           int(iterations.max())),
-                     "refits_at_cap": int(np.count_nonzero(iterations >= DEFAULT_MAX_ITER))})
+                     "refits_at_cap": int(np.count_nonzero(iterations >= DEFAULT_MAX_ITER)),
+                     "refits_degenerate": degenerate})

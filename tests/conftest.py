@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from changeplane import Dataset
 
@@ -28,3 +29,20 @@ def random_dataset(rng, n=40, r=3, p=2, q=3, family="gaussian"):
     else:
         raise ValueError(family)
     return Dataset(y=y, x_base=x_base, x_diff=x_diff, z_group=z_group)
+
+
+def highs_check_loss(y, x, tau):
+    """Minimum check loss by scipy's HiGHS: min tau 1'u+ + (1-tau) 1'u-
+    subject to x a + u+ - u- = y."""
+    n, r = x.shape
+    eye = np.eye(n)
+    res = linprog(np.concatenate([np.zeros(r), np.full(n, tau), np.full(n, 1.0 - tau)]),
+                  A_eq=np.hstack([x, eye, -eye]), b_eq=y,
+                  bounds=[(None, None)] * r + [(0.0, None)] * (2 * n), method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def check_loss(y, x, alpha, tau):
+    u = y - x @ alpha
+    return float(np.sum(u * (tau - (u < 0.0))))

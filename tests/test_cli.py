@@ -321,18 +321,36 @@ class TestStartup:
         return path
 
     def test_import_loads_no_scipy_and_no_process_pool(self):
-        # numpy.random is loaded by the import, so no test pays for it later.
+        # numpy.random is loaded by the import, so no test pays for it later;
+        # the quantile simplex is compiled only when a quantile fit runs.
         out = run_python("import sys, changeplane, changeplane.cli\n"
                          f"print({SCIPY_LOADED}, "
                          "'concurrent.futures.process' in sys.modules, "
-                         "'numpy.random' in sys.modules)")
-        assert out == ["[] False True"]
+                         "'numpy.random' in sys.modules, "
+                         "'changeplane.quantile' in sys.modules)")
+        assert out == ["[] False True False"]
 
     @pytest.mark.parametrize("weight", [[], ["--weight", "gaussian"]])
     def test_probit_test_command_loads_no_scipy(self, probit_csv, weight):
         argv = ["test", str(probit_csv), "--family", "probit", "--response", "y",
                 "--baseline", "x1", "--diff", "d1", "--grouping", "z1,z2",
                 "--boot", "30", "--seed", "3", *weight]
+        out = run_python("import sys\nfrom changeplane.cli import main\n"
+                         f"code = main({argv!r})\nprint(code, {SCIPY_LOADED})")
+        assert out[-1] == "0 []"
+        assert any(line.startswith("p_value=") for line in out)
+
+    def test_quantile_test_command_loads_no_scipy(self, tmp_path):
+        # The exact quantile fits run on numpy alone on continuous data.
+        rng = np.random.default_rng(5)
+        x1, d1, z1, z2 = rng.standard_normal((4, 150))
+        y = 0.5 + x1 + rng.standard_t(3, 150)
+        path = tmp_path / "quantile.csv"
+        np.savetxt(path, np.column_stack([y, x1, d1, z1, z2]), delimiter=",",
+                   header="y,x1,d1,z1,z2", comments="")
+        argv = ["test", str(path), "--family", "quantile", "--response", "y",
+                "--baseline", "x1", "--diff", "d1", "--grouping", "z1,z2",
+                "--boot", "100", "--seed", "3"]
         out = run_python("import sys\nfrom changeplane.cli import main\n"
                          f"code = main({argv!r})\nprint(code, {SCIPY_LOADED})")
         assert out[-1] == "0 []"

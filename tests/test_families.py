@@ -9,11 +9,11 @@ from changeplane import (FamilyKind, bootstrap_sample, fit_null, score_psi0,
                          sst_derivatives)
 from changeplane import families as families_module
 from changeplane.errors import ParameterError, SingularDesignError
-from changeplane.families import (DEFAULT_MAX_ITER, DEFAULT_TOL, _factor, _fit, _mills_pair,
-                                  bootstrap_sampler, refit_null, score_rows)
+from changeplane.families import (_ZERO_ULPS, DEFAULT_MAX_ITER, DEFAULT_TOL, _factor, _fit,
+                                  _mills_pair, bootstrap_sampler, refit_null, score_rows)
 from changeplane.rng import child_rng
 
-from conftest import random_dataset
+from conftest import check_loss, highs_check_loss, random_dataset
 
 
 def test_family_kind_validates():
@@ -132,7 +132,7 @@ class TestFitNull:
         one_col = type(ds)(y=y, x_base=np.ones((5, 1)), x_diff=np.ones((5, 1)),
                            z_group=ds.z_group)
         fit = fit_null(one_col, FamilyKind("quantile", tau=0.5))
-        assert fit.alpha_hat[0] == pytest.approx(3.0, abs=1e-4)
+        assert fit.alpha_hat[0] == 3.0
 
     def test_semiparametric_concatenation(self, rng):
         ds = random_dataset(rng, n=120)
@@ -174,8 +174,8 @@ class TestLockStepFit:
         y = np.column_stack([bootstrap_sample(ds, fam, fit, child_rng(7, b))
                              for b in range(64)])
         x = ds.x_base
-        alpha, converged, iterations, gnorm, _ = _fit(fam, y, x, DEFAULT_TOL,
-                                                      DEFAULT_MAX_ITER)
+        alpha, converged, iterations, gnorm, *_ = _fit(fam, y, x, DEFAULT_TOL,
+                                                       DEFAULT_MAX_ITER)
         ones = [_fit(fam, y[:, [b]], x, DEFAULT_TOL, DEFAULT_MAX_ITER)
                 for b in range(64)]
         np.testing.assert_array_equal(iterations, [one[2][0] for one in ones])
@@ -201,21 +201,87 @@ class TestLockStepFit:
         y = np.column_stack([bootstrap_sample(ds, fam, fit, child_rng(3, b))
                              for b in range(64)])
         x, max_iter = ds.x_base, 4
-        alpha, converged, iterations, gnorm, s = _fit(fam, y, x, DEFAULT_TOL, max_iter)
+        alpha, converged, iterations, gnorm, s, _ = _fit(fam, y, x, DEFAULT_TOL, max_iter)
         assert 0 < np.count_nonzero(~converged) < 64
         np.testing.assert_array_equal(iterations[~converged], max_iter)
-        fresh = _factor(fam, y, x @ alpha)[0]
+        fresh = _factor(fam, y, x, alpha)[0]
         for b in range(64):
             np.testing.assert_array_equal(s[:, b], fresh[:, b])
             assert gnorm[b] == np.max(np.abs(x.T @ fresh[:, b])) / ds.n
         monkeypatch.setattr(families_module, "DEFAULT_MAX_ITER", max_iter)
-        s, refit_converged, _ = refit_null(ds, fam, fit, y)
+        s, refit_converged, *_ = refit_null(ds, fam, fit, y)
         np.testing.assert_array_equal(refit_converged, converged)
         psi = score_rows(ds, fam, fit, s)
         p = ds.p
         for b in range(64):
             np.testing.assert_array_equal(psi[:, b * p:(b + 1) * p],
                                           fresh[:, b, None] * ds.x_diff)
+
+
+def quantile_design(rng, n, r, kind, cols):
+    """x = [1, normals] (a binary second column for "binary"), and ``cols``
+    responses y with t3 noise ("rounded": to integers, so tied)."""
+    x = np.hstack([np.ones((n, 1)), rng.standard_normal((n, r - 1))])
+    if kind.startswith("binary") and r > 1:
+        x[:, 1] = rng.random(n) < 0.5
+    y = x @ rng.uniform(-1.0, 1.0, (r, 1)) + rng.standard_t(3, (n, cols))
+    return (np.round(y) if kind.endswith("rounded") else y), x
+
+
+class TestExactQuantileFit:
+    """The lock-step simplex against scipy's HiGHS on hard inputs: every
+    column certified is optimal, its check loss HiGHS's to 1e-12 relative."""
+
+    def assert_optimal(self, y, x, tau):
+        alpha, converged, iterations, _, _, degenerate = _fit(
+            FamilyKind("quantile", tau=tau), y, x, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        assert converged.all() and np.all(iterations < DEFAULT_MAX_ITER)
+        for b in range(y.shape[1]):
+            best = highs_check_loss(y[:, b], x, tau)
+            assert check_loss(y[:, b], x, alpha[:, b], tau) == pytest.approx(
+                best, rel=1e-12, abs=1e-300)
+        return alpha, degenerate
+
+    # 4 kinds x 3 levels x 4 ranks x 12 columns = 576 columns.
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("kind", ["continuous", "rounded", "binary", "binary_rounded"])
+    def test_no_false_certificate(self, kind, tau, r):
+        rng = np.random.default_rng([r, int(tau * 10), len(kind)])
+        y, x = quantile_design(rng, 60, r, kind, 12)
+        _, degenerate = self.assert_optimal(y, x, tau)
+        if not kind.endswith("rounded"):
+            assert not degenerate.any()
+
+    @pytest.mark.parametrize("n", [2, 4, 10, 50])
+    def test_intercept_only_median_at_even_n(self, rng, n):
+        # Every point between the two middle order statistics is a minimiser;
+        # the fit is one of the two, and its loss is the minimum.
+        x = np.ones((n, 1))
+        for y in (rng.standard_normal((n, 8)), np.round(2.0 * rng.standard_normal((n, 8)))):
+            alpha, _ = self.assert_optimal(y, x, 0.5)
+            middle = np.sort(y, axis=0)[n // 2 - 1: n // 2 + 1]
+            assert np.all((alpha == middle[0]) | (alpha == middle[1]))
+
+    def test_tied_intercept_only_meets_degenerate_vertices(self, rng):
+        y = np.round(rng.standard_normal((40, 16)))
+        _, degenerate = self.assert_optimal(y, np.ones((40, 1)), 0.3)
+        assert degenerate.any()
+
+    @pytest.mark.parametrize("tau", [0.1, 0.9])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_one_row_more_than_coefficients(self, rng, r, tau):
+        y, x = quantile_design(rng, r + 1, r, "continuous", 16)
+        self.assert_optimal(y, x, tau)
+
+    def test_column_at_the_pivot_cap_is_not_converged(self, rng):
+        y, x = quantile_design(rng, 200, 3, "continuous", 64)
+        fam = FamilyKind("quantile", tau=0.1)
+        _, converged, iterations, *_ = _fit(fam, y, x, DEFAULT_TOL, 1)
+        needed = _fit(fam, y, x, DEFAULT_TOL, DEFAULT_MAX_ITER)[2]
+        assert np.any(~converged)
+        np.testing.assert_array_equal(converged, needed <= 1)
+        np.testing.assert_array_equal(iterations, np.minimum(needed, 1))
 
 
 class TestScorePsi0:
@@ -361,8 +427,13 @@ def per_replicate_draw(ds, family, fit, rng):
     if name == "probit":
         return (rng.standard_normal(ds.n) <= eta).astype(float)
     if name == "quantile":
+        # a residual at rounding level, as at an exact fit's basis rows, has
+        # no spread
+        spread = np.abs(ds.y - eta)
+        scale = np.abs(ds.y) + np.abs(ds.x_base) @ np.abs(fit.alpha_hat)
+        spread[spread <= _ZERO_ULPS * np.finfo(float).eps * scale] = 0.0
         nu = np.where(rng.random(ds.n) < 1.0 - tau, 2.0 * (1.0 - tau), -2.0 * tau)
-        return eta + nu * np.abs(ds.y - eta)
+        return eta + nu * spread
     return eta + rng.standard_normal(ds.n) * (ds.y - eta)
 
 
@@ -423,7 +494,13 @@ class TestBootstrapSample:
         fit = fit_null(ds, fam)
         y_b = bootstrap_sample(ds, fam, fit, np.random.default_rng(9))
         eta = ds.x_base @ fit.alpha_hat
-        nu = (y_b - eta) / np.abs(ds.y - eta)
+        spread = np.abs(ds.y - eta)
+        # The exact fit interpolates r rows: zero spread, redrawn at eta.
+        basis = np.argsort(spread)[:ds.r]
+        assert np.all(spread[basis] <= 1e-14 * np.max(np.abs(ds.y)))
+        np.testing.assert_array_equal(y_b[basis], eta[basis])
+        rest = np.setdiff1d(np.arange(ds.n), basis)
+        nu = (y_b[rest] - eta[rest]) / spread[rest]
         assert np.all((np.abs(nu - 1.4) < 1e-6) | (np.abs(nu + 0.6) < 1e-6))
 
     def test_gaussian_dispersion_is_mle(self, rng):

@@ -1,6 +1,7 @@
 """Properties every calibrated test keeps, checked on generated inputs:
-identical inputs give byte-identical outcomes, and the WAST statistic does
-not depend on how the null model's design x_base is parametrized."""
+identical inputs give byte-identical outcomes, the WAST statistic does not
+depend on how the null model's design x_base is parametrized, and the exact
+quantile fit is equivariant as the check-loss minimum is."""
 
 import pickle
 from dataclasses import fields, replace
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from changeplane import FamilyKind, sst_test, wast_statistic, wast_test, weight_matrix
-from changeplane.families import DEFAULT_TOL, fit_null, score_psi0
+from changeplane.families import DEFAULT_MAX_ITER, DEFAULT_TOL, _fit, fit_null, score_psi0
 
 from conftest import random_dataset
 
@@ -69,3 +70,50 @@ def test_wast_statistic_invariant_to_reparametrized_baseline(seed, n, r, family)
     psi = score_psi0(ds, kind, fit_null(ds, kind))
     scale = wast_statistic(np.linalg.norm(psi, axis=1), weight_matrix(ds.z_group))
     assert abs(t1 - t0) <= 100 * DEFAULT_TOL * scale
+
+
+def quantile_fit(y, x, tau):
+    alpha, converged, *_ = _fit(FamilyKind("quantile", tau=tau), y[:, None], x,
+                                DEFAULT_TOL, DEFAULT_MAX_ITER)
+    assert converged[0]
+    return alpha[:, 0]
+
+
+def quantile_problem(seed, n, r):
+    rng = np.random.default_rng(seed)
+    x = np.hstack([np.ones((n, 1)), rng.standard_normal((n, r - 1))])
+    return rng, x @ rng.uniform(-1.0, 1.0, r) + rng.standard_t(3, n), x
+
+
+def assert_close(got, want):
+    """Equal to 1e-12 relative to the larger coefficient."""
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+QUANTILE_PROBLEMS = dict(seed=SEEDS, n=st.integers(2, 150), r=st.integers(1, 4),
+                         tau=st.floats(0.05, 0.95))
+
+
+@settings(max_examples=30, deadline=None)
+@given(**QUANTILE_PROBLEMS)
+def test_quantile_fit_shift_equivariant(seed, n, r, tau):
+    # fit(y + X c) = fit(y) + c: the residuals, hence the optimal basis, are
+    # those of y.
+    rng, y, x = quantile_problem(seed, max(n, r + 1), r)
+    c = rng.uniform(-3.0, 3.0, r)
+    assert_close(quantile_fit(y + x @ c, x, tau), quantile_fit(y, x, tau) + c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**QUANTILE_PROBLEMS, lam=st.floats(1e-3, 1e3))
+def test_quantile_fit_scale_equivariant(seed, n, r, tau, lam):
+    _, y, x = quantile_problem(seed, max(n, r + 1), r)
+    assert_close(quantile_fit(lam * y, x, tau), lam * quantile_fit(y, x, tau))
+
+
+@settings(max_examples=30, deadline=None)
+@given(**QUANTILE_PROBLEMS)
+def test_quantile_fit_reflection(seed, n, r, tau):
+    # rho_{1-tau}(-u) = rho_tau(u): fit(-y, 1 - tau) = -fit(y, tau).
+    _, y, x = quantile_problem(seed, max(n, r + 1), r)
+    assert_close(quantile_fit(-y, x, 1.0 - tau), -quantile_fit(y, x, tau))

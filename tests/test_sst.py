@@ -355,7 +355,9 @@ class TestSstTest:
 
     # (family, levels, statistic, sum, min and max of boot_stats, p-value,
     # grid_skipped, grid_repaired) of sst_test at n = 121, K = 300 planes,
-    # B = 70, as computed before the kernel scored distinct memberships.
+    # B = 70, as computed before the kernel scored distinct memberships;
+    # quantile's as computed with its null fit HiGHS's optimum, snapped to
+    # its basis rows.
     PINNED = [
         ("gaussian", 1, 7.532014447076746, 331.87966211529397,
          0.998455228927223, 10.395745516550141, 0.05714285714285714, 0, 0),
@@ -365,8 +367,8 @@ class TestSstTest:
          1.7106870096491487, 14.583761453997788, 0.5142857142857142, 0, 0),
         ("probit", 1, 4.224775600580555, 404.85231268211936,
          1.340427363278141, 15.163986103214514, 0.7142857142857143, 0, 0),
-        ("quantile", 1, 11.572047822596424, 399.26018353661107,
-         1.2574971285580827, 13.849729502499093, 0.014285714285714285, 0, 0),
+        ("quantile", 1, 10.389695553918804, 406.74490864687886,
+         1.6977008694158706, 14.351298533052299, 0.07142857142857142, 0, 0),
         ("semiparametric", 1, 3.097861540121342, 258.1240940117771,
          0.5897757782913864, 10.727219938372869, 0.4857142857142857, 0, 0),
         ("gaussian", 4, 7.988140301416599, 502.14394723191367,
@@ -377,8 +379,8 @@ class TestSstTest:
          3.195447926016565, 16.826324160652383, 0.7857142857142857, 0, 0),
         ("probit", 4, 6.745408652873418, 543.9574323430865,
          2.4755074375581563, 16.11483896187481, 0.5285714285714286, 0, 0),
-        ("quantile", 4, 11.86564434983942, 566.3655769161878,
-         3.602070034581197, 16.471801506028637, 0.1, 0, 0),
+        ("quantile", 4, 9.677221865360298, 569.9831651610335,
+         3.52269453964269, 16.81409626511646, 0.24285714285714285, 0, 0),
         ("semiparametric", 4, 4.8319271368259935, 363.3712050899538,
          1.1117578460175555, 12.560332493695517, 0.45714285714285713, 0, 0),
     ]
@@ -444,6 +446,18 @@ class TestSstTest:
         assert out.diagnostics["grid_repaired"] == 5
         clean = sst_test(ds, fam, k_directions=5, n_resample=10, seed=0)
         assert clean.diagnostics["grid_repaired"] == 0
+
+    @pytest.mark.parametrize("family", ["gaussian", "quantile"])
+    def test_all_ones_diff_columns_repair_every_plane(self, rng, family):
+        # x_diff = [1, 1] makes every V(theta) singular: each of the K = 50
+        # planes is counted as ridge-repaired, none skipped.
+        ds = random_dataset(rng, n=80, family=family)
+        ones = replace(ds, x_diff=np.ones((80, 2)))
+        out = sst_test(ones, FamilyKind(family), k_directions=50, n_resample=10, seed=3)
+        assert out.diagnostics["grid_size"] == 50
+        assert out.diagnostics["grid_repaired"] == 50
+        assert out.diagnostics["grid_skipped"] == 0
+        assert np.isfinite(out.statistic)
 
     def test_pvalue_standard_error(self, rng):
         ds = random_dataset(rng, n=80, family="gaussian")

@@ -15,11 +15,12 @@ from changeplane import cli
 from changeplane import families as families_module
 from changeplane import wast as wast_module
 from changeplane import weights as weights_module
-from changeplane.families import refit_null
+from changeplane.families import (DEFAULT_MAX_ITER, DEFAULT_TOL, _fit, bootstrap_sampler,
+                                  refit_null)
 from changeplane.errors import DataError, NumericalError, ParameterError
 from changeplane.rng import child_rng
 
-from conftest import random_dataset
+from conftest import check_loss, highs_check_loss, random_dataset
 
 
 def double_loop_statistic(psi0, omega):
@@ -58,13 +59,13 @@ def flaky_refits(monkeypatch, failed):
     widths = []
 
     def refit(ds, family, fit, y):
-        psi, converged, iterations = refit_null(ds, family, fit, y)
+        psi, converged, iterations, degenerate = refit_null(ds, family, fit, y)
         first = sum(widths)
         widths.append(y.shape[1])
         hit = [b - first for b in failed if first <= b < first + y.shape[1]]
         converged = converged.copy()
         converged[hit] = False
-        return psi, converged, iterations
+        return psi, converged, iterations, degenerate
 
     monkeypatch.setattr(wast_module, "refit_null", refit)
     return widths
@@ -321,7 +322,8 @@ class TestWastTest:
 
     # (family, statistic, sum, min and max of boot_stats, p-value, n_boot) of
     # wast_test at n = 120, B = 70, as computed before the arcsin omega map,
-    # the reused score factor and the block bootstrap draws.
+    # the reused score factor and the block bootstrap draws; quantile's as
+    # computed with every fit HiGHS's optimum, snapped to its basis rows.
     PINNED = [
         ("gaussian", -0.005322047178223465, -0.4068396522321704,
          -0.010737989043521802, -0.0017048457514705407, 0.35714285714285715, 70),
@@ -331,8 +333,8 @@ class TestWastTest:
          -0.007649491962040331, -0.001610894497511904, 0.5142857142857142, 70),
         ("probit", -0.002536606513721681, -0.24001203230502693,
          -0.004918075607082743, -0.0015861575419650554, 0.07142857142857142, 70),
-        ("quantile", -0.0014454460306429625, -0.10509744502319128,
-         -0.001975938590143148, -0.00017676052876558918, 0.34285714285714286, 70),
+        ("quantile", -0.0015230191826570577, -0.10020508132872645,
+         -0.0019029834022102103, -0.00018380443663006018, 0.5571428571428572, 70),
         ("semiparametric", -0.0007824205178947468, -0.0024009414942480177,
          -0.0011843523449454967, 0.0032925498516954434, 0.9571428571428572, 70),
     ]
@@ -352,12 +354,63 @@ class TestWastTest:
                                    [statistic, total, low, high], rtol=1e-10, atol=0)
         assert out.p_value == p_value
 
-    def test_quantile_refits_at_cap_are_counted(self, rng):
+    def test_quantile_refits_are_exact(self, rng):
+        # Every refit is certified optimal, far below the pivot cap, and its
+        # check loss is HiGHS's.
         ds = random_dataset(rng, n=300, family="quantile")
-        out = wast_test(ds, FamilyKind("quantile"), n_boot=64, seed=2)
+        fam = FamilyKind("quantile")
+        out = wast_test(ds, fam, n_boot=64, seed=2)
         low, median, high = out.diagnostics["refit_iterations"]
-        assert out.diagnostics["refits_at_cap"] > 0 and high == 100
-        assert low <= median <= high
+        assert out.n_failed == 0 and out.diagnostics["refits_at_cap"] == 0
+        assert out.diagnostics["refits_degenerate"] == 0
+        assert low <= median <= high < 20
+        y = bootstrap_sampler(ds, fam, fit_null(ds, fam))([child_rng(2, b) for b in range(64)])
+        alpha, converged, iterations, *_ = _fit(fam, y, ds.x_base, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        assert converged.all() and iterations.max() == high
+        for b in range(64):
+            assert check_loss(y[:, b], ds.x_base, alpha[:, b], 0.5) == pytest.approx(
+                highs_check_loss(y[:, b], ds.x_base, 0.5), rel=1e-12)
+
+    def test_refits_at_the_pivot_cap_are_counted_and_dropped(self, rng, monkeypatch):
+        # With the cap at one pivot, a refit that needs more stops
+        # uncertified: it counts as at the cap and as failed.
+        ds = random_dataset(rng, n=300, family="quantile")
+        fam = FamilyKind("quantile")
+        fit = fit_null(ds, fam)
+        y = bootstrap_sampler(ds, fam, fit)([child_rng(6, b) for b in range(64)])
+        _, converged, iterations, *_ = _fit(fam, y, ds.x_base, DEFAULT_TOL, 1)
+        assert 0 < np.count_nonzero(~converged) < 64
+        for module in (families_module, wast_module):
+            monkeypatch.setattr(module, "DEFAULT_MAX_ITER", 1)
+        monkeypatch.setattr(wast_module, "MAX_FAILED_FRACTION", 1.0)
+        out = wast_test(ds, fam, n_boot=64, seed=6)
+        assert out.n_failed == np.count_nonzero(~converged)
+        assert out.diagnostics["refits_at_cap"] == np.count_nonzero(iterations >= 1)
+        assert out.diagnostics["refits_at_cap"] >= out.n_failed
+
+    def test_poisson_overflow_raises_and_exits_numeric(self, tmp_path, capsys):
+        # y ~ Poisson(exp(6 + 3x)): Newton from alpha = 0 overflows exp, the
+        # observed fit is not converged, and the CLI exits 3 printing no NaN.
+        rng = np.random.default_rng(0)
+        x, z = rng.standard_normal(200), rng.standard_normal((200, 2))
+        y = rng.poisson(np.exp(6.0 + 3.0 * x)).astype(float)
+        ones = np.ones((200, 1))
+        ds = Dataset(y=y, x_base=np.column_stack([ones, x]), x_diff=np.column_stack([ones, x]),
+                     z_group=np.column_stack([ones, z]))
+        with np.errstate(all="ignore"), \
+                pytest.raises(NumericalError, match="null fit did not converge"):
+            wast_test(ds, FamilyKind("poisson"), n_boot=10, seed=1)
+        path = tmp_path / "counts.csv"
+        np.savetxt(path, np.column_stack([y, x, z]), delimiter=",", header="y,x1,z1,z2",
+                   comments="")
+        with np.errstate(all="ignore"):
+            code = cli.main(["test", str(path), "--family", "poisson", "--response", "y",
+                             "--baseline", "x1", "--diff", "x1", "--grouping", "z1,z2",
+                             "--boot", "10", "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert code == cli.NUMERIC_EXIT == 3
+        assert "null fit did not converge" in err
+        assert "nan" not in (out + err).lower()
 
     def test_semiparametric_end_to_end(self, rng):
         ds = semiparametric_dataset(rng, 100)
