@@ -50,10 +50,9 @@ class Dataset:
                     f"{name} has {block.shape[0]} rows but y has {n}")
             if block.shape[1] < 1:
                 raise DataError(f"{name} must have at least one column")
-        for name, block in (("y", y), ("x_base", xb), ("x_diff", xd), ("z_group", zg)):
-            if not np.all(np.isfinite(block)):
-                raise DataError(f"{name} contains NaN or Inf entries")
         for name, val in (("y", y), ("x_base", xb), ("x_diff", xd), ("z_group", zg)):
+            if not np.all(np.isfinite(val)):
+                raise DataError(f"{name} contains NaN or Inf entries")
             val = val.copy()
             val.setflags(write=False)
             object.__setattr__(self, name, val)

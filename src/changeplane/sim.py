@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -46,10 +47,25 @@ class Scenario:
         r, p, q = self.dims
         if min(r, p, q) < 1:
             raise ParameterError("dims must be positive")
+        if self.n < 2:
+            raise ParameterError(f"n must be >= 2, got {self.n}")
         if not 0.0 <= self.rho < 1.0:
             raise ParameterError("rho must lie in [0, 1)")
         if not 0.0 < self.split_quantile < 1.0:
             raise ParameterError("split_quantile must lie in (0, 1)")
+        if self.theta_rule not in ("equispaced", "one_two", "uniform"):
+            raise ParameterError(f"unknown theta rule {self.theta_rule!r}")
+        if self.error_law not in ("std_normal", "t3", "cauchy"):
+            raise ParameterError(f"unknown error law {self.error_law!r}")
+        head, _, sd = self.z_law.partition(":")
+        try:
+            ok = (self.z_law in ("std_normal", "t3")
+                  or head == "normal" and 0.0 < float(sd) < math.inf)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ParameterError(f"z law must be std_normal, t3 or normal:<sd> with a finite "
+                                 f"sd > 0, got {self.z_law!r}")
 
 
 @dataclass
@@ -77,9 +93,7 @@ def _theta_tail(rule: str, q: int, rng) -> np.ndarray:
         tail = np.full(q - 1, 2.0)
         tail[0] = 1.0
         return tail
-    if rule == "uniform":
-        return rng.uniform(-1.0, 1.0, q - 1)
-    raise ParameterError(f"unknown theta rule {rule!r}")
+    return rng.uniform(-1.0, 1.0, q - 1)  # "uniform"
 
 
 def _error_draw(law: str, n: int, rng) -> np.ndarray:
@@ -87,9 +101,7 @@ def _error_draw(law: str, n: int, rng) -> np.ndarray:
         return rng.standard_normal(n)
     if law == "t3":
         return rng.standard_t(3, n)
-    if law == "cauchy":
-        return rng.standard_cauchy(n)
-    raise ParameterError(f"unknown error law {law!r}")
+    return rng.standard_cauchy(n)  # "cauchy"
 
 
 def _z_tail_draw(law: str, n: int, dim: int, rng) -> np.ndarray:
@@ -97,10 +109,7 @@ def _z_tail_draw(law: str, n: int, dim: int, rng) -> np.ndarray:
         return rng.standard_normal((n, dim))
     if law == "t3":
         return rng.standard_t(3, (n, dim))
-    if law.startswith("normal:"):
-        sd = float(law.split(":", 1)[1])
-        return sd * rng.standard_normal((n, dim))
-    raise ParameterError(f"unknown z law {law!r}")
+    return float(law.split(":", 1)[1]) * rng.standard_normal((n, dim))  # "normal:<sd>"
 
 
 def _split_indicator(z_tail: np.ndarray, theta_tail: np.ndarray,
@@ -117,9 +126,7 @@ def _binomial_intercept(shift: np.ndarray, target: float = 1.0 / 3.0) -> float:
     # Imported here: only this design needs a root finder, and importing
     # scipy costs more than importing the rest of the package.
     from scipy.optimize import brentq
-    def f(a1):
-        return float(np.mean(_logistic(a1 + shift))) - target
-    return brentq(f, -30.0, 30.0)
+    return brentq(lambda a1: float(np.mean(_logistic(a1 + shift))) - target, -30.0, 30.0)
 
 
 def _generate_glm(sc: Scenario, rng) -> Dataset:
@@ -127,13 +134,9 @@ def _generate_glm(sc: Scenario, rng) -> Dataset:
     n = sc.n
     m = max(r, p)
     latent_dim = (m - 1) + (q - 1)
-    if latent_dim > 0:
-        cov = np.full((latent_dim, latent_dim), sc.rho)
-        np.fill_diagonal(cov, 1.0)
-        chol = np.linalg.cholesky(cov)
-        lat = rng.standard_normal((n, latent_dim)) @ chol.T
-    else:
-        lat = np.zeros((n, 0))
+    cov = np.full((latent_dim, latent_dim), sc.rho)
+    np.fill_diagonal(cov, 1.0)
+    lat = rng.standard_normal((n, latent_dim)) @ np.linalg.cholesky(cov).T
     v = lat[:, : m - 1]
     if sc.z_law == "std_normal":
         z_tail = lat[:, m - 1:]
@@ -195,8 +198,7 @@ def _generate_semiparametric(sc: Scenario, rng) -> Dataset:
     v2 = rng.uniform(-1.0, 1.0, n)
     x_base = np.column_stack([np.ones(n), v1, v2])
     extra = rng.uniform(-1.0, 1.0, (n, max(q - 3, 0)))
-    z_group = np.hstack([x_base, extra])[:, :q] if q >= 3 else \
-        np.hstack([np.ones((n, 1)), np.column_stack([v1, v2])[:, : q - 1]])
+    z_group = np.hstack([x_base, extra])[:, :q]
     a = (rng.random(n) < 0.5).astype(float)  # propensity P1: pi = 0.5
     gamma = 1.0 + 0.5 * v1 + v2 ** 2         # baseline B1 (misspecified linear fit)
     theta_tail = _theta_tail("one_two" if sc.theta_rule == "equispaced"
@@ -223,62 +225,58 @@ def _test_seed(sc: Scenario, rep: int) -> int:
     return int(child_seed_sequence(sc.seed, 1, rep).generate_state(1)[0])
 
 
-def _one_pvalue(args) -> float:
-    """One Monte-Carlo replicate: generate data, run the requested test."""
-    (sc, method, rep, n_boot, sst_kwargs) = args
-    data_rng = child_rng(sc.seed, 0, rep)
-    ds = generate(sc, data_rng)
+def _study_job(job) -> list[float]:
+    """One (kappa, replicate) job: its dataset, generated once, and the
+    p-value of every bound test on it under the replicate's test seed."""
+    sc, rep, tests = job
+    ds = generate(sc, child_rng(sc.seed, 0, rep))
     seed = _test_seed(sc, rep)
-    if method == "wast":
-        out = wast_test(ds, sc.family, n_boot=n_boot, seed=seed)
-    elif method == "sst":
-        out = sst_test(ds, sc.family, n_resample=n_boot, seed=seed, **sst_kwargs)
-    else:
-        raise ParameterError(f"unknown method {method!r}")
-    return out.p_value
-
-
-def _pvalues(sc: Scenario, method: str, reps: int, n_boot: int,
-             threads: int = 1, sst_kwargs: dict | None = None) -> np.ndarray:
-    jobs = [(sc, method, rep, n_boot, sst_kwargs or {}) for rep in range(reps)]
-    if threads <= 1:
-        vals = [_one_pvalue(job) for job in jobs]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            # map preserves submission order: reduction is by index, so the
-            # result is identical for any worker count.
-            vals = list(pool.map(_one_pvalue, jobs, chunksize=1))
-    return np.asarray(vals)
+    return [test(ds, sc.family, seed=seed).p_value for test in tests]
 
 
 def run_size(sc: Scenario, reps: int = 300, n_boot: int = 200,
              level: float = 0.05, method: str = "wast", threads: int = 1,
              sst_kwargs: dict | None = None) -> dict:
-    """Empirical rejection rate under the scenario (kappa as given)."""
-    if reps < 1:
-        raise ParameterError("reps must be >= 1")
-    if not 0.0 < level < 1.0:
-        raise ParameterError(f"level must lie in (0, 1), got {level}")
-    pvals = _pvalues(sc, method, reps, n_boot, threads, sst_kwargs)
-    rate = float(np.mean(pvals < level))
-    return {"rate": rate, "reps": reps,
-            "stderr": math.sqrt(max(rate * (1.0 - rate), 0.0) / reps),
-            "method": method, "level": level, "kappa": sc.kappa, "n": sc.n}
+    """Empirical rejection rate at the scenario's own kappa: a one-cell power study."""
+    row = run_power(sc, [sc.kappa], reps, n_boot, level, (method,), threads, sst_kwargs).rows[0]
+    return {**row, "level": level}
 
 
 def run_power(sc: Scenario, kappa_grid, reps: int = 300, n_boot: int = 200,
               level: float = 0.05, methods=("wast",), threads: int = 1,
               sst_kwargs: dict | None = None) -> PowerTable:
-    """One rejection-rate row per (kappa, method)."""
-    kappa_grid = list(kappa_grid)
+    """One rejection-rate row per (kappa, method), kappa-major.
+
+    The study is one ordered list of (kappa, replicate) jobs.  Each job
+    generates its dataset once and tests it with every method, so the
+    methods share their datasets.  Every input is checked before the first
+    replicate runs.
+    """
+    kappa_grid = [float(kappa) for kappa in kappa_grid]
     if not kappa_grid:
         raise ParameterError("kappa grid must be nonempty")
+    if reps < 1:
+        raise ParameterError("reps must be >= 1")
+    if not 0.0 < level < 1.0:
+        raise ParameterError(f"level must lie in (0, 1), got {level}")
+    # Bound per call, not at import, so a replaced module attribute is the test that runs.
+    bound = {"wast": partial(wast_test, n_boot=n_boot),
+             "sst": partial(sst_test, n_resample=n_boot, **(sst_kwargs or {}))}
+    methods = tuple(methods)
+    if not methods or len(set(methods)) < len(methods) or not set(methods) <= bound.keys():
+        raise ParameterError(f"methods must be distinct names among wast and sst, got {methods}")
+    tests = tuple(bound[method] for method in methods)
+    jobs = [(replace(sc, kappa=kappa), rep, tests) for kappa in kappa_grid for rep in range(reps)]
+    if threads <= 1:
+        pvals = [_study_job(job) for job in jobs]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            # map keeps submission order: the table is the same on any worker count.
+            pvals = list(pool.map(_study_job, jobs, chunksize=1))
+    rates = (np.array(pvals).reshape(len(kappa_grid), reps, -1) < level).mean(axis=1)
     table = PowerTable()
-    for kappa in kappa_grid:
-        sck = replace(sc, kappa=float(kappa))
-        for method in methods:
-            res = run_size(sck, reps=reps, n_boot=n_boot, level=level,
-                           method=method, threads=threads, sst_kwargs=sst_kwargs)
-            table.add(float(kappa), sc.n, method, res["rate"], reps)
+    for kappa, cell in zip(kappa_grid, rates):
+        for method, rate in zip(methods, cell):
+            table.add(kappa, sc.n, method, float(rate), reps)
     return table

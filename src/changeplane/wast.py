@@ -148,8 +148,8 @@ def wast_test(ds: Dataset, family: FamilyKind,
     and no n x n array is formed.  Replicates
     whose refit fails to converge are excluded; if more than 5% are, the
     test raises.  ``diagnostics`` counts the refits' (min, median, max)
-    iterations, those stopped at the iteration cap and the quantile refits
-    that met a degenerate vertex.
+    iterations, those stopped unconverged at the iteration cap and the
+    quantile refits that met a degenerate vertex.
     """
     if n_boot < 1:
         raise ParameterError("n_boot must be >= 1")
@@ -165,10 +165,12 @@ def wast_test(ds: Dataset, family: FamilyKind,
     n, p = psi0.shape
     stack = np.empty((n, (1 + n_boot) * p))
     stack[:, :p] = psi0
-    width, iterations, degenerate = p, np.empty(n_boot, int), 0
+    width, iterations, at_cap, degenerate = p, np.empty(n_boot, int), 0, 0
     for start in range(0, n_boot, BOOT_BLOCK):
         y = draw([child_rng(seed, b) for b in range(start, min(start + BOOT_BLOCK, n_boot))])
-        s, converged, iterations[start:start + BOOT_BLOCK], met = refit_null(ds, family, fit, y)
+        s, converged, its, met = refit_null(ds, family, fit, y)
+        iterations[start:start + BOOT_BLOCK] = its
+        at_cap += int(np.count_nonzero(~converged & (its >= DEFAULT_MAX_ITER)))
         degenerate += int(np.count_nonzero(met))
         kept = int(np.count_nonzero(converged)) * p
         score_rows(ds, family, fit, s[:, converged], out=stack[:, width:width + kept])
@@ -184,5 +186,5 @@ def wast_test(ds: Dataset, family: FamilyKind,
                      "fit_gradient_norm": fit.gradient_norm,
                      "refit_iterations": (int(iterations.min()), float(np.median(iterations)),
                                           int(iterations.max())),
-                     "refits_at_cap": int(np.count_nonzero(iterations >= DEFAULT_MAX_ITER)),
+                     "refits_at_cap": at_cap,
                      "refits_degenerate": degenerate})

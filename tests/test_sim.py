@@ -1,10 +1,13 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from changeplane import (FamilyKind, PowerTable, Scenario, generate,
                          run_power, run_size, validate)
+from changeplane import sim as sim_module
+from changeplane.cli import USAGE_EXIT, main
 from changeplane.errors import ParameterError
 from changeplane.rng import child_rng
 
@@ -20,6 +23,11 @@ class TestScenario:
         with pytest.raises(ParameterError):
             glm_scenario(dims=(0, 1, 2))
 
+    @pytest.mark.parametrize("n", [1, 0, -5])
+    def test_validates_n(self, n):
+        with pytest.raises(ParameterError, match="n must be >= 2"):
+            glm_scenario(n=n)
+
     def test_validates_rho(self):
         with pytest.raises(ParameterError):
             glm_scenario(rho=1.0)
@@ -27,6 +35,20 @@ class TestScenario:
     def test_validates_split(self):
         with pytest.raises(ParameterError):
             glm_scenario(split_quantile=0.0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("theta_rule", "spiral", "unknown theta rule"),
+        ("error_law", "laplace", "unknown error law"),
+        *(("z_law", law, "z law must be") for law in (
+            "normal:abc", "normal:0", "normal:-1", "normal:nan", "normal:inf", "normal:",
+            "normal", "cauchy", "t3:2"))])
+    def test_laws_checked_when_built(self, field, value, message):
+        with pytest.raises(ParameterError, match=message):
+            glm_scenario(**{field: value})
+
+    @pytest.mark.parametrize("z_law", ["std_normal", "t3", "normal:2", "normal:1e-3"])
+    def test_known_z_laws_accepted(self, z_law):
+        assert generate(glm_scenario(z_law=z_law, n=30)).n == 30
 
 
 class TestGenerate:
@@ -156,3 +178,66 @@ class TestRunners:
     def test_level_outside_unit_interval(self, level):
         with pytest.raises(ParameterError, match="level"):
             run_size(glm_scenario(), reps=2, n_boot=10, level=level)
+
+
+def counting(monkeypatch, *names):
+    """Replace each named ``sim`` function by a wrapper that counts its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _f=getattr(sim_module, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(sim_module, name, counted)
+    return calls
+
+
+class TestStudyLoop:
+    SST = {"k_directions": 30}
+
+    def test_each_dataset_generated_once_for_all_methods(self, monkeypatch):
+        calls = counting(monkeypatch, "generate", "wast_test", "sst_test")
+        run_power(glm_scenario(n=60, seed=25), [0.0, 0.5, 1.0], reps=3, n_boot=10,
+                  methods=("wast", "sst"), sst_kwargs=self.SST)
+        assert calls == {"generate": 9, "wast_test": 9, "sst_test": 9}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rows_equal_single_method_size_studies(self, threads):
+        sc = glm_scenario(n=60, seed=26)
+        table = run_power(sc, [0.0, 1.5], reps=4, n_boot=12, level=0.3,
+                          methods=("sst", "wast"), threads=threads, sst_kwargs=self.SST)
+        cells = [(kappa, method) for kappa in (0.0, 1.5) for method in ("sst", "wast")]
+        assert [(row["kappa"], row["method"]) for row in table.rows] == cells
+        for row, (kappa, method) in zip(table.rows, cells):
+            alone = run_size(replace(sc, kappa=kappa), reps=4, n_boot=12, level=0.3,
+                             method=method, threads=1, sst_kwargs=self.SST)
+            assert alone == {**row, "level": 0.3}
+        assert len({row["rate"] for row in table.rows}) > 1  # the rates tell cells apart
+
+    @pytest.mark.parametrize("methods", [("wast", "foo"), ("foo", "wast"), (),
+                                         ("wast", "wast"), ("sst", "wast", "sst")])
+    def test_bad_methods_raise_before_any_replicate(self, monkeypatch, methods):
+        calls = counting(monkeypatch, "generate", "wast_test", "sst_test")
+        with pytest.raises(ParameterError, match="methods must be distinct"):
+            run_power(glm_scenario(), [0.0, 1.0], reps=2, n_boot=10, methods=methods)
+        assert calls == {"generate": 0, "wast_test": 0, "sst_test": 0}
+
+    def test_bad_method_in_size_study(self):
+        with pytest.raises(ParameterError, match="methods must be distinct"):
+            run_size(glm_scenario(), reps=2, n_boot=10, method="foo")
+
+    @pytest.mark.parametrize("command", ["simulate", "power"])
+    @pytest.mark.parametrize("flags", [["--methods", "wast,foo"], ["--methods", ""],
+                                       ["--methods", "wast,wast"], ["--z-law", "normal:abc"],
+                                       ["--z-law", "normal:0"], ["--z-law", "cauchy"],
+                                       ["--n", "0"]])
+    def test_cli_usage_exit_and_no_csv(self, tmp_path, capsys, monkeypatch, command, flags):
+        calls = counting(monkeypatch, "generate", "wast_test", "sst_test")
+        out_csv = tmp_path / "out.csv"
+        extra = ["--kappa-grid", "0,1"] if command == "power" else []
+        code = main([command, "--family", "binomial", "--n", "60", "--reps", "2",
+                     "--boot", "10", "--seed", "3", *extra, *flags,
+                     "--output", str(out_csv)])
+        out, err = capsys.readouterr()
+        assert code == USAGE_EXIT and err.splitlines()[-1].startswith("error: ")
+        assert "rate=" not in out and not out_csv.exists()
+        assert calls == {"generate": 0, "wast_test": 0, "sst_test": 0}

@@ -385,8 +385,22 @@ class TestWastTest:
         monkeypatch.setattr(wast_module, "MAX_FAILED_FRACTION", 1.0)
         out = wast_test(ds, fam, n_boot=64, seed=6)
         assert out.n_failed == np.count_nonzero(~converged)
-        assert out.diagnostics["refits_at_cap"] == np.count_nonzero(iterations >= 1)
-        assert out.diagnostics["refits_at_cap"] >= out.n_failed
+        assert out.diagnostics["refits_at_cap"] == out.n_failed
+
+    def test_refits_converged_at_the_cap_are_not_counted_at_it(self, monkeypatch):
+        # With the cap at 4 Newton evaluations, all 64 refits run 4 of them,
+        # but 50 converge at the 4th: only the 14 that do not are at the cap.
+        ds = random_dataset(np.random.default_rng(3), n=61, family="binomial")
+        fam = FamilyKind("binomial")
+        y = bootstrap_sampler(ds, fam, fit_null(ds, fam))([child_rng(3, b) for b in range(64)])
+        _, converged, iterations, *_ = _fit(fam, y, ds.x_base, DEFAULT_TOL, 4)
+        assert np.count_nonzero(iterations >= 4) == 64 and np.count_nonzero(~converged) == 14
+        for module in (families_module, wast_module):
+            monkeypatch.setattr(module, "DEFAULT_MAX_ITER", 4)
+        monkeypatch.setattr(wast_module, "MAX_FAILED_FRACTION", 1.0)
+        out = wast_test(ds, fam, n_boot=64, seed=3)
+        assert out.diagnostics["refit_iterations"] == (4, 4.0, 4)
+        assert out.diagnostics["refits_at_cap"] == out.n_failed == 14
 
     def test_poisson_overflow_raises_and_exits_numeric(self, tmp_path, capsys):
         # y ~ Poisson(exp(6 + 3x)): Newton from alpha = 0 overflows exp, the
