@@ -21,7 +21,7 @@ import numpy as np
 from . import weights
 from .data import ColumnSpec, load_csv
 from .errors import ChangePlaneError, DataError, ParameterError, ValidationError
-from .families import FamilyKind
+from .families import FAMILIES, FamilyKind
 from .sim import Scenario, run_power
 from .sst import sst_test
 from .wast import wast_test
@@ -149,9 +149,7 @@ def _study(args, kappas, default_output: str, banner: str, line: str) -> int:
 
 
 def _add_family_args(p):
-    p.add_argument("--family", required=True,
-                   choices=["gaussian", "binomial", "poisson", "probit",
-                            "quantile", "semiparametric"])
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--tau", type=float, default=0.5,
                    help="quantile level (quantile family only)")
 
@@ -210,8 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--grouping", default="", help="comma list of columns")
     p_test.add_argument("--no-intercept-baseline", action="store_true")
     p_test.add_argument("--no-intercept-grouping", action="store_true")
-    p_test.add_argument("--weight", default="std_gaussian",
-                        choices=["std_gaussian", "gaussian", "beta", "uni_gaussian"])
+    p_test.add_argument("--weight", default="std_gaussian", choices=weights.VARIANTS)
     p_test.add_argument("--beta-lambda1", type=float, default=1.0)
     p_test.add_argument("--beta-lambda2", type=float, default=1.0)
     p_test.add_argument("--weight-mu", type=float, default=0.0)

@@ -2,8 +2,9 @@
 
 Each family is stated once, through its per-row score factor s_i = s(Y_i,
 eta_i) at eta = x_base alpha (``_factor``).  The null fit solves
-sum_i s_i x_base,i = 0; the test score rows are psi0_i = s_i x_diff,i and the
-nuisance rows psi1_i = s_i x_base,i.  This module provides:
+sum_i s_i x_base,i = 0; the test score rows are psi0_i = s_i d_i, d = x_diff
+(the propensity residual for the semiparametric model), and the nuisance
+rows psi1_i = s_i x_base,i.  This module provides:
 
 * ``fit_null``        -- the null-model fit (beta = 0) solving the nuisance
                          estimating equation: one least-squares solve for
@@ -14,8 +15,8 @@ nuisance rows psi1_i = s_i x_base,i.  This module provides:
 * ``refit_null``      -- the same fit, in lock step, on every column of an
                          n x B bootstrap response matrix, with each column's
                          score factor,
+* ``score_factor``    -- the factor s and the row d of psi0_i = s_i d_i,
 * ``score_psi0``      -- the n x p theta-free score rows psi0,
-* ``score_rows``      -- the score rows of a block of score factors,
 * ``sst_derivatives`` -- the row factors of K(theta) and the J matrix needed
                          by the supremum score test,
 * ``plane_projections``-- which rows lie inside which change planes,
@@ -28,7 +29,7 @@ nuisance rows psi1_i = s_i x_base,i.  This module provides:
 Families: gaussian / binomial / poisson GLMs with canonical links, probit,
 quantile (check-loss, any tau in (0,1)), and the semiparametric
 treatment-effect model with working logistic propensity pi(Z) and linear
-baseline gamma(x_base), whose scalar score factor is (A - pi(Z))(Y - gamma).
+baseline gamma(x_base), whose scalar score row is (A - pi(Z))(Y - gamma).
 """
 
 from __future__ import annotations
@@ -42,13 +43,12 @@ from .data import Dataset, validate
 from .errors import ParameterError, SingularDesignError
 
 __all__ = [
-    "FamilyKind", "NullFit", "SstDerivatives", "plane_projections",
-    "fit_null", "refit_null", "score_psi0", "score_rows", "sst_derivatives",
+    "FAMILIES", "FamilyKind", "NullFit", "SstDerivatives", "plane_projections",
+    "fit_null", "refit_null", "score_factor", "score_psi0", "sst_derivatives",
     "bootstrap_sampler", "bootstrap_sample",
 ]
 
-_ALL_FAMILIES = ("gaussian", "binomial", "poisson", "probit", "quantile",
-                 "semiparametric")
+FAMILIES = ("gaussian", "binomial", "poisson", "probit", "quantile", "semiparametric")
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
@@ -115,9 +115,8 @@ class FamilyKind:
     tau: float = 0.5
 
     def __post_init__(self):
-        if self.name not in _ALL_FAMILIES:
-            raise ParameterError(
-                f"unknown family {self.name!r}; expected one of {_ALL_FAMILIES}")
+        if self.name not in FAMILIES:
+            raise ParameterError(f"unknown family {self.name!r}; expected one of {FAMILIES}")
         if self.name == "quantile" and not 0.0 < self.tau < 1.0:
             raise ParameterError(f"tau must lie strictly in (0,1), got {self.tau}")
 
@@ -396,9 +395,9 @@ def fit_null(ds: Dataset, family: FamilyKind, tol: float = DEFAULT_TOL,
 
 def refit_null(ds: Dataset, family: FamilyKind, fit: NullFit, y: np.ndarray):
     """Refit the null model on every column of the n x B response y: the
-    n x B score factor at each column's refit (``score_rows`` gives its
-    score rows), and converged, iterations and degenerate (a quantile fit
-    that met a degenerate vertex) per column.  The semiparametric propensity
+    n x B score factor at each column's refit, the s of ``score_factor``,
+    and converged, iterations and degenerate (a quantile fit that met a
+    degenerate vertex) per column.  The semiparametric propensity
     A ~ Z does not involve Y: ``fit``'s is reused, its iterations counted."""
     _, converged, iterations, _, s, degenerate = _fit(_fit_family(family), y, ds.x_base,
                                                       DEFAULT_TOL, DEFAULT_MAX_ITER)
@@ -407,30 +406,22 @@ def refit_null(ds: Dataset, family: FamilyKind, fit: NullFit, y: np.ndarray):
     return s, converged, iterations, degenerate
 
 
-def score_rows(ds: Dataset, family: FamilyKind, fit: NullFit, s: np.ndarray,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """Score rows of every column of the n x B score factor s, side by side
-    as n x (B*p), column b in columns b*p to b*p + p - 1; written into
-    ``out`` (n x (B*p), any row stride) when given.  For the semiparametric
-    family s is the residual Y - gamma_hat(x_base), and ``fit``'s
-    propensity gives pi_hat(Z)."""
+def score_factor(ds: Dataset, family: FamilyKind, fit: NullFit):
+    """The theta-free score rows as psi0_i = s_i d_i: the n-vector s of
+    factors at alpha_hat and the n x p rows d = x_diff.  For the
+    semiparametric family s is the residual Y - gamma_hat(x_base) and d the
+    n x 1 propensity residual A - pi_hat(Z)."""
+    alpha = fit.alpha_hat[-ds.r:, None]  # the x_base coefficients come last
+    s = _factor(_fit_family(family), ds.y[:, None], ds.x_base, alpha)[0][:, 0]
     if family.name == "semiparametric":
-        resid_a = ds.x_diff - _logistic(ds.z_group @ fit.alpha_hat[: ds.q, None])
-        return np.multiply(resid_a, s, out=out)
-    rows = np.multiply(s[:, :, None], ds.x_diff[:, None, :],
-                       out=None if out is None else out.reshape(ds.n, -1, ds.p))
-    return rows.reshape(ds.n, -1)
+        return s, ds.x_diff - _logistic(ds.z_group @ fit.alpha_hat[: ds.q, None])
+    return s, ds.x_diff
 
 
 def score_psi0(ds: Dataset, family: FamilyKind, fit: NullFit) -> np.ndarray:
-    """The n x p theta-free score rows psi0(V_i, alpha_hat) = s_i x_diff,i.
-
-    For the semiparametric family it is the n x 1 scalar factor
-    (A - pi_hat(Z)) (Y - gamma_hat(x_base)).
-    """
-    alpha = fit.alpha_hat[-ds.r:, None]  # the x_base coefficients come last
-    s = _factor(_fit_family(family), ds.y[:, None], ds.x_base, alpha)[0]
-    return score_rows(ds, family, fit, s)
+    """The n x p theta-free score rows psi0(V_i, alpha_hat) = s_i d_i."""
+    s, d = score_factor(ds, family, fit)
+    return s[:, None] * d
 
 
 def _silverman_f0(resid: np.ndarray) -> float:

@@ -20,7 +20,7 @@ from .data import Dataset
 from .errors import ParameterError
 from .families import FamilyKind, _logistic
 from .rng import child_rng, child_seed_sequence
-from .sst import sst_test
+from .sst import GRID_OPTIONS, check_grid_options, sst_test
 from .wast import wast_test
 
 __all__ = ["Scenario", "PowerTable", "generate", "run_size", "run_power"]
@@ -49,6 +49,8 @@ class Scenario:
             raise ParameterError("dims must be positive")
         if self.n < 2:
             raise ParameterError(f"n must be >= 2, got {self.n}")
+        if not math.isfinite(self.kappa):
+            raise ParameterError(f"kappa must be finite, got {self.kappa}")
         if not 0.0 <= self.rho < 1.0:
             raise ParameterError("rho must lie in [0, 1)")
         if not 0.0 < self.split_quantile < 1.0:
@@ -259,12 +261,20 @@ def run_power(sc: Scenario, kappa_grid, reps: int = 300, n_boot: int = 200,
         raise ParameterError("reps must be >= 1")
     if not 0.0 < level < 1.0:
         raise ParameterError(f"level must lie in (0, 1), got {level}")
+    if n_boot < 1:
+        raise ParameterError("n_boot must be >= 1")
+    sst_kwargs = sst_kwargs or {}
+    if not set(sst_kwargs) <= set(GRID_OPTIONS):
+        raise ParameterError(f"sst_kwargs must name options among {GRID_OPTIONS}, "
+                             f"got {sorted(sst_kwargs)}")
     # Bound per call, not at import, so a replaced module attribute is the test that runs.
     bound = {"wast": partial(wast_test, n_boot=n_boot),
-             "sst": partial(sst_test, n_resample=n_boot, **(sst_kwargs or {}))}
+             "sst": partial(sst_test, n_resample=n_boot, **sst_kwargs)}
     methods = tuple(methods)
     if not methods or len(set(methods)) < len(methods) or not set(methods) <= bound.keys():
         raise ParameterError(f"methods must be distinct names among wast and sst, got {methods}")
+    if "sst" in methods:
+        check_grid_options(**sst_kwargs)
     tests = tuple(bound[method] for method in methods)
     jobs = [(replace(sc, kappa=kappa), rep, tests) for kappa in kappa_grid for rep in range(reps)]
     if threads <= 1:

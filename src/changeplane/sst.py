@@ -30,8 +30,8 @@ from .families import (FamilyKind, SstDerivatives, fit_null, plane_projections,
 from .rng import child_rng
 from .wast import TestOutcome
 
-__all__ = ["ThetaGrid", "build_theta_grid", "score_test_at", "sst_statistic",
-           "sst_test"]
+__all__ = ["ThetaGrid", "GRID_OPTIONS", "check_grid_options", "build_theta_grid",
+           "score_test_at", "sst_statistic", "sst_test"]
 
 # Ridge repair for near-singular V(theta): add this multiple of trace/p.
 RIDGE_SCALE = 1e-8
@@ -56,6 +56,16 @@ class ThetaGrid:
         return self.thetas.shape[0]
 
 
+GRID_OPTIONS = ("k_directions", "grid_per_direction")  # of build_theta_grid and sst_test
+
+
+def check_grid_options(**options) -> None:
+    """The rule for the theta-grid options: each must be >= 1."""
+    bad = [f"{name}={value}" for name, value in options.items() if not value >= 1]
+    if bad:
+        raise ParameterError(f"grid options must be >= 1, got {', '.join(bad)}")
+
+
 def build_theta_grid(ds: Dataset, k_directions: int = 1000,
                      grid_per_direction: int = 1, seed: int = 0) -> ThetaGrid:
     """Random unit directions with percentile-calibrated intercepts.
@@ -68,8 +78,7 @@ def build_theta_grid(ds: Dataset, k_directions: int = 1000,
     """
     if ds.q < 2:
         raise ParameterError("theta grid requires q >= 2 grouping columns")
-    if k_directions < 1 or grid_per_direction < 1:
-        raise ParameterError("k_directions and grid_per_direction must be >= 1")
+    check_grid_options(k_directions=k_directions, grid_per_direction=grid_per_direction)
     rng = child_rng(seed, 0)
     dirs = rng.standard_normal((k_directions, ds.q - 1))
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DegenerateVectorError, ParameterError
 
 __all__ = [
-    "WeightSpec", "standard_gaussian", "gaussian", "beta_prior",
+    "VARIANTS", "WeightSpec", "standard_gaussian", "gaussian", "beta_prior",
     "univariate_gaussian", "varrho", "omega_closed_form", "omega_gaussian_mc",
     "omega_tiles", "upper_tiles", "weight_matrix",
 ]
@@ -45,6 +45,8 @@ _ENDPOINT_EPS = 1e-12
 # Side of the square omega tiles: every consumer of omega takes it one
 # _TILE x _TILE tile at a time, so its temporaries stay O(_TILE^2).
 _TILE = 256
+
+VARIANTS = ("std_gaussian", "gaussian", "beta", "uni_gaussian")  # of WeightSpec
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class WeightSpec:
     sigma2: float = 1.0
 
     def __post_init__(self):
-        if self.variant not in ("std_gaussian", "gaussian", "beta", "uni_gaussian"):
+        if self.variant not in VARIANTS:
             raise ParameterError(f"unknown weight variant {self.variant!r}")
         if self.variant == "gaussian":
             mu, sigma = np.asarray(self.mu, float), np.asarray(self.sigma, float)

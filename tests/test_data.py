@@ -39,6 +39,19 @@ def test_load_csv_missing_column(tmp_path):
         load_csv(f, spec)
 
 
+def test_load_csv_empty_file(tmp_path):
+    f = write_csv(tmp_path / "d.csv", "")
+    with pytest.raises(DataError, match="empty file"):
+        load_csv(f, ColumnSpec(response="y", diff=["x1"]))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_load_csv_non_finite_cell_reports_location(tmp_path, cell):
+    f = write_csv(tmp_path / "d.csv", f"y,x1\n1,2\n3,{cell}\n5,6\n")
+    with pytest.raises(DataError, match=r"non-finite value at row 2, column 'x1'"):
+        load_csv(f, ColumnSpec(response="y", diff=["x1"]))
+
+
 def test_load_csv_header_only(tmp_path):
     f = write_csv(tmp_path / "d.csv", "y,x1\n")
     spec = ColumnSpec(response="y", baseline=["x1"], diff=["x1"], grouping=["x1"])
@@ -73,6 +86,22 @@ def test_dataset_rejects_row_mismatch():
                 x_diff=np.ones((3, 1)), z_group=np.ones((3, 1)))
 
 
+def test_dataset_vector_covariate_is_one_column():
+    ds = Dataset(y=np.arange(3.0), x_base=np.ones(3), x_diff=np.arange(3.0),
+                 z_group=np.ones(3))
+    assert (ds.r, ds.p, ds.q) == (1, 1, 1)
+    np.testing.assert_array_equal(ds.x_diff, [[0.0], [1.0], [2.0]])
+
+
+@pytest.mark.parametrize("x_diff, message", [
+    (np.ones((3, 1, 1)), "x_diff must be a vector or 2-D matrix, got ndim=3"),
+    (np.ones((3, 0)), "x_diff must have at least one column")])
+def test_dataset_rejects_bad_block_shape(x_diff, message):
+    with pytest.raises(DataError, match=message):
+        Dataset(y=np.arange(3.0), x_base=np.ones((3, 1)), x_diff=x_diff,
+                z_group=np.ones((3, 1)))
+
+
 def test_dataset_immutable():
     ds = Dataset(y=np.arange(3.0), x_base=np.ones((3, 1)),
                  x_diff=np.ones((3, 1)), z_group=np.ones((3, 1)))
@@ -104,6 +133,13 @@ def test_validate_semiparametric_treatment():
         validate(ds, "semiparametric")
 
 
+def test_validate_semiparametric_needs_one_treatment_column():
+    ds = Dataset(y=np.arange(3.0), x_base=np.ones((3, 1)), x_diff=np.ones((3, 2)),
+                 z_group=np.ones((3, 1)))
+    with pytest.raises(ValidationError, match="single treatment column"):
+        validate(ds, "semiparametric")
+
+
 def test_validate_is_pure():
     y = np.array([0.0, 1.0])
     ds = Dataset(y=y, x_base=np.ones((2, 1)), x_diff=np.ones((2, 1)),
@@ -116,6 +152,16 @@ def test_validate_is_pure():
 def test_column_spec_response_overlap():
     with pytest.raises(DataError):
         ColumnSpec(response="y", baseline=["y"], diff=["x"], grouping=["z"])
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"diff": []}, "at least one grouping-difference"),
+    ({"baseline": [], "add_intercept_baseline": False}, "baseline block would be empty"),
+    ({"grouping": [], "add_intercept_grouping": False}, "grouping block would be empty")])
+def test_column_spec_empty_blocks(kwargs, message):
+    roles = {"baseline": ["x"], "diff": ["x"], "grouping": ["z"], **kwargs}
+    with pytest.raises(DataError, match=message):
+        ColumnSpec(response="y", **roles)
 
 
 def test_load_csv_duplicate_header_name(tmp_path):

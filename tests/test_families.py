@@ -10,7 +10,7 @@ from changeplane import (FamilyKind, bootstrap_sample, fit_null, score_psi0,
 from changeplane import families as families_module
 from changeplane.errors import ParameterError, SingularDesignError
 from changeplane.families import (_ZERO_ULPS, DEFAULT_MAX_ITER, DEFAULT_TOL, _factor, _fit,
-                                  _mills_pair, bootstrap_sampler, refit_null, score_rows)
+                                  _mills_pair, bootstrap_sampler, refit_null, score_factor)
 from changeplane.rng import child_rng
 
 from conftest import check_loss, highs_check_loss, random_dataset
@@ -211,11 +211,8 @@ class TestLockStepFit:
         monkeypatch.setattr(families_module, "DEFAULT_MAX_ITER", max_iter)
         s, refit_converged, *_ = refit_null(ds, fam, fit, y)
         np.testing.assert_array_equal(refit_converged, converged)
-        psi = score_rows(ds, fam, fit, s)
-        p = ds.p
-        for b in range(64):
-            np.testing.assert_array_equal(psi[:, b * p:(b + 1) * p],
-                                          fresh[:, b, None] * ds.x_diff)
+        np.testing.assert_array_equal(s, fresh)
+        np.testing.assert_array_equal(score_factor(ds, fam, fit)[1], ds.x_diff)
 
 
 def quantile_design(rng, n, r, kind, cols):
@@ -338,27 +335,18 @@ class TestScorePsi0:
         psi0 = score_psi0(ds, fam, fit_null(ds, fam))
         assert psi0.shape == (80, 1)
 
-    @pytest.mark.parametrize("family", ["binomial", "semiparametric"])
-    def test_rows_written_into_a_stack_slice(self, rng, family):
-        # wast_test writes a block's kept scores straight into a column
-        # slice of its wider score stack; they must equal the rows formed
-        # afresh, column for column.
-        ds = random_dataset(rng, n=50, family="binomial")
-        if family == "semiparametric":
-            ds = replace(ds, x_diff=(rng.random(50) < 0.5).astype(float)[:, None])
-        fam = FamilyKind(family)
+    def test_semiparametric_factor_and_row(self, rng):
+        # s is the baseline residual Y - gamma_hat, d the propensity
+        # residual A - pi_hat(Z), and psi0 their product.
+        ds = random_dataset(rng, n=80)
+        ds = replace(ds, x_diff=(rng.random(80) < 0.5).astype(float)[:, None])
+        fam = FamilyKind("semiparametric")
         fit = fit_null(ds, fam)
-        s = rng.standard_normal((50, 9))
-        kept = rng.random(9) < 0.6
-        p = ds.p
-        stack = np.full((50, 20 * p), np.nan)
-        width = int(np.count_nonzero(kept)) * p
-        out = score_rows(ds, fam, fit, s[:, kept], out=stack[:, 3 * p:3 * p + width])
-        fresh = score_rows(ds, fam, fit, s)
-        np.testing.assert_array_equal(stack[:, 3 * p:3 * p + width],
-                                      fresh[:, np.repeat(kept, p)])
-        np.testing.assert_array_equal(out, stack[:, 3 * p:3 * p + width])
-        assert np.isnan(stack[:, :3 * p]).all() and np.isnan(stack[:, 3 * p + width:]).all()
+        s, d = score_factor(ds, fam, fit)
+        np.testing.assert_allclose(s, ds.y - ds.x_base @ fit.alpha_hat[ds.q:], rtol=1e-12)
+        np.testing.assert_allclose(d[:, 0], ds.x_diff[:, 0] - expit(ds.z_group @ fit.alpha_hat[:ds.q]),
+                                   rtol=1e-12)
+        np.testing.assert_array_equal(score_psi0(ds, fam, fit), s[:, None] * d)
 
 
 class TestSstDerivatives:

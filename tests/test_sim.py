@@ -39,6 +39,8 @@ class TestScenario:
     @pytest.mark.parametrize("field, value, message", [
         ("theta_rule", "spiral", "unknown theta rule"),
         ("error_law", "laplace", "unknown error law"),
+        *(("kappa", kappa, "kappa must be finite")
+          for kappa in (float("nan"), float("inf"), -float("inf"))),
         *(("z_law", law, "z law must be") for law in (
             "normal:abc", "normal:0", "normal:-1", "normal:nan", "normal:inf", "normal:",
             "normal", "cauchy", "t3:2"))])
@@ -112,6 +114,22 @@ class TestGenerate:
         ds = generate(sc)
         validate(ds, "semiparametric")
         assert np.mean(ds.x_diff[:, 0]) == pytest.approx(0.5, abs=0.05)
+
+    @pytest.mark.parametrize("kw", [
+        {"family": FamilyKind("poisson")},
+        {"family": FamilyKind("poisson"), "theta_rule": "uniform", "kappa": 0.5},
+        {"family": FamilyKind("quantile"), "dims": (2, 1, 3), "theta_rule": "uniform",
+         "error_law": "cauchy"},
+        {"family": FamilyKind("semiparametric"), "dims": (3, 1, 4), "theta_rule": "uniform",
+         "error_law": "cauchy", "kappa": 1.0}])
+    def test_remaining_designs_finite_and_deterministic(self, kw):
+        sc = glm_scenario(n=300, **kw)
+        ds = generate(sc)
+        validate(ds, sc.family.name)  # poisson: y are nonnegative integers
+        for attr in ("y", "x_base", "x_diff", "z_group"):
+            assert np.all(np.isfinite(getattr(ds, attr)))
+            np.testing.assert_array_equal(getattr(ds, attr), getattr(generate(sc), attr))
+        assert not np.array_equal(ds.y, generate(replace(sc, seed=sc.seed + 1)).y)
 
     def test_unknown_theta_rule(self):
         with pytest.raises(ParameterError):
@@ -221,6 +239,27 @@ class TestStudyLoop:
             run_power(glm_scenario(), [0.0, 1.0], reps=2, n_boot=10, methods=methods)
         assert calls == {"generate": 0, "wast_test": 0, "sst_test": 0}
 
+    @pytest.mark.parametrize("methods, kwargs, message", [
+        (("wast",), {"n_boot": 0}, "n_boot must be >= 1"),
+        (("wast",), {"kappa_grid": [0.0, float("nan")]}, "kappa must be finite"),
+        (("sst",), {"sst_kwargs": {"k_directions": 0}}, "k_directions=0"),
+        (("wast", "sst"), {"sst_kwargs": {"grid_per_direction": 0}}, "grid_per_direction=0"),
+        (("sst",), {"sst_kwargs": {"k_direction": 30}}, "sst_kwargs must name"),
+        (("wast",), {"sst_kwargs": {"seed": 1}}, "sst_kwargs must name")])
+    def test_bad_study_inputs_raise_before_any_replicate(self, monkeypatch, methods, kwargs,
+                                                         message):
+        calls = counting(monkeypatch, "generate", "wast_test", "sst_test")
+        args = {"kappa_grid": [0.0, 1.0], "reps": 2, "n_boot": 10, **kwargs}
+        with pytest.raises(ParameterError, match=message):
+            run_power(glm_scenario(), methods=methods, **args)
+        assert calls == {"generate": 0, "wast_test": 0, "sst_test": 0}
+
+    def test_grid_options_are_sst_only(self):
+        # Without sst the grid options are unused: known names pass, whatever their values.
+        table = run_power(glm_scenario(n=40, seed=27), [0.0], reps=1, n_boot=5,
+                          sst_kwargs={"k_directions": 0, "grid_per_direction": 2})
+        assert [row["method"] for row in table.rows] == ["wast"]
+
     def test_bad_method_in_size_study(self):
         with pytest.raises(ParameterError, match="methods must be distinct"):
             run_size(glm_scenario(), reps=2, n_boot=10, method="foo")
@@ -229,7 +268,9 @@ class TestStudyLoop:
     @pytest.mark.parametrize("flags", [["--methods", "wast,foo"], ["--methods", ""],
                                        ["--methods", "wast,wast"], ["--z-law", "normal:abc"],
                                        ["--z-law", "normal:0"], ["--z-law", "cauchy"],
-                                       ["--n", "0"]])
+                                       ["--n", "0"], ["--boot", "0"], ["--kappa", "nan"],
+                                       ["--methods", "sst", "--grid-k", "0"],
+                                       ["--methods", "wast,sst", "--grid-per-direction", "0"]])
     def test_cli_usage_exit_and_no_csv(self, tmp_path, capsys, monkeypatch, command, flags):
         calls = counting(monkeypatch, "generate", "wast_test", "sst_test")
         out_csv = tmp_path / "out.csv"

@@ -408,6 +408,14 @@ class TestSstTest:
         with pytest.raises(NumericalError, match="null fit did not converge"):
             sst_test(ds, FamilyKind("binomial"), k_directions=10, n_resample=10, seed=1)
 
+    def test_empty_grid(self, rng):
+        ds = random_dataset(rng, n=30)
+        fam = FamilyKind("gaussian")
+        fit = fit_null(ds, fam)
+        with pytest.raises(ParameterError, match="empty theta grid"):
+            sst_statistic(ds, fam, fit, sst_derivatives(ds, fam, fit),
+                          ThetaGrid(np.empty((0, ds.q))))
+
     def test_invalid_resample_count(self, rng):
         ds = random_dataset(rng, n=30)
         with pytest.raises(ParameterError):

@@ -162,9 +162,17 @@ class TestMultiPlane:
             wast_multi_statistic(rng.standard_normal(5), [])
 
     def test_row_mismatch(self, rng):
-        block = PlaneBlock(x=np.ones((4, 1)), z=np.ones((4, 2)))
-        with pytest.raises(ParameterError):
-            wast_multi_statistic(rng.standard_normal(5), [block])
+        for x_rows, z_rows in ((4, 4), (4, 5), (5, 4)):
+            block = PlaneBlock(x=np.ones((x_rows, 1)), z=np.ones((z_rows, 2)))
+            with pytest.raises(ParameterError, match="row count mismatch"):
+                wast_multi_statistic(rng.standard_normal(5), [block])
+
+    def test_vector_plane_x_is_one_column(self, rng):
+        n = 9
+        psi, x = rng.standard_normal(n), rng.standard_normal(n)
+        z = np.hstack([np.ones((n, 1)), rng.standard_normal((n, 2))])
+        assert wast_multi_statistic(psi, [PlaneBlock(x=x, z=z)]) == wast_multi_statistic(
+            psi, [PlaneBlock(x=x[:, None], z=z)])
 
 
 class TestWastTest:
@@ -456,6 +464,26 @@ class TestTileKernel:
                 np.testing.assert_allclose(out.boot_stats, ref.boot_stats, rtol=1e-12, atol=0)
                 assert out.p_value == ref.p_value
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_kernel_matches_double_loop(self, rng, monkeypatch, p):
+        """Column b of the kernel is the literal
+        sum_{i != j} omega_ij (d_i'd_j) s_ib s_jb / (n(n-1)), here at a tile
+        side of 5, so n <= 12 spans diagonal and off-diagonal tiles.  The
+        tolerance is relative to the sum of the terms' magnitudes."""
+        monkeypatch.setattr(weights_module, "_TILE", 5)
+        for n in range(2, 13):
+            d, s = rng.standard_normal((n, p)), rng.standard_normal((n, 4))
+            omega = rng.random((n, n))
+            omega = (omega + omega.T) / 2
+            tiles = ((rows, cols, omega[rows, cols])
+                     for rows, cols in weights_module.upper_tiles(n))
+            got = wast_module._pair_sums(tiles, d, s)
+            for b in range(4):
+                terms = [omega[i, j] * (d[i] @ d[j]) * s[i, b] * s[j, b]
+                         for i in range(n) for j in range(n) if i != j]
+                want, scale = sum(terms), sum(map(abs, terms))
+                assert abs(got[b] - want / (n * (n - 1))) <= 1e-12 * scale / (n * (n - 1))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 60), side=st.integers(1, 64))

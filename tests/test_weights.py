@@ -300,12 +300,30 @@ class TestWeightMatrix:
         (np.zeros(2), [[np.inf, 0.0], [0.0, 1.0]]),     # infinite sigma
         ([0.0, np.nan], np.eye(2)),                     # NaN in mu
         (np.zeros(3), np.eye(2)),                       # shapes disagree
+        (np.zeros(2), [[1.0, 2.0], [2.0, 1.0]]),        # not positive definite
     ])
     def test_gaussian_rejects_invalid_prior(self, mu, sigma):
         with pytest.raises(ParameterError):
             gaussian(mu, sigma)
         with pytest.raises(ParameterError):
             WeightSpec("gaussian", mu=mu, sigma=sigma)
+
+    def test_unknown_variant(self):
+        with pytest.raises(ParameterError, match="unknown weight variant"):
+            WeightSpec("laplace")
+
+    def test_mu_length_must_match_grouping(self, rng):
+        z = np.hstack([np.ones((5, 1)), rng.standard_normal((5, 2))])
+        with pytest.raises(ParameterError, match="q=3"):
+            weight_matrix(z, gaussian(np.zeros(2), np.eye(2)))
+
+    @pytest.mark.parametrize("spec, text", [
+        (standard_gaussian(), "std_gaussian"),
+        (gaussian([0.0, 1.0], np.eye(2)), "gaussian([0.0, 1.0],[[1.0, 0.0], [0.0, 1.0]])"),
+        (beta_prior(2.0, 3.0), "beta(2.0,3.0)"),
+        (univariate_gaussian(0.5, 2.0), "uni_gaussian(0.5,2.0)")])
+    def test_describe(self, spec, text):
+        assert spec.describe() == text
 
     def test_range_standard_gaussian(self, rng):
         z = np.hstack([np.ones((25, 1)), rng.standard_normal((25, 3))])
