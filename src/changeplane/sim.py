@@ -20,8 +20,9 @@ from .data import Dataset
 from .errors import ParameterError
 from .families import FamilyKind, _logistic
 from .rng import child_rng, child_seed_sequence
-from .sst import GRID_OPTIONS, check_grid_options, sst_test
-from .wast import wast_test
+from .sst import GRID_OPTIONS, check_grid_options, sst_blocks
+from .wast import TestOutcome, wast_blocks
+from .wast import wast_test  # noqa: F401  -- traced by bench/worker.py
 
 __all__ = ["Scenario", "PowerTable", "generate", "run_size", "run_power"]
 
@@ -72,14 +73,19 @@ class Scenario:
 
 @dataclass
 class PowerTable:
-    """Rows of (kappa, n, method, rate, reps, stderr)."""
+    """Rows of (kappa, n, method, rate, reps, stderr, replicates_run).
+    replicates_run, left out of the CSV, counts the bootstrap refits or
+    resamples a study's tests of the cell ran before their decisions were
+    fixed; None in a row not added by a study."""
 
     rows: list[dict] = field(default_factory=list)
 
-    def add(self, kappa: float, n: int, method: str, rate: float, reps: int):
+    def add(self, kappa: float, n: int, method: str, rate: float, reps: int,
+            replicates_run: int | None = None):
         stderr = math.sqrt(max(rate * (1.0 - rate), 0.0) / reps)
         self.rows.append({"kappa": kappa, "n": n, "method": method,
-                          "rate": rate, "reps": reps, "stderr": stderr})
+                          "rate": rate, "reps": reps, "stderr": stderr,
+                          "replicates_run": replicates_run})
 
     def write_csv(self, fh) -> None:
         fh.write("kappa,n,method,rate,reps,stderr\n")
@@ -227,13 +233,34 @@ def _test_seed(sc: Scenario, rep: int) -> int:
     return int(child_seed_sequence(sc.seed, 1, rep).generate_state(1)[0])
 
 
-def _study_job(job) -> list[float]:
+def _decide(blocks, n_boot: int, level: float) -> tuple[bool, int]:
+    """Whether a test rejects at ``level``, and the replicates it ran.
+
+    ``blocks`` yields (statistic, block of replicate statistics, replicates
+    run).  Once count/n_boot >= level, with count the replicates so far at
+    or above the statistic, the test cannot reject: its p-value is
+    count'/kept with count' >= count and kept <= n_boot, and correctly
+    rounded division is monotone.  So it stops there; a test that runs to
+    the end decides by its p-value, ``TestOutcome.upper_tail``.
+    """
+    count, kept, ran = 0, [], 0
+    for statistic, boot, width in blocks:
+        ran += width
+        count += int(np.count_nonzero(boot >= statistic))
+        if count / n_boot >= level:
+            return False, ran
+        kept.append(boot)
+    return TestOutcome.upper_tail(statistic, np.concatenate(kept)) < level, ran
+
+
+def _study_job(job) -> list[tuple[bool, int]]:
     """One (kappa, replicate) job: its dataset, generated once, and the
-    p-value of every bound test on it under the replicate's test seed."""
-    sc, rep, tests = job
+    decision and replicates run of every bound test on it under the
+    replicate's test seed."""
+    sc, rep, tests, n_boot, level = job
     ds = generate(sc, child_rng(sc.seed, 0, rep))
     seed = _test_seed(sc, rep)
-    return [test(ds, sc.family, seed=seed).p_value for test in tests]
+    return [_decide(test(ds, sc.family, seed=seed), n_boot, level) for test in tests]
 
 
 def run_size(sc: Scenario, reps: int = 300, n_boot: int = 200,
@@ -252,7 +279,8 @@ def run_power(sc: Scenario, kappa_grid, reps: int = 300, n_boot: int = 200,
     The study is one ordered list of (kappa, replicate) jobs.  Each job
     generates its dataset once and tests it with every method, so the
     methods share their datasets.  Every input is checked before the first
-    replicate runs.
+    replicate runs.  A test stops once its decision at ``level`` is fixed
+    (``_decide``), so the rates are those of the full tests.
     """
     kappa_grid = [float(kappa) for kappa in kappa_grid]
     if not kappa_grid:
@@ -268,25 +296,28 @@ def run_power(sc: Scenario, kappa_grid, reps: int = 300, n_boot: int = 200,
         raise ParameterError(f"sst_kwargs must name options among {GRID_OPTIONS}, "
                              f"got {sorted(sst_kwargs)}")
     # Bound per call, not at import, so a replaced module attribute is the test that runs.
-    bound = {"wast": partial(wast_test, n_boot=n_boot),
-             "sst": partial(sst_test, n_resample=n_boot, **sst_kwargs)}
+    bound = {"wast": partial(wast_blocks, n_boot=n_boot),
+             "sst": partial(sst_blocks, n_resample=n_boot, **sst_kwargs)}
     methods = tuple(methods)
     if not methods or len(set(methods)) < len(methods) or not set(methods) <= bound.keys():
         raise ParameterError(f"methods must be distinct names among wast and sst, got {methods}")
     if "sst" in methods:
         check_grid_options(**sst_kwargs)
     tests = tuple(bound[method] for method in methods)
-    jobs = [(replace(sc, kappa=kappa), rep, tests) for kappa in kappa_grid for rep in range(reps)]
+    jobs = [(replace(sc, kappa=kappa), rep, tests, n_boot, level)
+            for kappa in kappa_grid for rep in range(reps)]
     if threads <= 1:
-        pvals = [_study_job(job) for job in jobs]
+        results = [_study_job(job) for job in jobs]
     else:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             # map keeps submission order: the table is the same on any worker count.
-            pvals = list(pool.map(_study_job, jobs, chunksize=1))
-    rates = (np.array(pvals).reshape(len(kappa_grid), reps, -1) < level).mean(axis=1)
+            results = list(pool.map(_study_job, jobs, chunksize=1))
+    results = np.array(results).reshape(len(kappa_grid), reps, len(methods), 2)
+    rates = (results[..., 0] == 1).mean(axis=1)
+    ran = results[..., 1].sum(axis=1)
     table = PowerTable()
-    for kappa, cell in zip(kappa_grid, rates):
-        for method, rate in zip(methods, cell):
-            table.add(kappa, sc.n, method, float(rate), reps)
+    for kappa, cell_rates, cell_ran in zip(kappa_grid, rates, ran):
+        for method, rate, replicates_run in zip(methods, cell_rates, cell_ran):
+            table.add(kappa, sc.n, method, float(rate), reps, int(replicates_run))
     return table

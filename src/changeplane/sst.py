@@ -31,7 +31,7 @@ from .rng import child_rng
 from .wast import TestOutcome
 
 __all__ = ["ThetaGrid", "GRID_OPTIONS", "check_grid_options", "build_theta_grid",
-           "score_test_at", "sst_statistic", "sst_test"]
+           "score_test_at", "sst_statistic", "sst_test", "sst_blocks"]
 
 # Ridge repair for near-singular V(theta): add this multiple of trace/p.
 RIDGE_SCALE = 1e-8
@@ -227,6 +227,38 @@ def sst_statistic(ds: Dataset, family: FamilyKind, fit, derivs: SstDerivatives,
     return float(_grid_planes(ds, psi0, derivs, grid.thetas)[0].max())
 
 
+def _calibration(ds: Dataset, family: FamilyKind, k_directions: int,
+                 grid_per_direction: int, n_resample: int, seed: int):
+    """The checked inputs, grid and observed statistic of ``sst_test``:
+    (statistic, diagnostics, suprema), with suprema a generator of the
+    resampled suprema, one ``DRAW_BLOCK`` of draws at a time."""
+    if n_resample < 1:
+        raise ParameterError("n_resample must be >= 1")
+    fit = fit_null(ds, family)
+    if not fit.converged:
+        raise NumericalError("null fit did not converge")
+    derivs = sst_derivatives(ds, family, fit)
+    grid = build_theta_grid(ds, k_directions, grid_per_direction, seed)
+    psi0 = score_psi0(ds, family, fit)
+    n, p = psi0.shape
+    stats, ind, l_inv, c, counts = _grid_planes(ds, psi0, derivs, grid.thetas)
+    c_flat = c.reshape(-1, c.shape[2])
+
+    def suprema():
+        for start in range(0, n_resample, DRAW_BLOCK):
+            stop = min(start + DRAW_BLOCK, n_resample)
+            nu = np.stack([child_rng(seed, 1, j).standard_normal(n)
+                           for j in range(start, stop)], axis=1)
+            u = ind @ (psi0[:, :, None] * nu[:, None, :]).reshape(n, -1)
+            u -= (c_flat @ (derivs.psi1.T @ nu)).reshape(u.shape)
+            s = l_inv @ u.reshape(-1, p, stop - start)
+            yield np.einsum("kpj,kpj->kj", s, s).max(axis=0) / n
+
+    diagnostics = {"grid_size": len(grid), **counts, "k_directions": k_directions,
+                   "grid_per_direction": grid_per_direction}
+    return stats.max(), diagnostics, suprema()
+
+
 def sst_test(ds: Dataset, family: FamilyKind, k_directions: int = 1000,
              grid_per_direction: int = 1, n_resample: int = 1000,
              seed: int = 0) -> TestOutcome:
@@ -242,29 +274,19 @@ def sst_test(ds: Dataset, family: FamilyKind, k_directions: int = 1000,
     grid planes ridge-repaired and skipped, and gives the p-value's
     Monte-Carlo standard error sqrt(p(1-p)/B).
     """
-    if n_resample < 1:
-        raise ParameterError("n_resample must be >= 1")
-    fit = fit_null(ds, family)
-    if not fit.converged:
-        raise NumericalError("null fit did not converge")
-    derivs = sst_derivatives(ds, family, fit)
-    grid = build_theta_grid(ds, k_directions, grid_per_direction, seed)
-    psi0 = score_psi0(ds, family, fit)
-    n, p = psi0.shape
-    stats, ind, l_inv, c, counts = _grid_planes(ds, psi0, derivs, grid.thetas)
-    stat = stats.max()
-    c_flat = c.reshape(-1, c.shape[2])
-
-    boot = np.empty(n_resample)
-    for start in range(0, n_resample, DRAW_BLOCK):
-        stop = min(start + DRAW_BLOCK, n_resample)
-        nu = np.stack([child_rng(seed, 1, j).standard_normal(n)
-                       for j in range(start, stop)], axis=1)
-        u = ind @ (psi0[:, :, None] * nu[:, None, :]).reshape(n, -1)
-        u -= (c_flat @ (derivs.psi1.T @ nu)).reshape(u.shape)
-        s = l_inv @ u.reshape(-1, p, stop - start)
-        boot[start:stop] = np.einsum("kpj,kpj->kj", s, s).max(axis=0) / n
+    stat, diagnostics, suprema = _calibration(ds, family, k_directions, grid_per_direction,
+                                              n_resample, seed)
     return TestOutcome.calibrated(
-        stat, boot, family=family.describe(), weight="none", seed=seed, method="sst",
-        diagnostics={"grid_size": len(grid), **counts, "k_directions": k_directions,
-                     "grid_per_direction": grid_per_direction})
+        stat, np.concatenate(list(suprema)), family=family.describe(), weight="none",
+        seed=seed, method="sst", diagnostics=diagnostics)
+
+
+def sst_blocks(ds: Dataset, family: FamilyKind, k_directions: int = 1000,
+               grid_per_direction: int = 1, n_resample: int = 1000, seed: int = 0):
+    """``sst_test``'s calibration one ``DRAW_BLOCK`` at a time, for a caller
+    that may stop early.  Yields (statistic, the block's resampled suprema,
+    draws the block ran), bit-identical to ``sst_test``'s."""
+    stat, _, suprema = _calibration(ds, family, k_directions, grid_per_direction,
+                                    n_resample, seed)
+    for boot in suprema:
+        yield stat, boot, boot.size

@@ -10,7 +10,9 @@ kernel, ``_pair_sums``, weights each omega tile by d_i'd_j and scores any
 number of factor columns.  The p-value is calibrated by refitting the null
 model on bootstrap responses; d and omega are fixed across replicates, so
 one pass over the upper tiles scores the observed factor and every
-replicate's, and the n x n omega is never stored.
+replicate's, and the n x n omega is never stored.  ``wast_blocks`` gives
+the same statistics one refit block at a time, for a study that stops once
+its decision is fixed.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .weights import weight_matrix  # noqa: F401  -- traced by bench/worker.py
 
 __all__ = [
     "TestOutcome", "PlaneBlock", "wast_statistic", "wast_multi_statistic",
-    "wast_test",
+    "wast_test", "wast_blocks",
 ]
 
 # Fraction of failed bootstrap refits beyond which the whole test errors out.
@@ -55,11 +57,16 @@ class TestOutcome:
     n_failed: int = 0
     diagnostics: dict = field(default_factory=dict)
 
+    @staticmethod
+    def upper_tail(statistic, boot_stats) -> float:
+        """The p-value: the fraction of the B replicates at or above the statistic."""
+        return float(np.mean(boot_stats >= statistic))
+
     @classmethod
     def calibrated(cls, statistic, boot_stats, diagnostics, **fields) -> "TestOutcome":
-        """Upper-tail calibration: p is the fraction of the B replicates at or
-        above the statistic, diagnostics["p_value_se"] = sqrt(p(1-p)/B)."""
-        p = float(np.mean(boot_stats >= statistic))
+        """Upper-tail calibration: p is ``upper_tail``'s,
+        diagnostics["p_value_se"] = sqrt(p(1-p)/B)."""
+        p = cls.upper_tail(statistic, boot_stats)
         se = float(np.sqrt(p * (1.0 - p) / boot_stats.size))
         return cls(float(statistic), boot_stats, p, boot_stats.size,
                    diagnostics={**diagnostics, "p_value_se": se}, **fields)
@@ -74,22 +81,24 @@ class PlaneBlock:
     weight: WeightSpec = field(default_factory=standard_gaussian)
 
 
-def _pair_sums(tiles, d: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _pair_sums(tiles, d: np.ndarray, chunks) -> list[np.ndarray]:
     """2/(n(n-1)) sum_{i<j} omega_ij (d_i'd_j) s_ib s_jb, the i != j sum of a
-    symmetric omega, for each column b of the n x m factor matrix s.  Each
-    tile (rows, cols, omega[rows, cols]) of the upper triangle is weighted by
-    d[rows] d[cols]' and, on the diagonal, cut to its strict upper triangle
-    before its GEMM with s."""
-    n = s.shape[0]
+    symmetric omega, for each column b of each n x m factor matrix s in the
+    list ``chunks``.  Each tile (rows, cols, omega[rows, cols]) of the upper
+    triangle is weighted by d[rows] d[cols]' and, on the diagonal, cut to
+    its strict upper triangle, then multiplied by each chunk in one GEMM:
+    a column's bits depend on its chunk, not on the other chunks passed."""
+    n = d.shape[0]
     if n < 2:
         raise DataError("need at least 2 observations")
-    total = np.zeros(s.shape[1])
+    totals = [np.zeros(s.shape[1]) for s in chunks]
     for rows, cols, tile in tiles:
         tile = tile * (d[rows] @ d[cols].T)
         if rows == cols:
             tile = np.triu(tile, 1)
-        total += np.einsum("ij,ij->j", s[rows], tile @ s[cols])
-    return total * (2.0 / (n * (n - 1)))
+        for total, s in zip(totals, chunks):
+            total += np.einsum("ij,ij->j", s[rows], tile @ s[cols])
+    return [total * (2.0 / (n * (n - 1))) for total in totals]
 
 
 def wast_statistic(psi0: np.ndarray, omega: np.ndarray) -> float:
@@ -105,7 +114,7 @@ def wast_statistic(psi0: np.ndarray, omega: np.ndarray) -> float:
         raise ParameterError(f"omega shape {omega.shape} does not match n={n}")
     tiles = ((rows, cols, 0.5 * (omega[rows, cols] + omega[cols, rows].T))
              for rows, cols in upper_tiles(n))
-    return float(_pair_sums(tiles, psi0, np.ones((n, 1)))[0])
+    return float(_pair_sums(tiles, psi0, [np.ones((n, 1))])[0][0])
 
 
 def wast_multi_statistic(psi0_scalar: np.ndarray,
@@ -123,25 +132,13 @@ def wast_multi_statistic(psi0_scalar: np.ndarray,
             x = x[:, None]
         if x.shape[0] != s.shape[0] or np.shape(block.z)[0] != s.shape[0]:
             raise ParameterError("plane X or Z block row count mismatch")
-        total += _pair_sums(omega_tiles(block.z, block.weight), x, s)[0]
+        total += _pair_sums(omega_tiles(block.z, block.weight), x, [s])[0][0]
     return float(total)
 
 
-def wast_test(ds: Dataset, family: FamilyKind,
-              weight: WeightSpec | None = None, n_boot: int = 1000,
-              seed: int = 0) -> TestOutcome:
-    """Full WAST test with parametric / wild bootstrap calibration.
-
-    Each run of ``BOOT_BLOCK`` redrawn responses is drawn as one n x
-    ``BOOT_BLOCK`` block (``bootstrap_sampler``) and refit by one
-    ``refit_null`` call.  The observed score factor and that of every kept
-    replicate go into one n x (1+B) stack, and one pass over the upper omega
-    tiles, each weighted by d_i'd_j, gives every statistic: memory is
-    O(_TILE^2 + n*B).  Replicates whose refit fails to converge are
-    excluded; if more than 5% are, the test raises.  ``diagnostics`` counts
-    the refits' (min, median, max) iterations, those stopped unconverged at
-    the iteration cap and the quantile refits that met a degenerate vertex.
-    """
+def _null_model(ds: Dataset, family: FamilyKind, weight: WeightSpec | None, n_boot: int):
+    """The checked inputs and null fit: (weight, fit, s0, d), with s0 and d
+    the score factor and rows at the fit."""
     if n_boot < 1:
         raise ParameterError("n_boot must be >= 1")
     if weight is None:
@@ -149,26 +146,59 @@ def wast_test(ds: Dataset, family: FamilyKind,
     fit = fit_null(ds, family)
     if not fit.converged:
         raise NumericalError("null fit did not converge on the original data")
-    tiles = omega_tiles(ds, weight)  # checks the prior now; Z is fixed across replicates
+    omega_tiles(ds, weight)  # checks the prior now; Z is fixed across replicates
     s0, d = score_factor(ds, family, fit)
-    draw = bootstrap_sampler(ds, family, fit)
+    return weight, fit, s0, d
 
-    stack = np.empty((ds.n, 1 + n_boot))
-    stack[:, 0] = s0
-    width, iterations, at_cap, degenerate = 1, np.empty(n_boot, int), 0, 0
+
+def _refit_blocks(ds: Dataset, family: FamilyKind, fit, s0: np.ndarray, n_boot: int,
+                  seed: int):
+    """The refit loop, one ``BOOT_BLOCK`` of replicates at a time.
+
+    Each block's responses are drawn as one n x ``BOOT_BLOCK`` matrix
+    (``bootstrap_sampler``) and refit by one ``refit_null`` call.  Yields
+    the n x m score factors of the block's converged refits, with s0 as
+    column 0 of the first block's, and the block's iterations and counts of
+    refits stopped unconverged at the cap, degenerate and failed.
+    """
+    draw = bootstrap_sampler(ds, family, fit)
     for start in range(0, n_boot, BOOT_BLOCK):
         y = draw([child_rng(seed, b) for b in range(start, min(start + BOOT_BLOCK, n_boot))])
         s, converged, its, met = refit_null(ds, family, fit, y)
-        iterations[start:start + BOOT_BLOCK] = its
-        at_cap += int(np.count_nonzero(~converged & (its >= DEFAULT_MAX_ITER)))
-        degenerate += int(np.count_nonzero(met))
-        kept = int(np.count_nonzero(converged))
-        stack[:, width:width + kept] = s[:, converged]
-        width += kept
-    n_failed = n_boot + 1 - width
+        kept = s[:, converged]
+        if start == 0:
+            kept = np.column_stack([s0, kept])
+        yield (kept, its, int(np.count_nonzero(~converged & (its >= DEFAULT_MAX_ITER))),
+               int(np.count_nonzero(met)), int(np.count_nonzero(~converged)))
+
+
+def _check_failed(n_failed: int, n_boot: int) -> None:
     if n_failed > MAX_FAILED_FRACTION * n_boot:
         raise NumericalError(f"{n_failed}/{n_boot} bootstrap refits failed to converge")
-    stats = _pair_sums(tiles, d, stack[:, :width])
+
+
+def wast_test(ds: Dataset, family: FamilyKind,
+              weight: WeightSpec | None = None, n_boot: int = 1000,
+              seed: int = 0) -> TestOutcome:
+    """Full WAST test with parametric / wild bootstrap calibration.
+
+    The observed score factor and those of the kept replicates come from the
+    refit loop in ``BOOT_BLOCK`` chunks, and one pass over the upper omega
+    tiles, each weighted by d_i'd_j, scores every chunk: memory is
+    O(_TILE^2 + n*B).  Replicates whose refit fails to converge are
+    excluded; if more than 5% are, the test raises.  ``diagnostics`` counts
+    the refits' (min, median, max) iterations, those stopped unconverged at
+    the iteration cap and the quantile refits that met a degenerate vertex.
+    """
+    weight, fit, s0, d = _null_model(ds, family, weight, n_boot)
+    chunks, iterations, at_cap, degenerate, n_failed = [], [], 0, 0, 0
+    for chunk, its, cap, met, failed in _refit_blocks(ds, family, fit, s0, n_boot, seed):
+        chunks.append(chunk)
+        iterations.append(its)
+        at_cap, degenerate, n_failed = at_cap + cap, degenerate + met, n_failed + failed
+    _check_failed(n_failed, n_boot)
+    stats = np.concatenate(_pair_sums(omega_tiles(ds, weight), d, chunks))
+    iterations = np.concatenate(iterations)
     return TestOutcome.calibrated(
         stats[0], stats[1:], family=family.describe(),
         weight=weight.describe(), seed=seed, method="wast", n_failed=n_failed,
@@ -178,3 +208,22 @@ def wast_test(ds: Dataset, family: FamilyKind,
                                           int(iterations.max())),
                      "refits_at_cap": at_cap,
                      "refits_degenerate": degenerate})
+
+
+def wast_blocks(ds: Dataset, family: FamilyKind, weight: WeightSpec | None = None,
+                n_boot: int = 1000, seed: int = 0):
+    """``wast_test``'s calibration one ``BOOT_BLOCK`` at a time, for a caller
+    that may stop early.  Yields (statistic, the block's kept replicate
+    statistics, refits the block ran), each block scored by its own tile
+    pass, so the statistics are bit-identical to ``wast_test``'s.  The
+    failed refits are checked against ``wast_test``'s cap after each block.
+    """
+    weight, fit, s0, d = _null_model(ds, family, weight, n_boot)
+    statistic, n_failed = None, 0
+    for chunk, its, _, _, failed in _refit_blocks(ds, family, fit, s0, n_boot, seed):
+        n_failed += failed
+        _check_failed(n_failed, n_boot)
+        stats = _pair_sums(omega_tiles(ds, weight), d, [chunk])[0]
+        if statistic is None:
+            statistic, stats = stats[0], stats[1:]
+        yield statistic, stats, its.size

@@ -1,14 +1,16 @@
 import io
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from changeplane import (FamilyKind, PowerTable, Scenario, generate,
-                         run_power, run_size, validate)
+                         run_power, run_size, sst_test, validate, wast_test)
 from changeplane import sim as sim_module
+from changeplane import wast as wast_module
 from changeplane.cli import USAGE_EXIT, main
-from changeplane.errors import ParameterError
+from changeplane.errors import NumericalError, ParameterError
 from changeplane.rng import child_rng
 
 
@@ -213,10 +215,10 @@ class TestStudyLoop:
     SST = {"k_directions": 30}
 
     def test_each_dataset_generated_once_for_all_methods(self, monkeypatch):
-        calls = counting(monkeypatch, "generate", "wast_test", "sst_test")
+        calls = counting(monkeypatch, "generate", "wast_blocks", "sst_blocks")
         run_power(glm_scenario(n=60, seed=25), [0.0, 0.5, 1.0], reps=3, n_boot=10,
                   methods=("wast", "sst"), sst_kwargs=self.SST)
-        assert calls == {"generate": 9, "wast_test": 9, "sst_test": 9}
+        assert calls == {"generate": 9, "wast_blocks": 9, "sst_blocks": 9}
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_rows_equal_single_method_size_studies(self, threads):
@@ -231,13 +233,82 @@ class TestStudyLoop:
             assert alone == {**row, "level": 0.3}
         assert len({row["rate"] for row in table.rows}) > 1  # the rates tell cells apart
 
+    def test_curtailed_decisions_equal_the_full_tests(self):
+        """Each study test stops once its decision is fixed, and decides as
+        p < level from the full test would; it runs whole blocks (64 refits
+        for WAST, 32 draws for SST) up to n_boot."""
+        sc = glm_scenario(family=FamilyKind("gaussian"), n=60, seed=28)
+        n_boot, runs = 70, {"wast": {64, 70}, "sst": {32, 64, 70}}
+        tests = {"wast": partial(sim_module.wast_blocks, n_boot=n_boot),
+                 "sst": partial(sim_module.sst_blocks, n_resample=n_boot, **self.SST)}
+        stopped = set()
+        for kappa in (0.0, 1.0):
+            for rep in range(6):
+                ds = generate(replace(sc, kappa=kappa), child_rng(sc.seed, 0, rep))
+                seed = sim_module._test_seed(sc, rep)
+                full = {"wast": wast_test(ds, sc.family, n_boot=n_boot, seed=seed),
+                        "sst": sst_test(ds, sc.family, n_resample=n_boot, seed=seed,
+                                        **self.SST)}
+                for level in (0.01, 0.05, 0.5):
+                    job = (replace(sc, kappa=kappa), rep, tuple(tests.values()), n_boot, level)
+                    for method, (reject, ran) in zip(tests, sim_module._study_job(job)):
+                        assert reject == (full[method].p_value < level)
+                        assert ran in runs[method]
+                        stopped.add((method, reject, ran < n_boot))
+        # Each method both stops early without rejecting and runs to the end to reject.
+        assert {(m, False, True) for m in tests} | {(m, True, False) for m in tests} <= stopped
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("level", [0.01, 0.05, 0.5])
+    def test_curtailed_rates_equal_the_full_tests(self, threads, level):
+        sc = glm_scenario(family=FamilyKind("gaussian"), n=60, seed=28)
+        table = run_power(sc, [0.0, 1.0], reps=6, n_boot=70, level=level,
+                          methods=("wast", "sst"), threads=threads, sst_kwargs=self.SST)
+        for row in table.rows:
+            pvals = []
+            for rep in range(6):
+                ds = generate(replace(sc, kappa=row["kappa"]), child_rng(sc.seed, 0, rep))
+                seed = sim_module._test_seed(sc, rep)
+                test = (partial(wast_test, n_boot=70) if row["method"] == "wast"
+                        else partial(sst_test, n_resample=70, **self.SST))
+                pvals.append(test(ds, sc.family, seed=seed).p_value)
+            assert row["rate"] == np.mean(np.array(pvals) < level)
+            assert row["replicates_run"] <= 6 * 70
+        assert any(row["replicates_run"] < 6 * 70 for row in table.rows)
+
+    def test_failure_cap_applies_to_the_replicates_run(self, monkeypatch):
+        """Every refit of a test's third block fails, 64 of B = 200: the full
+        test raises, as does a study whose test reaches that block, but one
+        whose test stops after its first block completes."""
+        refit = wast_module.refit_null
+        blocks = []
+
+        def third_block_fails(ds, family, fit, y):
+            s, converged, iterations, degenerate = refit(ds, family, fit, y)
+            blocks.append(y.shape[1])
+            return s, converged & (len(blocks) != 3), iterations, degenerate
+
+        monkeypatch.setattr(wast_module, "refit_null", third_block_fails)
+        sc = glm_scenario(n=60, seed=29)
+        ds = generate(sc, child_rng(sc.seed, 0, 0))
+        with pytest.raises(NumericalError, match="64/200 bootstrap refits failed"):
+            wast_test(ds, sc.family, n_boot=200, seed=sim_module._test_seed(sc, 0))
+        assert blocks == [64, 64, 64, 8]
+        blocks.clear()
+        row = run_size(sc, reps=1, n_boot=200)
+        assert (row["rate"], row["replicates_run"], blocks) == (0.0, 64, [64])
+        blocks.clear()
+        with pytest.raises(NumericalError, match="64/200 bootstrap refits failed"):
+            run_size(sc, reps=1, n_boot=200, level=0.9)
+        assert blocks == [64, 64, 64]
+
     @pytest.mark.parametrize("methods", [("wast", "foo"), ("foo", "wast"), (),
                                          ("wast", "wast"), ("sst", "wast", "sst")])
     def test_bad_methods_raise_before_any_replicate(self, monkeypatch, methods):
-        calls = counting(monkeypatch, "generate", "wast_test", "sst_test")
+        calls = counting(monkeypatch, "generate", "wast_blocks", "sst_blocks")
         with pytest.raises(ParameterError, match="methods must be distinct"):
             run_power(glm_scenario(), [0.0, 1.0], reps=2, n_boot=10, methods=methods)
-        assert calls == {"generate": 0, "wast_test": 0, "sst_test": 0}
+        assert calls == {"generate": 0, "wast_blocks": 0, "sst_blocks": 0}
 
     @pytest.mark.parametrize("methods, kwargs, message", [
         (("wast",), {"n_boot": 0}, "n_boot must be >= 1"),
@@ -248,11 +319,11 @@ class TestStudyLoop:
         (("wast",), {"sst_kwargs": {"seed": 1}}, "sst_kwargs must name")])
     def test_bad_study_inputs_raise_before_any_replicate(self, monkeypatch, methods, kwargs,
                                                          message):
-        calls = counting(monkeypatch, "generate", "wast_test", "sst_test")
+        calls = counting(monkeypatch, "generate", "wast_blocks", "sst_blocks")
         args = {"kappa_grid": [0.0, 1.0], "reps": 2, "n_boot": 10, **kwargs}
         with pytest.raises(ParameterError, match=message):
             run_power(glm_scenario(), methods=methods, **args)
-        assert calls == {"generate": 0, "wast_test": 0, "sst_test": 0}
+        assert calls == {"generate": 0, "wast_blocks": 0, "sst_blocks": 0}
 
     def test_grid_options_are_sst_only(self):
         # Without sst the grid options are unused: known names pass, whatever their values.
@@ -272,7 +343,7 @@ class TestStudyLoop:
                                        ["--methods", "sst", "--grid-k", "0"],
                                        ["--methods", "wast,sst", "--grid-per-direction", "0"]])
     def test_cli_usage_exit_and_no_csv(self, tmp_path, capsys, monkeypatch, command, flags):
-        calls = counting(monkeypatch, "generate", "wast_test", "sst_test")
+        calls = counting(monkeypatch, "generate", "wast_blocks", "sst_blocks")
         out_csv = tmp_path / "out.csv"
         extra = ["--kappa-grid", "0,1"] if command == "power" else []
         code = main([command, "--family", "binomial", "--n", "60", "--reps", "2",
@@ -281,4 +352,4 @@ class TestStudyLoop:
         out, err = capsys.readouterr()
         assert code == USAGE_EXIT and err.splitlines()[-1].startswith("error: ")
         assert "rate=" not in out and not out_csv.exists()
-        assert calls == {"generate": 0, "wast_test": 0, "sst_test": 0}
+        assert calls == {"generate": 0, "wast_blocks": 0, "sst_blocks": 0}

@@ -258,6 +258,22 @@ class TestSstTest:
             out.boot_stats, loop_resampled(ds, fam, thetas, n_resample, 5),
             rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n_resample", [1, 31, 32, 33, 100])
+    def test_blocks_equal_the_full_test(self, rng, family, n_resample):
+        # sst_blocks yields sst_test's statistic and suprema, one draw block at a time.
+        ds = family_dataset(rng, 90, family)
+        fam = FamilyKind(family)
+        out = sst_test(ds, fam, k_directions=40, n_resample=n_resample, seed=8)
+        blocks = list(sst_module.sst_blocks(ds, fam, k_directions=40, n_resample=n_resample,
+                                            seed=8))
+        block = sst_module.DRAW_BLOCK
+        assert [ran for _, _, ran in blocks] == [min(block, n_resample - b)
+                                                 for b in range(0, n_resample, block)]
+        assert all(statistic == out.statistic for statistic, _, _ in blocks)
+        np.testing.assert_array_equal(np.concatenate([boot for _, boot, _ in blocks]),
+                                      out.boot_stats)
+
     def test_irreparable_planes_are_skipped_and_counted(self, rng, monkeypatch):
         # A plane with every row on its negative side has psi_theta = 0 and
         # K(theta) = 0, so V(theta) = 0 and even the ridge cannot repair it.

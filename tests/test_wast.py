@@ -11,6 +11,7 @@ from changeplane import (Dataset, FamilyKind, PlaneBlock, beta_prior, bootstrap_
                          fit_null, gaussian, score_psi0, standard_gaussian,
                          univariate_gaussian, wast_multi_statistic,
                          wast_statistic, wast_test, weight_matrix)
+from changeplane.wast import wast_blocks
 from changeplane import cli
 from changeplane import families as families_module
 from changeplane import wast as wast_module
@@ -441,6 +442,45 @@ class TestWastTest:
         assert 0.0 <= out.p_value <= 1.0
 
 
+class TestBlocks:
+    """``wast_blocks`` is ``wast_test``'s calibration one refit block at a
+    time, each block scored by its own tile pass, with the same bits."""
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial", "poisson", "probit",
+                                        "quantile", "semiparametric"])
+    @pytest.mark.parametrize("n", [90, 2 * weights_module._TILE + 8])
+    @pytest.mark.parametrize("n_boot", [1, 63, 64, 65, 200])
+    def test_blocks_equal_the_full_test(self, family, n, n_boot):
+        rng = np.random.default_rng([31, n, n_boot])
+        if family == "semiparametric":
+            ds = semiparametric_dataset(rng, n)
+        else:
+            ds = random_dataset(rng, n=n, family=family)
+        fam = FamilyKind(family)
+        out = wast_test(ds, fam, n_boot=n_boot, seed=n_boot)
+        blocks = list(wast_blocks(ds, fam, n_boot=n_boot, seed=n_boot))
+        block = wast_module.BOOT_BLOCK
+        assert [ran for _, _, ran in blocks] == [min(block, n_boot - b)
+                                                 for b in range(0, n_boot, block)]
+        assert all(statistic == out.statistic for statistic, _, _ in blocks)
+        np.testing.assert_array_equal(np.concatenate([boot for _, boot, _ in blocks]),
+                                      out.boot_stats)
+
+    def test_failed_refits_checked_after_each_block(self, rng, monkeypatch):
+        # Every refit of the third block fails: 64 of B = 200 is over the cap.
+        ds = random_dataset(rng, n=60, family="binomial")
+        fam = FamilyKind("binomial")
+        flaky_refits(monkeypatch, failed=range(128, 192))
+        with pytest.raises(NumericalError, match="64/200 bootstrap refits failed"):
+            wast_test(ds, fam, n_boot=200, seed=3)
+        widths = flaky_refits(monkeypatch, failed=range(128, 192))
+        blocks = wast_blocks(ds, fam, n_boot=200, seed=3)
+        assert [ran for _, _, ran in (next(blocks), next(blocks))] == [64, 64]
+        with pytest.raises(NumericalError, match="64/200 bootstrap refits failed"):
+            next(blocks)
+        assert widths == [64, 64, 64]
+
+
 TILE = weights_module._TILE
 
 
@@ -467,9 +507,9 @@ class TestTileKernel:
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_kernel_matches_double_loop(self, rng, monkeypatch, p):
-        """Column b of the kernel is the literal
-        sum_{i != j} omega_ij (d_i'd_j) s_ib s_jb / (n(n-1)), here at a tile
-        side of 5, so n <= 12 spans diagonal and off-diagonal tiles.  The
+        """Column b of the kernel, over chunks of 1 and 3 columns, is the
+        literal sum_{i != j} omega_ij (d_i'd_j) s_ib s_jb / (n(n-1)), here at
+        a tile side of 5, so n <= 12 spans diagonal and off-diagonal tiles.  The
         tolerance is relative to the sum of the terms' magnitudes."""
         monkeypatch.setattr(weights_module, "_TILE", 5)
         for n in range(2, 13):
@@ -478,7 +518,7 @@ class TestTileKernel:
             omega = (omega + omega.T) / 2
             tiles = ((rows, cols, omega[rows, cols])
                      for rows, cols in weights_module.upper_tiles(n))
-            got = wast_module._pair_sums(tiles, d, s)
+            got = np.concatenate(wast_module._pair_sums(tiles, d, [s[:, :1], s[:, 1:]]))
             for b in range(4):
                 terms = [omega[i, j] * (d[i] @ d[j]) * s[i, b] * s[j, b]
                          for i in range(n) for j in range(n) if i != j]
