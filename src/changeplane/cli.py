@@ -22,7 +22,7 @@ from . import weights
 from .data import ColumnSpec, load_csv
 from .errors import ChangePlaneError, DataError, ParameterError, ValidationError
 from .families import FAMILIES, FamilyKind
-from .sim import Scenario, run_power
+from .sim import ERROR_LAWS, METHODS, THETA_RULES, Scenario, run_power
 from .sst import sst_test
 from .wast import wast_test
 
@@ -159,16 +159,14 @@ def _add_study_args(p):
     p.add_argument("--n", type=int, default=300)
     p.add_argument("--rho", type=float, default=0.0)
     p.add_argument("--kappa", type=float, default=0.0)
-    p.add_argument("--theta-rule", default="equispaced",
-                   choices=["equispaced", "one_two", "uniform"])
+    p.add_argument("--theta-rule", default="equispaced", choices=THETA_RULES)
     p.add_argument("--split-quantile", type=float, default=0.65)
     p.add_argument("--z-law", default="std_normal")
-    p.add_argument("--error-law", default="std_normal",
-                   choices=["std_normal", "t3", "cauchy"])
+    p.add_argument("--error-law", default="std_normal", choices=ERROR_LAWS)
     p.add_argument("--reps", type=int, default=300)
     p.add_argument("--boot", type=int, default=200)
     p.add_argument("--level", type=float, default=0.05)
-    p.add_argument("--methods", default="wast", help="comma list: wast,sst")
+    p.add_argument("--methods", default="wast", help=f"comma list: {','.join(METHODS)}")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--grid-k", type=int, default=1000)
@@ -200,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="run a hypothesis test on a CSV file")
     p_test.add_argument("data")
-    p_test.add_argument("--method", choices=["wast", "sst"], default="wast")
+    p_test.add_argument("--method", choices=METHODS, default="wast")
     _add_family_args(p_test)
     p_test.add_argument("--response", required=True)
     p_test.add_argument("--baseline", default="", help="comma list of columns")

@@ -9,6 +9,7 @@ conventionally all ones).  All blocks are immutable after construction.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,7 +145,7 @@ def load_csv(path, spec: ColumnSpec) -> Dataset:
                 raise DataError(
                     f"{path}: cannot parse cell at row {i + 1}, column {name!r}: "
                     f"{row[j] if j < len(row) else '<missing>'!r}") from exc
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise DataError(
                     f"{path}: non-finite value at row {i + 1}, column {name!r}")
             out[i] = v

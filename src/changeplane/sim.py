@@ -24,9 +24,25 @@ from .sst import GRID_OPTIONS, check_grid_options, sst_blocks
 from .wast import TestOutcome, wast_blocks
 from .wast import wast_test  # noqa: F401  -- traced by bench/worker.py
 
-__all__ = ["Scenario", "PowerTable", "generate", "run_size", "run_power"]
+__all__ = ["Scenario", "PowerTable", "THETA_RULES", "ERROR_LAWS", "METHODS", "generate",
+           "run_size", "run_power"]
 
 _LOG14 = math.log(1.4)
+
+# The theta rules' tails (theta_2..theta_q) and the error laws' draws, by
+# name: the one place each name is spelled.  Each makes at most one generator call.
+_THETA_TAILS = {
+    "equispaced": lambda rng, q: np.linspace(-1.0, 1.0, q - 1) if q > 2 else np.array([1.0]),
+    "one_two": lambda rng, q: np.append(1.0, np.full(q - 2, 2.0)),
+    "uniform": lambda rng, q: rng.uniform(-1.0, 1.0, q - 1),
+}
+_ERROR_DRAWS = {
+    "std_normal": lambda rng, size: rng.standard_normal(size),
+    "t3": lambda rng, size: rng.standard_t(3, size),
+    "cauchy": lambda rng, size: rng.standard_cauchy(size),
+}
+THETA_RULES, ERROR_LAWS = tuple(_THETA_TAILS), tuple(_ERROR_DRAWS)
+METHODS = ("wast", "sst")  # of run_power
 
 
 @dataclass(frozen=True)
@@ -38,10 +54,10 @@ class Scenario:
     n: int
     rho: float = 0.0
     kappa: float = 0.0
-    theta_rule: str = "equispaced"  # or "one_two" / "uniform"
+    theta_rule: str = "equispaced"  # of THETA_RULES
     split_quantile: float = 0.65
     z_law: str = "std_normal"       # or "t3" / "normal:<sd>"
-    error_law: str = "std_normal"   # quantile/semiparametric noise: t3 / cauchy
+    error_law: str = "std_normal"   # of ERROR_LAWS: quantile/semiparametric noise
     seed: int = 0
 
     def __post_init__(self):
@@ -56,9 +72,9 @@ class Scenario:
             raise ParameterError("rho must lie in [0, 1)")
         if not 0.0 < self.split_quantile < 1.0:
             raise ParameterError("split_quantile must lie in (0, 1)")
-        if self.theta_rule not in ("equispaced", "one_two", "uniform"):
+        if self.theta_rule not in THETA_RULES:
             raise ParameterError(f"unknown theta rule {self.theta_rule!r}")
-        if self.error_law not in ("std_normal", "t3", "cauchy"):
+        if self.error_law not in ERROR_LAWS:
             raise ParameterError(f"unknown error law {self.error_law!r}")
         head, _, sd = self.z_law.partition(":")
         try:
@@ -94,30 +110,11 @@ class PowerTable:
                      f"{row['rate']:.12g},{row['reps']},{row['stderr']:.12g}\n")
 
 
-def _theta_tail(rule: str, q: int, rng) -> np.ndarray:
-    if rule == "equispaced":
-        return np.linspace(-1.0, 1.0, q - 1) if q > 2 else np.array([1.0])
-    if rule == "one_two":
-        tail = np.full(q - 1, 2.0)
-        tail[0] = 1.0
-        return tail
-    return rng.uniform(-1.0, 1.0, q - 1)  # "uniform"
-
-
-def _error_draw(law: str, n: int, rng) -> np.ndarray:
-    if law == "std_normal":
-        return rng.standard_normal(n)
-    if law == "t3":
-        return rng.standard_t(3, n)
-    return rng.standard_cauchy(n)  # "cauchy"
-
-
 def _z_tail_draw(law: str, n: int, dim: int, rng) -> np.ndarray:
-    if law == "std_normal":
-        return rng.standard_normal((n, dim))
-    if law == "t3":
-        return rng.standard_t(3, (n, dim))
-    return float(law.split(":", 1)[1]) * rng.standard_normal((n, dim))  # "normal:<sd>"
+    head, _, sd = law.partition(":")
+    if head == "normal":
+        return float(sd) * rng.standard_normal((n, dim))
+    return _ERROR_DRAWS[law](rng, (n, dim))  # std_normal or t3
 
 
 def _split_indicator(z_tail: np.ndarray, theta_tail: np.ndarray,
@@ -163,7 +160,7 @@ def _generate_glm(sc: Scenario, rng) -> Dataset:
     else:
         alpha[0] = 0.5
 
-    theta_tail = _theta_tail(sc.theta_rule, q, rng)
+    theta_tail = _THETA_TAILS[sc.theta_rule](rng, q)
     ind = _split_indicator(z_tail, theta_tail, sc.split_quantile)
     mu = x_base @ alpha + sc.kappa * (x_diff.sum(axis=1)) * ind
 
@@ -183,8 +180,8 @@ def _generate_quantile_like(sc: Scenario, rng) -> Dataset:
     x_diff = 2.0 ** 0.25 * rng.standard_normal((n, p))  # variance sqrt(2)
     z_tail = _z_tail_draw(sc.z_law, n, q - 1, rng)
     z_group = np.hstack([np.ones((n, 1)), z_tail])
-    theta_tail = _theta_tail("one_two" if sc.theta_rule == "equispaced"
-                             else sc.theta_rule, q, rng)
+    theta_tail = _THETA_TAILS["one_two" if sc.theta_rule == "equispaced"
+                              else sc.theta_rule](rng, q)
     ind = _split_indicator(z_tail, theta_tail, sc.split_quantile)
     effect = sc.kappa * x_diff.sum(axis=1) * ind
     if sc.family.name == "probit":
@@ -195,7 +192,7 @@ def _generate_quantile_like(sc: Scenario, rng) -> Dataset:
     else:
         xt = rng.standard_normal(n)
         x_base = np.hstack([np.ones((n, 1)), xt[:, None]])
-        y = 0.5 + xt + effect + _error_draw(sc.error_law, n, rng)
+        y = 0.5 + xt + effect + _ERROR_DRAWS[sc.error_law](rng, n)
     return Dataset(y=y, x_base=x_base, x_diff=x_diff, z_group=z_group)
 
 
@@ -209,10 +206,10 @@ def _generate_semiparametric(sc: Scenario, rng) -> Dataset:
     z_group = np.hstack([x_base, extra])[:, :q]
     a = (rng.random(n) < 0.5).astype(float)  # propensity P1: pi = 0.5
     gamma = 1.0 + 0.5 * v1 + v2 ** 2         # baseline B1 (misspecified linear fit)
-    theta_tail = _theta_tail("one_two" if sc.theta_rule == "equispaced"
-                             else sc.theta_rule, q, rng)
+    theta_tail = _THETA_TAILS["one_two" if sc.theta_rule == "equispaced"
+                              else sc.theta_rule](rng, q)
     ind = _split_indicator(z_group[:, 1:], theta_tail, sc.split_quantile)
-    y = gamma + sc.kappa * a * ind + _error_draw(sc.error_law, n, rng)
+    y = gamma + sc.kappa * a * ind + _ERROR_DRAWS[sc.error_law](rng, n)
     return Dataset(y=y, x_base=x_base, x_diff=a[:, None], z_group=z_group)
 
 
@@ -296,11 +293,12 @@ def run_power(sc: Scenario, kappa_grid, reps: int = 300, n_boot: int = 200,
         raise ParameterError(f"sst_kwargs must name options among {GRID_OPTIONS}, "
                              f"got {sorted(sst_kwargs)}")
     # Bound per call, not at import, so a replaced module attribute is the test that runs.
-    bound = {"wast": partial(wast_blocks, n_boot=n_boot),
-             "sst": partial(sst_blocks, n_resample=n_boot, **sst_kwargs)}
+    bound = dict(zip(METHODS, (partial(wast_blocks, n_boot=n_boot),
+                               partial(sst_blocks, n_resample=n_boot, **sst_kwargs))))
     methods = tuple(methods)
-    if not methods or len(set(methods)) < len(methods) or not set(methods) <= bound.keys():
-        raise ParameterError(f"methods must be distinct names among wast and sst, got {methods}")
+    if not methods or len(set(methods)) < len(methods) or not set(methods) <= set(METHODS):
+        raise ParameterError(f"methods must be distinct names among {' and '.join(METHODS)}, "
+                             f"got {methods}")
     if "sst" in methods:
         check_grid_options(**sst_kwargs)
     tests = tuple(bound[method] for method in methods)

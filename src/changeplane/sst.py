@@ -214,8 +214,7 @@ def score_test_at(ds: Dataset, family: FamilyKind, fit, derivs: SstDerivatives,
     row at a grid intercept's quantile can fall on the other side, so
     ``score_test_at(grid.thetas[k])`` may differ from plane k of the grid.
     """
-    psi0 = score_psi0(ds, family, fit)
-    return float(_grid_planes(ds, psi0, derivs, np.asarray(theta, float)[None])[0][0])
+    return sst_statistic(ds, family, fit, derivs, ThetaGrid(np.asarray(theta, float)[None]))
 
 
 def sst_statistic(ds: Dataset, family: FamilyKind, fit, derivs: SstDerivatives,

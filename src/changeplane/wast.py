@@ -11,8 +11,8 @@ number of factor columns.  The p-value is calibrated by refitting the null
 model on bootstrap responses; d and omega are fixed across replicates, so
 one pass over the upper tiles scores the observed factor and every
 replicate's, and the n x n omega is never stored.  ``wast_blocks`` gives
-the same statistics one refit block at a time, for a study that stops once
-its decision is fixed.
+the same statistics one refit block at a time, from tiles it evaluates
+once and keeps, for a study that stops once its decision is fixed.
 """
 
 from __future__ import annotations
@@ -137,8 +137,9 @@ def wast_multi_statistic(psi0_scalar: np.ndarray,
 
 
 def _null_model(ds: Dataset, family: FamilyKind, weight: WeightSpec | None, n_boot: int):
-    """The checked inputs and null fit: (weight, fit, s0, d), with s0 and d
-    the score factor and rows at the fit."""
+    """The checked inputs and null fit: (weight, fit, s0, d, tiles), with s0
+    and d the score factor and rows at the fit, and ``tiles`` the test's one
+    omega source, its prior checked against Z here: Z is fixed across replicates."""
     if n_boot < 1:
         raise ParameterError("n_boot must be >= 1")
     if weight is None:
@@ -146,9 +147,9 @@ def _null_model(ds: Dataset, family: FamilyKind, weight: WeightSpec | None, n_bo
     fit = fit_null(ds, family)
     if not fit.converged:
         raise NumericalError("null fit did not converge on the original data")
-    omega_tiles(ds, weight)  # checks the prior now; Z is fixed across replicates
+    tiles = omega_tiles(ds, weight)
     s0, d = score_factor(ds, family, fit)
-    return weight, fit, s0, d
+    return weight, fit, s0, d, tiles
 
 
 def _refit_blocks(ds: Dataset, family: FamilyKind, fit, s0: np.ndarray, n_boot: int,
@@ -190,14 +191,14 @@ def wast_test(ds: Dataset, family: FamilyKind,
     the refits' (min, median, max) iterations, those stopped unconverged at
     the iteration cap and the quantile refits that met a degenerate vertex.
     """
-    weight, fit, s0, d = _null_model(ds, family, weight, n_boot)
+    weight, fit, s0, d, tiles = _null_model(ds, family, weight, n_boot)
     chunks, iterations, at_cap, degenerate, n_failed = [], [], 0, 0, 0
     for chunk, its, cap, met, failed in _refit_blocks(ds, family, fit, s0, n_boot, seed):
         chunks.append(chunk)
         iterations.append(its)
         at_cap, degenerate, n_failed = at_cap + cap, degenerate + met, n_failed + failed
     _check_failed(n_failed, n_boot)
-    stats = np.concatenate(_pair_sums(omega_tiles(ds, weight), d, chunks))
+    stats = np.concatenate(_pair_sums(tiles, d, chunks))
     iterations = np.concatenate(iterations)
     return TestOutcome.calibrated(
         stats[0], stats[1:], family=family.describe(),
@@ -214,16 +215,19 @@ def wast_blocks(ds: Dataset, family: FamilyKind, weight: WeightSpec | None = Non
                 n_boot: int = 1000, seed: int = 0):
     """``wast_test``'s calibration one ``BOOT_BLOCK`` at a time, for a caller
     that may stop early.  Yields (statistic, the block's kept replicate
-    statistics, refits the block ran), each block scored by its own tile
-    pass, so the statistics are bit-identical to ``wast_test``'s.  The
-    failed refits are checked against ``wast_test``'s cap after each block.
+    statistics, refits the block ran), each block scored by its own pass
+    over omega's upper tiles, evaluated once before the first block and kept
+    (about n^2/2 floats), so the statistics are bit-identical to
+    ``wast_test``'s.  The failed refits are checked against ``wast_test``'s
+    cap after each block.
     """
-    weight, fit, s0, d = _null_model(ds, family, weight, n_boot)
+    weight, fit, s0, d, tiles = _null_model(ds, family, weight, n_boot)
+    tiles = list(tiles)
     statistic, n_failed = None, 0
     for chunk, its, _, _, failed in _refit_blocks(ds, family, fit, s0, n_boot, seed):
         n_failed += failed
         _check_failed(n_failed, n_boot)
-        stats = _pair_sums(omega_tiles(ds, weight), d, [chunk])[0]
+        stats = _pair_sums(tiles, d, [chunk])[0]
         if statistic is None:
             statistic, stats = stats[0], stats[1:]
         yield statistic, stats, its.size

@@ -335,6 +335,25 @@ class TestStudyLoop:
         with pytest.raises(ParameterError, match="methods must be distinct"):
             run_size(glm_scenario(), reps=2, n_boot=10, method="foo")
 
+    @pytest.mark.parametrize("command, flag, names", [
+        ("simulate", "--theta-rule", sim_module.THETA_RULES),
+        ("power", "--error-law", sim_module.ERROR_LAWS),
+        ("test", "--method", sim_module.METHODS)])
+    def test_cli_choices_are_the_sim_names(self, tmp_path, capsys, monkeypatch, command,
+                                            flag, names):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert f"{flag} {{{','.join(names)}}}" in capsys.readouterr().out
+        # An unknown name is a usage error before any replicate.
+        calls = counting(monkeypatch, "generate", "wast_blocks", "sst_blocks")
+        args = {"simulate": ["--seed", "3"], "power": ["--seed", "3", "--kappa-grid", "0,1"],
+                "test": [str(tmp_path / "data.csv"), "--response", "y", "--diff", "x"]}
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--family", "binomial", *args[command], flag, "foo"])
+        assert stop.value.code == USAGE_EXIT
+        assert "invalid choice: 'foo'" in capsys.readouterr().err
+        assert calls == {"generate": 0, "wast_blocks": 0, "sst_blocks": 0}
+
     @pytest.mark.parametrize("command", ["simulate", "power"])
     @pytest.mark.parametrize("flags", [["--methods", "wast,foo"], ["--methods", ""],
                                        ["--methods", "wast,wast"], ["--z-law", "normal:abc"],

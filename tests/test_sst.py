@@ -178,6 +178,8 @@ class TestScoreTestAt:
         for theta in build_theta_grid(ds, k_directions=15, seed=0).thetas:
             val = score_test_at(ds, fam, fit, derivs, theta)
             assert np.isfinite(val) and val >= 0.0
+            # A fixed plane is a grid of one plane, through the same kernel.
+            assert val == sst_statistic(ds, fam, fit, derivs, ThetaGrid(theta[None]))
 
     def test_quadratic_form_by_hand(self, rng):
         """score_test_at must equal n^-1 s' V^-1 s with s the summed

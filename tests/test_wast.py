@@ -545,6 +545,29 @@ class TestTileKernel:
             b = wast_test(shuffled, fam, n_boot=1, seed=0).statistic
         assert abs(a - b) <= 1e-12 * scale
 
+    def test_each_upper_tile_evaluated_once_per_test(self, rng, monkeypatch):
+        """omega depends on Z and the prior only: ``wast_test`` and a
+        ``wast_blocks`` run to the end, here over four refit blocks, each
+        evaluate every upper tile once."""
+        n = 600
+        ds = random_dataset(rng, n=n)
+        fam = FamilyKind("gaussian")
+        evaluated, omega_tiles = [], wast_module.omega_tiles
+
+        def counted(*args):
+            for rows, cols, tile in omega_tiles(*args):
+                evaluated.append((rows.start, cols.start))
+                yield rows, cols, tile
+
+        monkeypatch.setattr(wast_module, "omega_tiles", counted)
+        upper = [(rows.start, cols.start) for rows, cols in weights_module.upper_tiles(n)]
+        assert len(upper) == 6
+        wast_test(ds, fam, n_boot=200, seed=4)
+        assert evaluated == upper
+        evaluated.clear()
+        assert len(list(wast_blocks(ds, fam, n_boot=200, seed=4))) == 4
+        assert evaluated == upper
+
     def test_no_n_by_n_array(self, rng):
         n = 3000
         ds = random_dataset(rng, n=n, family="binomial")
