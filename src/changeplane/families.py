@@ -174,9 +174,11 @@ def plane_projections(z: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     planes; row i is inside plane k when its projection is >= -theta_1k.
 
     The theta grid takes its intercepts as quantiles of these rows and the
-    SST kernel its indicator from them, both over the same thetas array, so
-    the row at a quantile is inside its plane.  theta_1 is the intercept:
-    z's first column must be all ones.
+    SST kernel its indicator from them, both calling this on the same
+    ``sst.PLANE_BLOCK`` blocks of one thetas array: BLAS rounds a product by
+    its shape, and equal products round alike, so the row at a quantile is
+    inside its plane.  theta_1 is the intercept: z's first column must be
+    all ones.
     """
     if not np.all(z[:, 0] == 1.0):
         raise ParameterError("change planes need an all-ones first grouping column")

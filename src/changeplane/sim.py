@@ -64,6 +64,8 @@ class Scenario:
         r, p, q = self.dims
         if min(r, p, q) < 1:
             raise ParameterError("dims must be positive")
+        if q < 2:  # every design groups on the intercept and at least one variable
+            raise ParameterError(f"dims need q >= 2 grouping columns, got q = {q}")
         if self.n < 2:
             raise ParameterError(f"n must be >= 2, got {self.n}")
         if not math.isfinite(self.kappa):

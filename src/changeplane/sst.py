@@ -41,8 +41,10 @@ RIDGE_SCALE = 1e-8
 # DRAW_BLOCK product stays small next to the U x n indicator.
 DRAW_BLOCK = 32
 
-# Planes whose memberships are compared and bit-packed together: the boolean
-# block stays PLANE_BLOCK x n instead of K x n.
+# Planes whose projections are formed together, by the grid for its
+# intercepts and by the kernel for its memberships, so no K x n array of
+# projections is formed.  Part of the grid's definition: both cut the grid into the same
+# blocks from plane 0, and BLAS rounds a product by its shape.
 PLANE_BLOCK = 256
 
 
@@ -72,9 +74,11 @@ def build_theta_grid(ds: Dataset, k_directions: int = 1000,
 
     Each of ``k_directions`` directions for (theta_2..theta_q) is drawn
     standard normal and normalized.  The intercept theta_1 is minus an
-    empirical quantile of the plane's row of ``plane_projections``, so the
-    row at the quantile lies inside the plane; quantile levels are spread
-    over [0.10, 0.90] (``grid_per_direction`` of them, the midpoint when one).
+    empirical quantile of the plane's row of ``plane_projections``, formed
+    ``PLANE_BLOCK`` planes at a time as ``_distinct_memberships`` forms
+    them, so the row at the quantile lies inside the plane; quantile levels
+    are spread over [0.10, 0.90] (``grid_per_direction`` of them, the
+    midpoint when one).
     """
     if ds.q < 2:
         raise ParameterError("theta grid requires q >= 2 grouping columns")
@@ -90,9 +94,12 @@ def build_theta_grid(ds: Dataset, k_directions: int = 1000,
         levels = np.linspace(0.10, 0.90, grid_per_direction)
     thetas = np.empty((k_directions * levels.size, ds.q))
     thetas[:, 1:] = np.repeat(dirs, levels.size, axis=0)
-    proj = plane_projections(ds.z_group, thetas)
-    for j, level in enumerate(levels):
-        thetas[j::levels.size, 0] = -_row_quantile(proj[j::levels.size], level)
+    for start in range(0, len(thetas), PLANE_BLOCK):
+        block = thetas[start:start + PLANE_BLOCK]
+        proj = plane_projections(ds.z_group, block)
+        for j, level in enumerate(levels):
+            first = (j - start) % levels.size  # the block's first plane at level j
+            block[first::levels.size, 0] = -_row_quantile(proj[first::levels.size], level)
     return ThetaGrid(thetas=thetas)
 
 
@@ -117,22 +124,22 @@ def _row_quantile(rows: np.ndarray, level: float) -> np.ndarray:
 def _distinct_memberships(z: np.ndarray, thetas: np.ndarray):
     """The distinct plane memberships of the grid and the plane -> row map.
 
-    Row i is inside plane k when its projection is >= -theta_1k.  Each block
-    of ``PLANE_BLOCK`` planes is compared and packed to bits; ``np.unique``
-    over the packed rows gives the U distinct memberships, unpacked into a
-    float U x n indicator over the first U rows of the spent projections,
-    and ``inverse``, plane k's row of it.
+    Row i is inside plane k when its projection is >= -theta_1k.  The
+    projections are formed ``PLANE_BLOCK`` planes at a time, the blocks of
+    ``build_theta_grid``, and each block is compared and packed to bits;
+    ``np.unique`` over the packed rows gives the U distinct memberships,
+    unpacked into a float U x n indicator, and ``inverse``, plane k's row
+    of it.  Memory is O(PLANE_BLOCK n + U n), with no K x n projections.
     """
     n = z.shape[0]
-    proj = plane_projections(z, thetas)
     packed = np.empty((len(thetas), (n + 7) // 8), np.uint8)
     for start in range(0, len(thetas), PLANE_BLOCK):
-        block = slice(start, start + PLANE_BLOCK)
-        packed[block] = np.packbits(proj[block] >= -thetas[block, :1], axis=1)
+        block = thetas[start:start + PLANE_BLOCK]
+        packed[start:start + PLANE_BLOCK] = np.packbits(
+            plane_projections(z, block) >= -block[:, :1], axis=1)
     rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    ind = proj[:first.size]
-    ind[...] = np.unpackbits(packed[first], axis=1, count=n)
+    ind = np.unpackbits(packed[first], axis=1, count=n).astype(float)
     return ind, inverse
 
 

@@ -25,6 +25,12 @@ class TestScenario:
         with pytest.raises(ParameterError):
             glm_scenario(dims=(0, 1, 2))
 
+    @pytest.mark.parametrize("family", ["binomial", "quantile", "probit", "semiparametric"])
+    def test_one_grouping_column_rejected(self, family):
+        # Every design needs a grouping variable besides the intercept.
+        with pytest.raises(ParameterError, match="q >= 2"):
+            glm_scenario(family=FamilyKind(family), dims=(2, 2, 1))
+
     @pytest.mark.parametrize("n", [1, 0, -5])
     def test_validates_n(self, n):
         with pytest.raises(ParameterError, match="n must be >= 2"):
@@ -360,7 +366,8 @@ class TestStudyLoop:
                                        ["--z-law", "normal:0"], ["--z-law", "cauchy"],
                                        ["--n", "0"], ["--boot", "0"], ["--kappa", "nan"],
                                        ["--methods", "sst", "--grid-k", "0"],
-                                       ["--methods", "wast,sst", "--grid-per-direction", "0"]])
+                                       ["--methods", "wast,sst", "--grid-per-direction", "0"],
+                                       ["--dims", "2,2,1"]])
     def test_cli_usage_exit_and_no_csv(self, tmp_path, capsys, monkeypatch, command, flags):
         calls = counting(monkeypatch, "generate", "wast_blocks", "sst_blocks")
         out_csv = tmp_path / "out.csv"

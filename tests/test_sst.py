@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,16 +18,24 @@ from changeplane.rng import child_rng
 from conftest import random_dataset
 
 
+def block_projections(z, thetas):
+    """The K x n projections, formed ``PLANE_BLOCK`` planes at a time from
+    plane 0, as the grid and the kernel form them."""
+    block = sst_module.PLANE_BLOCK
+    return np.vstack([plane_projections(z, thetas[start:start + block])
+                      for start in range(0, len(thetas), block)])
+
+
 def loop_theta_grid(ds, k_directions, grid_per_direction, seed):
     """Reference grid: one np.quantile call per (direction, level), each on
-    its plane's row of one projection product over the whole grid."""
+    its plane's row of the projections of its block of planes."""
     dirs = child_rng(seed, 0).standard_normal((k_directions, ds.q - 1))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     levels = ([0.5] if grid_per_direction == 1
               else np.linspace(0.10, 0.90, grid_per_direction))
     thetas = np.zeros((k_directions * len(levels), ds.q))
     thetas[:, 1:] = [d for d in dirs for _ in levels]
-    proj = plane_projections(ds.z_group, thetas)
+    proj = block_projections(ds.z_group, thetas)
     for k, lev in enumerate(list(levels) * k_directions):
         thetas[k, 0] = -float(np.quantile(proj[k], lev))
     return thetas
@@ -51,14 +60,15 @@ def loop_resampled(ds, family, thetas, n_resample, seed):
 
     The whitened rows L^-1 (psi_theta - corr)' are rebuilt here from their
     definition; planes whose V(theta) has no Cholesky factor are left out.
-    The indicator rows come from one call over the whole grid, as in the
-    kernel: a one-plane product may round a row on the plane differently.
+    The indicator rows come from the projections of each block of planes,
+    as in the kernel: a one-plane product may round a row on the plane
+    differently.
     """
     fit = fit_null(ds, family)
     derivs = sst_derivatives(ds, family, fit)
     psi0 = score_psi0(ds, family, fit)
     rows = []
-    inside = plane_projections(ds.z_group, thetas) >= -thetas[:, :1]
+    inside = block_projections(ds.z_group, thetas) >= -thetas[:, :1]
     for d in inside:
         k_theta = derivs.g[d].T @ derivs.h[d] / ds.n
         centered = psi0 * d[:, None] - derivs.psi1 @ (k_theta @ derivs.j_inv).T
@@ -113,6 +123,17 @@ class TestThetaGrid:
         np.testing.assert_array_equal(
             grid.thetas, loop_theta_grid(ds, 200, per_direction, seed=4))
 
+    @pytest.mark.parametrize("per_direction", [1, 3, 4])
+    def test_matches_per_direction_quantile_loop_across_plane_blocks(self, rng,
+                                                                     per_direction):
+        # K = 600 planes: two full blocks and a partial one; at three levels
+        # a block starts at a level other than the first.
+        ds = random_dataset(rng, n=1001, q=4)
+        k = 600 // per_direction
+        grid = build_theta_grid(ds, k_directions=k, grid_per_direction=per_direction, seed=5)
+        np.testing.assert_array_equal(
+            grid.thetas, loop_theta_grid(ds, k, per_direction, seed=5))
+
     @pytest.mark.parametrize("per_direction", [1, 4])
     def test_two_rows_match_np_quantile(self, per_direction):
         # n = 2: every level interpolates between the only two order statistics.
@@ -126,8 +147,9 @@ class TestThetaGrid:
 
     @pytest.mark.parametrize("n", [301, 1001])
     def test_quantile_row_is_inside_its_plane(self, rng, n):
-        # The kernel's indicator and the grid's intercepts come from one
-        # projection product, so at odd n the median row is always inside.
+        # The kernel's indicator and the grid's intercepts come from the same
+        # products, one per block of planes, so at odd n the median row is
+        # always inside.
         # The kernel keeps one indicator row per distinct membership;
         # ind[inverse] gives back each grid plane's row.
         ds = random_dataset(rng, n=n, q=3)
@@ -142,7 +164,7 @@ class TestThetaGrid:
         levels = np.linspace(0.10, 0.90, 4)
         grid = build_theta_grid(ds, k_directions=300, grid_per_direction=4, seed=6)
         ind = plane_rows(grid.thetas)
-        proj = plane_projections(ds.z_group, grid.thetas)
+        proj = block_projections(ds.z_group, grid.thetas)
         # np.quantile interpolates between the order statistics at
         # floor and ceil of level * (n - 1); the upper one is inside.
         upper = np.ceil(np.tile(levels, 300) * (n - 1)).astype(int)
@@ -326,28 +348,50 @@ class TestSstTest:
     @pytest.mark.parametrize("n", [300, 301])
     def test_plane_blocks_cross_directions(self, rng, monkeypatch, n):
         # Seven planes per block: blocks straddle directions and levels, and
-        # do not divide K = 160.
+        # do not divide K = 160.  The block size is part of the grid, so the
+        # grid is rebuilt under it: its intercepts may move in their last
+        # bits, its memberships and every number of the test may not.
         ds = random_dataset(rng, n=n, family="gaussian")
         fam = FamilyKind("gaussian")
         fit = fit_null(ds, fam)
         args = ds, score_psi0(ds, fam, fit), sst_derivatives(ds, fam, fit)
-        thetas = build_theta_grid(ds, k_directions=40, grid_per_direction=4, seed=7).thetas
+
+        def grid():
+            return build_theta_grid(ds, k_directions=40, grid_per_direction=4, seed=7).thetas
+
+        thetas = grid()
         whole = sst_module._grid_planes(*args, thetas)
         whole_rows = sst_module._distinct_memberships(ds.z_group, thetas)
         whole_test = sst_test(ds, fam, k_directions=40, grid_per_direction=4,
                               n_resample=40, seed=7)
         monkeypatch.setattr(sst_module, "PLANE_BLOCK", 7)
-        blocked = sst_module._grid_planes(*args, thetas)
+        thetas_7 = grid()
+        np.testing.assert_array_equal(thetas_7, loop_theta_grid(ds, 40, 4, seed=7))
+        np.testing.assert_allclose(thetas_7, thetas, rtol=1e-13, atol=0)
+        blocked = sst_module._grid_planes(*args, thetas_7)
         for a, b in zip(whole[:4], blocked[:4]):
             np.testing.assert_array_equal(a, b)
         assert whole[4] == blocked[4]
-        for a, b in zip(whole_rows, sst_module._distinct_memberships(ds.z_group, thetas)):
+        for a, b in zip(whole_rows, sst_module._distinct_memberships(ds.z_group, thetas_7)):
             np.testing.assert_array_equal(a, b)
         out = sst_test(ds, fam, k_directions=40, grid_per_direction=4,
                        n_resample=40, seed=7)
         assert out.statistic == whole_test.statistic
         np.testing.assert_array_equal(out.boot_stats, whole_test.boot_stats)
         assert out.diagnostics == whole_test.diagnostics
+
+    def test_no_k_by_n_array(self, rng):
+        # K = 3000 planes at n = 1000: a K x n float array alone would be
+        # 24 MB, twice the bound.
+        n, k = 1000, 3000
+        ds = random_dataset(rng, n=n, family="gaussian")
+        tracemalloc.start()
+        try:
+            sst_test(ds, FamilyKind("gaussian"), k_directions=k, n_resample=8, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 8 * k * n
 
     def test_every_plane_irreparable_raises(self, rng, monkeypatch, tmp_path, capsys):
         # Empty planes have V(theta) = 0, beyond ridge repair; with no plane
