@@ -12,8 +12,10 @@ perturbation resampling with standard-normal multipliers.
 ``score_test_at`` (a grid of one plane), ``sst_statistic`` and ``sst_test``
 share one kernel.  A plane enters only through its membership, the rows
 inside it, and K planes have U <= K distinct memberships: the kernel finds
-them from bit-packed rows and gets their quantities through GEMMs of the
-U x n indicator and one batched Cholesky.
+them from bit-packed rows, keeps only the U packed rows, and gets their
+quantities through GEMMs of the indicator, unpacked ``UNPACK_BLOCK`` rows
+at a time, and one batched Cholesky.  Memory is O(PLANE_BLOCK n + U n/8 +
+U p DRAW_BLOCK): no K x n or U x n float array is formed.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ __all__ = ["ThetaGrid", "GRID_OPTIONS", "check_grid_options", "build_theta_grid"
 # Ridge repair for near-singular V(theta): add this multiple of trace/p.
 RIDGE_SCALE = 1e-8
 
-# Multiplier draws resampled together through one (U x n) (n x p*DRAW_BLOCK)
-# GEMM with the indicator of the U distinct memberships; the U x p x
-# DRAW_BLOCK product stays small next to the U x n indicator.
+# Multiplier draws resampled together through one product of the indicator
+# of the U distinct memberships with an n x p*DRAW_BLOCK matrix; the
+# U x p x DRAW_BLOCK result is the largest array of the resampling.
 DRAW_BLOCK = 32
 
 # Planes whose projections are formed together, by the grid for its
@@ -46,6 +48,10 @@ DRAW_BLOCK = 32
 # projections is formed.  Part of the grid's definition: both cut the grid into the same
 # blocks from plane 0, and BLAS rounds a product by its shape.
 PLANE_BLOCK = 256
+
+# Indicator rows unpacked from bits together into each GEMM.  Not tied to
+# PLANE_BLOCK, so a grid cut into other plane blocks meets the same products.
+UNPACK_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -122,14 +128,14 @@ def _row_quantile(rows: np.ndarray, level: float) -> np.ndarray:
 
 
 def _distinct_memberships(z: np.ndarray, thetas: np.ndarray):
-    """The distinct plane memberships of the grid and the plane -> row map.
+    """The distinct plane memberships of the grid, packed to bits, and the
+    plane -> row map.
 
     Row i is inside plane k when its projection is >= -theta_1k.  The
     projections are formed ``PLANE_BLOCK`` planes at a time, the blocks of
     ``build_theta_grid``, and each block is compared and packed to bits;
-    ``np.unique`` over the packed rows gives the U distinct memberships,
-    unpacked into a float U x n indicator, and ``inverse``, plane k's row
-    of it.  Memory is O(PLANE_BLOCK n + U n), with no K x n projections.
+    ``np.unique`` over the packed rows gives the U x ceil(n/8) bytes of the
+    distinct memberships and ``inverse``, plane k's row of them.
     """
     n = z.shape[0]
     packed = np.empty((len(thetas), (n + 7) // 8), np.uint8)
@@ -139,8 +145,27 @@ def _distinct_memberships(z: np.ndarray, thetas: np.ndarray):
             plane_projections(z, block) >= -block[:, :1], axis=1)
     rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    ind = np.unpackbits(packed[first], axis=1, count=n).astype(float)
-    return ind, inverse
+    return packed[first], inverse
+
+
+def _indicator_product(packed: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """D m for the 0/1 indicator D whose rows ``packed`` holds as bits,
+    unpacking ``UNPACK_BLOCK`` rows of D at a time."""
+    out = np.empty((len(packed), m.shape[1]))
+    for start in range(0, len(packed), UNPACK_BLOCK):
+        rows = np.unpackbits(packed[start:start + UNPACK_BLOCK], axis=1, count=m.shape[0])
+        np.matmul(rows.astype(float), m, out=out[start:start + UNPACK_BLOCK])
+    return out
+
+
+def _check_grid(thetas: np.ndarray, q: int) -> None:
+    """A grid must be a non-empty K x q array of finite numbers."""
+    if thetas.ndim != 2 or thetas.shape[1] != q:
+        raise ParameterError(f"theta grid must be K x {q}, got shape {thetas.shape}")
+    if len(thetas) == 0:
+        raise ParameterError("empty theta grid")
+    if not np.isfinite(thetas).all():
+        raise ParameterError("theta grid has non-finite entries")
 
 
 def _cholesky(v: np.ndarray) -> np.ndarray:
@@ -163,29 +188,31 @@ def _grid_planes(ds: Dataset, psi0: np.ndarray, derivs: SstDerivatives,
 
     A plane's quantities depend on it only through its membership, so they
     are formed once per distinct membership.  With D the U x n indicator of
-    those, the score sums are S = D psi0, K(theta) = D(g x h)/n and
-    C = K J^-1; as d_i^2 = d_i, the covariance of the centered rows
-    d_i psi0_i - C psi1_i is V = [D(psi0 x psi0) - B01 C' - C B01'
-    + C (psi1'psi1) C']/n with B01 = D(psi0 x psi1).  ``_cholesky`` factors
-    every V, then again with a ridge those that are rank-deficient; those
-    with no factor either way are skipped.
+    those (one ``_indicator_product`` gives every D product), the score sums
+    are S = D psi0, K(theta) = D(g x h)/n and C = K J^-1; as d_i^2 = d_i,
+    the covariance of the centered rows d_i psi0_i - C psi1_i is
+    V = [D(psi0 x psi0) - B01 C' - C B01' + C (psi1'psi1) C']/n with
+    B01 = D(psi0 x psi1).  ``_cholesky`` factors every V, then again with a
+    ridge those that are rank-deficient; those with no factor either way
+    are skipped.
 
-    Returns (stats, ind, l_inv, c, counts) over the kept distinct
-    memberships: the statistics n^-1 |L^-1 S|^2, the indicator rows, L^-1
-    and C, and ``counts``, which holds grid_distinct (U) and the grid
+    Returns (stats, packed, l_inv, c, counts) over the kept distinct
+    memberships: the statistics n^-1 |L^-1 S|^2, the packed indicator rows,
+    L^-1 and C, and ``counts``, which holds grid_distinct (U) and the grid
     planes skipped and ridge-repaired.
     """
+    _check_grid(thetas, ds.q)
     n, p = psi0.shape
     psi1 = derivs.psi1
     r = psi1.shape[1]
-    ind, inverse = _distinct_memberships(ds.z_group, thetas)
+    packed, inverse = _distinct_memberships(ds.z_group, thetas)
     planes = np.bincount(inverse)  # grid planes per distinct membership
 
     def outer(a, b):
         return (a[:, :, None] * b[:, None, :]).reshape(n, -1)
 
-    sums = ind @ np.hstack([psi0, outer(derivs.g, derivs.h), outer(psi0, psi0),
-                            outer(psi0, psi1)])
+    sums = _indicator_product(packed, np.hstack([
+        psi0, outer(derivs.g, derivs.h), outer(psi0, psi0), outer(psi0, psi1)]))
     score, k_sums, b00, b01 = np.split(sums, np.cumsum([p, p * r, p * p]), axis=1)
     c = (k_sums.reshape(-1, p, r) / n) @ derivs.j_inv
     cross = b01.reshape(-1, p, r) @ c.transpose(0, 2, 1)  # B01 C'
@@ -206,10 +233,10 @@ def _grid_planes(ds: Dataset, psi0: np.ndarray, derivs: SstDerivatives,
     if not keep.any():
         raise NumericalError("V(theta) singular beyond ridge repair at every plane")
     if not keep.all():
-        ind, score, chol, c = ind[keep], score[keep], chol[keep], c[keep]
+        packed, score, chol, c = packed[keep], score[keep], chol[keep], c[keep]
     l_inv = np.linalg.inv(chol)
     w = l_inv @ score[:, :, None]
-    return np.einsum("kpj,kpj->k", w, w) / n, ind, l_inv, c, counts
+    return np.einsum("kpj,kpj->k", w, w) / n, packed, l_inv, c, counts
 
 
 def score_test_at(ds: Dataset, family: FamilyKind, fit, derivs: SstDerivatives,
@@ -227,8 +254,6 @@ def score_test_at(ds: Dataset, family: FamilyKind, fit, derivs: SstDerivatives,
 def sst_statistic(ds: Dataset, family: FamilyKind, fit, derivs: SstDerivatives,
                   grid: ThetaGrid) -> float:
     """Supremum of the squared score statistic over the grid."""
-    if len(grid) == 0:
-        raise ParameterError("empty theta grid")
     psi0 = score_psi0(ds, family, fit)
     return float(_grid_planes(ds, psi0, derivs, grid.thetas)[0].max())
 
@@ -247,7 +272,7 @@ def _calibration(ds: Dataset, family: FamilyKind, k_directions: int,
     grid = build_theta_grid(ds, k_directions, grid_per_direction, seed)
     psi0 = score_psi0(ds, family, fit)
     n, p = psi0.shape
-    stats, ind, l_inv, c, counts = _grid_planes(ds, psi0, derivs, grid.thetas)
+    stats, packed, l_inv, c, counts = _grid_planes(ds, psi0, derivs, grid.thetas)
     c_flat = c.reshape(-1, c.shape[2])
 
     def suprema():
@@ -255,7 +280,8 @@ def _calibration(ds: Dataset, family: FamilyKind, k_directions: int,
             stop = min(start + DRAW_BLOCK, n_resample)
             nu = np.stack([child_rng(seed, 1, j).standard_normal(n)
                            for j in range(start, stop)], axis=1)
-            u = ind @ (psi0[:, :, None] * nu[:, None, :]).reshape(n, -1)
+            u = _indicator_product(packed,
+                                   (psi0[:, :, None] * nu[:, None, :]).reshape(n, -1))
             u -= (c_flat @ (derivs.psi1.T @ nu)).reshape(u.shape)
             s = l_inv @ u.reshape(-1, p, stop - start)
             yield np.einsum("kpj,kpj->kj", s, s).max(axis=0) / n
@@ -271,14 +297,14 @@ def sst_test(ds: Dataset, family: FamilyKind, k_directions: int = 1000,
     """SST with perturbation-resampling calibration.
 
     The perturbed supremum reuses the observed quantities of each distinct
-    membership (the indicator, C = K J^-1 and the inverse Cholesky factor of
-    V) for every multiplier draw nu: the whitened perturbed score is
-    s = L^-1 [D(psi0 * nu) - C(psi1' nu)].  The p-value is the fraction of
-    resampled suprema at or above the observed statistic.  Draws are taken
-    ``DRAW_BLOCK`` at a time, each block through one GEMM with the indicator.
-    ``diagnostics`` counts the distinct memberships (grid_distinct) and the
-    grid planes ridge-repaired and skipped, and gives the p-value's
-    Monte-Carlo standard error sqrt(p(1-p)/B).
+    membership (its packed indicator row, C = K J^-1 and the inverse
+    Cholesky factor of V) for every multiplier draw nu: the whitened
+    perturbed score is s = L^-1 [D(psi0 * nu) - C(psi1' nu)].  The p-value
+    is the fraction of resampled suprema at or above the observed statistic.
+    Draws are taken ``DRAW_BLOCK`` at a time, each block through one
+    ``_indicator_product``.  ``diagnostics`` counts the distinct memberships
+    (grid_distinct) and the grid planes ridge-repaired and skipped, and
+    gives the p-value's Monte-Carlo standard error sqrt(p(1-p)/B).
     """
     stat, diagnostics, suprema = _calibration(ds, family, k_directions, grid_per_direction,
                                               n_resample, seed)

@@ -150,13 +150,13 @@ class TestThetaGrid:
         # The kernel's indicator and the grid's intercepts come from the same
         # products, one per block of planes, so at odd n the median row is
         # always inside.
-        # The kernel keeps one indicator row per distinct membership;
-        # ind[inverse] gives back each grid plane's row.
+        # The kernel keeps one packed indicator row per distinct membership;
+        # packed[inverse], unpacked, gives back each grid plane's row.
         ds = random_dataset(rng, n=n, q=3)
 
         def plane_rows(thetas):
-            ind, inverse = sst_module._distinct_memberships(ds.z_group, thetas)
-            return ind[inverse]
+            packed, inverse = sst_module._distinct_memberships(ds.z_group, thetas)
+            return np.unpackbits(packed[inverse], axis=1, count=n)
 
         grid = build_theta_grid(ds, k_directions=300, seed=6)
         ind = plane_rows(grid.thetas)
@@ -230,6 +230,36 @@ class TestScoreTestAt:
         vals = [score_test_at(ds, fam, fit, derivs, t) for t in grid.thetas]
         assert sst_statistic(ds, fam, fit, derivs, grid) == pytest.approx(
             max(vals), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2), (1, 4), (1, 1, 3)])
+    def test_grid_of_wrong_shape_raises(self, rng, shape):
+        ds = random_dataset(rng, n=50, family="gaussian")
+        fam = FamilyKind("gaussian")
+        fit = fit_null(ds, fam)
+        derivs = sst_derivatives(ds, fam, fit)
+        thetas = np.resize([0.1, 0.8, -0.6, 0.2], shape)
+        with pytest.raises(ParameterError, match="theta grid must be K x 3"):
+            sst_statistic(ds, fam, fit, derivs, ThetaGrid(thetas))
+        # score_test_at makes a one-row grid of its theta; thetas[0] is a
+        # scalar, 2 or 4 long, or a 1 x 3 matrix.
+        with pytest.raises(ParameterError, match="theta grid must be K x 3"):
+            score_test_at(ds, fam, fit, derivs, thetas[0])
+
+    @pytest.mark.parametrize("entry, value", [((0, 0), np.nan), ((1, 1), np.inf),
+                                              ((2, 2), -np.inf)])
+    def test_non_finite_grid_raises(self, rng, entry, value):
+        # A NaN intercept used to be reported as V(theta) singular at every
+        # plane, and an infinite direction entry gave a statistic.
+        ds = random_dataset(rng, n=50, family="gaussian")
+        fam = FamilyKind("gaussian")
+        fit = fit_null(ds, fam)
+        derivs = sst_derivatives(ds, fam, fit)
+        thetas = build_theta_grid(ds, k_directions=3, seed=1).thetas
+        thetas[entry] = value
+        with pytest.raises(ParameterError, match="non-finite"):
+            sst_statistic(ds, fam, fit, derivs, ThetaGrid(thetas))
+        with pytest.raises(ParameterError, match="non-finite"):
+            score_test_at(ds, fam, fit, derivs, thetas[entry[0]])
 
 
 class TestSstTest:
@@ -382,16 +412,36 @@ class TestSstTest:
 
     def test_no_k_by_n_array(self, rng):
         # K = 3000 planes at n = 1000: a K x n float array alone would be
-        # 24 MB, twice the bound.
-        n, k = 1000, 3000
-        ds = random_dataset(rng, n=n, family="gaussian")
-        tracemalloc.start()
-        try:
-            sst_test(ds, FamilyKind("gaussian"), k_directions=k, n_resample=8, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.5 * 8 * k * n
+        # 24 MB, and at q = 4, where U is about K, so would a U x n float
+        # indicator; at K = 20 000 it would be 150 MB.  The kernel holds the
+        # packed U x n/8 bytes instead.
+        n = 1000
+        for q, directions, levels, bound in [(3, 3000, 1, 8e6), (4, 3000, 1, 8e6),
+                                             (4, 5000, 4, 16e6)]:
+            ds = random_dataset(rng, n=n, q=q, family="gaussian")
+            tracemalloc.start()
+            try:
+                out = sst_test(ds, FamilyKind("gaussian"), k_directions=directions,
+                               grid_per_direction=levels, n_resample=8, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (q, levels)
+        assert out.diagnostics["grid_distinct"] > 0.9 * directions * levels
+
+    @pytest.mark.parametrize("u", [255, 256, 300, 1163])
+    @pytest.mark.parametrize("n", [301, 1000, 1004])
+    def test_indicator_product_matches_float_gemm(self, u, n):
+        # Unpacked UNPACK_BLOCK rows at a time, the product is the whole
+        # float product bit for bit, tail blocks of 44 and 139 rows included.
+        # This pins the BLAS's rounding by product shape at its thread count.
+        rng = np.random.default_rng([u, n])
+        packed = rng.integers(0, 256, (u, (n + 7) // 8), dtype=np.uint8)
+        whole = np.unpackbits(packed, axis=1, count=n).astype(float)
+        for width in (24, 96):
+            m = rng.standard_normal((n, width))
+            np.testing.assert_array_equal(sst_module._indicator_product(packed, m),
+                                          whole @ m)
 
     def test_every_plane_irreparable_raises(self, rng, monkeypatch, tmp_path, capsys):
         # Empty planes have V(theta) = 0, beyond ridge repair; with no plane
