@@ -113,7 +113,8 @@ def load_csv(path, spec: ColumnSpec) -> Dataset:
 
     Intercept columns are prepended to the baseline / grouping blocks when the
     corresponding flags are set.  Row order is preserved.  A column the spec
-    reads must appear once in the header.
+    reads must appear once in the header, and every data row, a blank line
+    included, must have as many fields as the header.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -132,6 +133,10 @@ def load_csv(path, spec: ColumnSpec) -> Dataset:
         if header.count(name) > 1:
             raise DataError(f"{path}: column {name!r} appears more than once in the header")
 
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {i + 1} has {len(row)} fields, "
+                            f"the header has {len(header)}")
     if len(rows) < 2:
         raise DataError(f"{path}: need at least 2 data rows, found {len(rows)}")
 
@@ -141,10 +146,10 @@ def load_csv(path, spec: ColumnSpec) -> Dataset:
         for i, row in enumerate(rows):
             try:
                 v = float(row[j])
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 raise DataError(
                     f"{path}: cannot parse cell at row {i + 1}, column {name!r}: "
-                    f"{row[j] if j < len(row) else '<missing>'!r}") from exc
+                    f"{row[j]!r}") from exc
             if not math.isfinite(v):
                 raise DataError(
                     f"{path}: non-finite value at row {i + 1}, column {name!r}")

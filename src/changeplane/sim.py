@@ -290,6 +290,8 @@ def run_power(sc: Scenario, kappa_grid, reps: int = 300, n_boot: int = 200,
         raise ParameterError(f"level must lie in (0, 1), got {level}")
     if n_boot < 1:
         raise ParameterError("n_boot must be >= 1")
+    if threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
     sst_kwargs = sst_kwargs or {}
     if not set(sst_kwargs) <= set(GRID_OPTIONS):
         raise ParameterError(f"sst_kwargs must name options among {GRID_OPTIONS}, "
@@ -306,11 +308,13 @@ def run_power(sc: Scenario, kappa_grid, reps: int = 300, n_boot: int = 200,
     tests = tuple(bound[method] for method in methods)
     jobs = [(replace(sc, kappa=kappa), rep, tests, n_boot, level)
             for kappa in kappa_grid for rep in range(reps)]
-    if threads <= 1:
+    # A pool forks all its workers at the first submission: no more than there are jobs.
+    workers = min(threads, len(jobs))
+    if workers == 1:
         results = [_study_job(job) for job in jobs]
     else:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             # map keeps submission order: the table is the same on any worker count.
             results = list(pool.map(_study_job, jobs, chunksize=1))
     results = np.array(results).reshape(len(kappa_grid), reps, len(methods), 2)

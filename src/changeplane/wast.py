@@ -6,17 +6,19 @@ The statistic is the pairwise U-statistic
 
 with omega the prior weights from :mod:`changeplane.weights`.  As psi0_i =
 s_i d_i (``score_factor``), T_n sums omega_ij (d_i'd_j) s_i s_j: the one
-kernel, ``_pair_sums``, weights each omega tile by d_i'd_j and scores any
-number of factor columns.  The p-value is calibrated by refitting the null
-model on bootstrap responses; d and omega are fixed across replicates, so
-one pass over the upper tiles scores the observed factor and every
-replicate's, and the n x n omega is never stored.  ``wast_blocks`` gives
-the same statistics one refit block at a time, from tiles it evaluates
-once and keeps, for a study that stops once its decision is fixed.
+kernel, ``_pair_sums``, scores any number of factor columns against omega's
+upper tiles weighted by d_i'd_j (``_weighted_tiles``).  The p-value is
+calibrated by refitting the null model on bootstrap responses in blocks of
+``BOOT_BLOCKS``; d and omega are fixed across replicates, so one pass over
+the weighted tiles scores the observed factor and every replicate's, and
+the n x n omega is never stored.  ``wast_blocks`` gives the same statistics
+one refit block at a time, from weighted tiles it keeps, for a study that
+stops once its decision is fixed.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +40,10 @@ __all__ = [
 # Fraction of failed bootstrap refits beyond which the whole test errors out.
 MAX_FAILED_FRACTION = 0.05
 
-# Bootstrap responses refit together by one refit_null call.
-BOOT_BLOCK = 64
+# Widths of the refit blocks, each refit by one refit_null call: 16, 16, 32,
+# then 64 each.  A null study test mostly stops after an early block; later
+# blocks are wide, as the lock-step refits batch better.
+BOOT_BLOCKS = (16, 16, 32, 64)
 
 
 @dataclass(frozen=True)
@@ -81,21 +85,28 @@ class PlaneBlock:
     weight: WeightSpec = field(default_factory=standard_gaussian)
 
 
-def _pair_sums(tiles, d: np.ndarray, chunks) -> list[np.ndarray]:
-    """2/(n(n-1)) sum_{i<j} omega_ij (d_i'd_j) s_ib s_jb, the i != j sum of a
-    symmetric omega, for each column b of each n x m factor matrix s in the
-    list ``chunks``.  Each tile (rows, cols, omega[rows, cols]) of the upper
-    triangle is weighted by d[rows] d[cols]' and, on the diagonal, cut to
-    its strict upper triangle, then multiplied by each chunk in one GEMM:
-    a column's bits depend on its chunk, not on the other chunks passed."""
-    n = d.shape[0]
-    if n < 2:
-        raise DataError("need at least 2 observations")
-    totals = [np.zeros(s.shape[1]) for s in chunks]
+def _weighted_tiles(tiles, d: np.ndarray):
+    """Each tile (rows, cols, omega[rows, cols]) of the upper triangle
+    weighted by d[rows] d[cols]' and, on the diagonal, cut to its strict
+    upper triangle: the tiles ``_pair_sums`` reads."""
     for rows, cols, tile in tiles:
         tile = tile * (d[rows] @ d[cols].T)
         if rows == cols:
             tile = np.triu(tile, 1)
+        yield rows, cols, tile
+
+
+def _pair_sums(tiles, chunks) -> list[np.ndarray]:
+    """2/(n(n-1)) sum_{i<j} omega_ij (d_i'd_j) s_ib s_jb, the i != j sum of a
+    symmetric omega, for each column b of each n x m factor matrix s in the
+    list ``chunks``, from the ``_weighted_tiles`` of omega and d.  Each tile
+    is multiplied by each chunk in one GEMM: a column's bits depend on its
+    chunk, not on the other chunks passed."""
+    n = chunks[0].shape[0]
+    if n < 2:
+        raise DataError("need at least 2 observations")
+    totals = [np.zeros(s.shape[1]) for s in chunks]
+    for rows, cols, tile in tiles:
         for total, s in zip(totals, chunks):
             total += np.einsum("ij,ij->j", s[rows], tile @ s[cols])
     return [total * (2.0 / (n * (n - 1))) for total in totals]
@@ -114,7 +125,7 @@ def wast_statistic(psi0: np.ndarray, omega: np.ndarray) -> float:
         raise ParameterError(f"omega shape {omega.shape} does not match n={n}")
     tiles = ((rows, cols, 0.5 * (omega[rows, cols] + omega[cols, rows].T))
              for rows, cols in upper_tiles(n))
-    return float(_pair_sums(tiles, psi0, [np.ones((n, 1))])[0][0])
+    return float(_pair_sums(_weighted_tiles(tiles, psi0), [np.ones((n, 1))])[0][0])
 
 
 def wast_multi_statistic(psi0_scalar: np.ndarray,
@@ -132,14 +143,15 @@ def wast_multi_statistic(psi0_scalar: np.ndarray,
             x = x[:, None]
         if x.shape[0] != s.shape[0] or np.shape(block.z)[0] != s.shape[0]:
             raise ParameterError("plane X or Z block row count mismatch")
-        total += _pair_sums(omega_tiles(block.z, block.weight), x, [s])[0][0]
+        total += _pair_sums(_weighted_tiles(omega_tiles(block.z, block.weight), x), [s])[0][0]
     return float(total)
 
 
 def _null_model(ds: Dataset, family: FamilyKind, weight: WeightSpec | None, n_boot: int):
-    """The checked inputs and null fit: (weight, fit, s0, d, tiles), with s0
-    and d the score factor and rows at the fit, and ``tiles`` the test's one
-    omega source, its prior checked against Z here: Z is fixed across replicates."""
+    """The checked inputs and null fit: (weight, fit, s0, tiles), with s0 the
+    score factor at the fit and ``tiles`` the test's one source of omega's
+    upper tiles weighted by the fit's rows d, its prior checked against Z
+    here: Z and d are fixed across replicates."""
     if n_boot < 1:
         raise ParameterError("n_boot must be >= 1")
     if weight is None:
@@ -149,28 +161,33 @@ def _null_model(ds: Dataset, family: FamilyKind, weight: WeightSpec | None, n_bo
         raise NumericalError("null fit did not converge on the original data")
     tiles = omega_tiles(ds, weight)
     s0, d = score_factor(ds, family, fit)
-    return weight, fit, s0, d, tiles
+    return weight, fit, s0, _weighted_tiles(tiles, d)
 
 
 def _refit_blocks(ds: Dataset, family: FamilyKind, fit, s0: np.ndarray, n_boot: int,
                   seed: int):
-    """The refit loop, one ``BOOT_BLOCK`` of replicates at a time.
+    """The refit loop, the one place that cuts the replicates into blocks:
+    ``BOOT_BLOCKS``, the last width repeated, the final block cut at n_boot.
 
-    Each block's responses are drawn as one n x ``BOOT_BLOCK`` matrix
+    Each block's responses are drawn as one n x width matrix
     (``bootstrap_sampler``) and refit by one ``refit_null`` call.  Yields
     the n x m score factors of the block's converged refits, with s0 as
     column 0 of the first block's, and the block's iterations and counts of
     refits stopped unconverged at the cap, degenerate and failed.
     """
     draw = bootstrap_sampler(ds, family, fit)
-    for start in range(0, n_boot, BOOT_BLOCK):
-        y = draw([child_rng(seed, b) for b in range(start, min(start + BOOT_BLOCK, n_boot))])
+    widths = itertools.chain(BOOT_BLOCKS, itertools.repeat(BOOT_BLOCKS[-1]))
+    start = 0
+    while start < n_boot:
+        stop = min(start + next(widths), n_boot)
+        y = draw([child_rng(seed, b) for b in range(start, stop)])
         s, converged, its, met = refit_null(ds, family, fit, y)
         kept = s[:, converged]
         if start == 0:
             kept = np.column_stack([s0, kept])
         yield (kept, its, int(np.count_nonzero(~converged & (its >= DEFAULT_MAX_ITER))),
                int(np.count_nonzero(met)), int(np.count_nonzero(~converged)))
+        start = stop
 
 
 def _check_failed(n_failed: int, n_boot: int) -> None:
@@ -184,21 +201,22 @@ def wast_test(ds: Dataset, family: FamilyKind,
     """Full WAST test with parametric / wild bootstrap calibration.
 
     The observed score factor and those of the kept replicates come from the
-    refit loop in ``BOOT_BLOCK`` chunks, and one pass over the upper omega
-    tiles, each weighted by d_i'd_j, scores every chunk: memory is
-    O(_TILE^2 + n*B).  Replicates whose refit fails to converge are
-    excluded; if more than 5% are, the test raises.  ``diagnostics`` counts
-    the refits' (min, median, max) iterations, those stopped unconverged at
-    the iteration cap and the quantile refits that met a degenerate vertex.
+    refit loop in ``BOOT_BLOCKS`` chunks (16, 16, 32, then 64 replicates), and
+    one pass over the upper omega tiles, each weighted by d_i'd_j as it is
+    evaluated, scores every chunk: memory is O(_TILE^2 + n*B).
+    Replicates whose refit fails to converge are excluded; if more than 5%
+    are, the test raises.  ``diagnostics`` counts the refits' (min, median,
+    max) iterations, those stopped unconverged at the iteration cap and the
+    quantile refits that met a degenerate vertex.
     """
-    weight, fit, s0, d, tiles = _null_model(ds, family, weight, n_boot)
+    weight, fit, s0, tiles = _null_model(ds, family, weight, n_boot)
     chunks, iterations, at_cap, degenerate, n_failed = [], [], 0, 0, 0
     for chunk, its, cap, met, failed in _refit_blocks(ds, family, fit, s0, n_boot, seed):
         chunks.append(chunk)
         iterations.append(its)
         at_cap, degenerate, n_failed = at_cap + cap, degenerate + met, n_failed + failed
     _check_failed(n_failed, n_boot)
-    stats = np.concatenate(_pair_sums(tiles, d, chunks))
+    stats = np.concatenate(_pair_sums(tiles, chunks))
     iterations = np.concatenate(iterations)
     return TestOutcome.calibrated(
         stats[0], stats[1:], family=family.describe(),
@@ -213,21 +231,21 @@ def wast_test(ds: Dataset, family: FamilyKind,
 
 def wast_blocks(ds: Dataset, family: FamilyKind, weight: WeightSpec | None = None,
                 n_boot: int = 1000, seed: int = 0):
-    """``wast_test``'s calibration one ``BOOT_BLOCK`` at a time, for a caller
-    that may stop early.  Yields (statistic, the block's kept replicate
-    statistics, refits the block ran), each block scored by its own pass
-    over omega's upper tiles, evaluated once before the first block and kept
-    (about n^2/2 floats), so the statistics are bit-identical to
-    ``wast_test``'s.  The failed refits are checked against ``wast_test``'s
+    """``wast_test``'s calibration one ``BOOT_BLOCKS`` block at a time, for a
+    caller that may stop early.  Yields (statistic, the block's kept
+    replicate statistics, refits the block ran), each block scored by its
+    own pass over omega's upper tiles, evaluated and weighted by d_i'd_j
+    once before the first block and kept (about n^2/2 floats), so the
+    statistics are bit-identical to ``wast_test``'s.  The failed refits are checked against ``wast_test``'s
     cap after each block.
     """
-    weight, fit, s0, d, tiles = _null_model(ds, family, weight, n_boot)
+    weight, fit, s0, tiles = _null_model(ds, family, weight, n_boot)
     tiles = list(tiles)
     statistic, n_failed = None, 0
     for chunk, its, _, _, failed in _refit_blocks(ds, family, fit, s0, n_boot, seed):
         n_failed += failed
         _check_failed(n_failed, n_boot)
-        stats = _pair_sums(tiles, d, [chunk])[0]
+        stats = _pair_sums(tiles, [chunk])[0]
         if statistic is None:
             statistic, stats = stats[0], stats[1:]
         yield statistic, stats, its.size

@@ -46,3 +46,12 @@ def highs_check_loss(y, x, tau):
 def check_loss(y, x, alpha, tau):
     u = y - x @ alpha
     return float(np.sum(u * (tau - (u < 0.0))))
+
+
+def refit_block_widths(n_boot):
+    """The widths of a WAST test's refit blocks, written out: 16, 16, 32,
+    then 64 each, the last cut at n_boot."""
+    widths, schedule = [], iter([16, 16, 32])
+    while (done := sum(widths)) < n_boot:
+        widths.append(min(next(schedule, 64), n_boot - done))
+    return widths

@@ -52,6 +52,18 @@ def test_load_csv_non_finite_cell_reports_location(tmp_path, cell):
         load_csv(f, ColumnSpec(response="y", diff=["x1"]))
 
 
+@pytest.mark.parametrize("body, message", [
+    ("1,2,3\n4,5,6,7\n8,9,10\n", "row 2 has 4 fields, the header has 3"),
+    ("1,2,3\n4,5\n8,9,10\n", "row 2 has 2 fields, the header has 3"),
+    ("1,2,3\n4,5,6\n\n", "row 3 has 0 fields, the header has 3"),
+], ids=["long row", "short row", "trailing blank line"])
+def test_load_csv_ragged_row_reports_counts(tmp_path, body, message):
+    # Every row is checked, also where the unread column z1 is the one missing.
+    f = write_csv(tmp_path / "d.csv", "y,x1,z1\n" + body)
+    with pytest.raises(DataError, match=message):
+        load_csv(f, ColumnSpec(response="y", diff=["x1"]))
+
+
 def test_load_csv_header_only(tmp_path):
     f = write_csv(tmp_path / "d.csv", "y,x1\n")
     spec = ColumnSpec(response="y", baseline=["x1"], diff=["x1"], grouping=["x1"])

@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 from dataclasses import replace
 from functools import partial
@@ -12,6 +13,8 @@ from changeplane import wast as wast_module
 from changeplane.cli import USAGE_EXIT, main
 from changeplane.errors import NumericalError, ParameterError
 from changeplane.rng import child_rng
+
+from conftest import refit_block_widths
 
 
 def glm_scenario(**kw):
@@ -241,10 +244,10 @@ class TestStudyLoop:
 
     def test_curtailed_decisions_equal_the_full_tests(self):
         """Each study test stops once its decision is fixed, and decides as
-        p < level from the full test would; it runs whole blocks (64 refits
-        for WAST, 32 draws for SST) up to n_boot."""
+        p < level from the full test would; it runs whole blocks (refits of
+        16, 16, 32, then 64 for WAST, 32 draws for SST) up to n_boot."""
         sc = glm_scenario(family=FamilyKind("gaussian"), n=60, seed=28)
-        n_boot, runs = 70, {"wast": {64, 70}, "sst": {32, 64, 70}}
+        n_boot, runs = 70, {"wast": {16, 32, 64, 70}, "sst": {32, 64, 70}}
         tests = {"wast": partial(sim_module.wast_blocks, n_boot=n_boot),
                  "sst": partial(sim_module.sst_blocks, n_resample=n_boot, **self.SST)}
         stopped = set()
@@ -282,10 +285,35 @@ class TestStudyLoop:
             assert row["replicates_run"] <= 6 * 70
         assert any(row["replicates_run"] < 6 * 70 for row in table.rows)
 
+    def test_refits_are_the_replicates_run(self, monkeypatch):
+        """A study test's cost follows the replicates it runs: the widths it
+        passes to refit_null are a prefix of the block schedule and sum, over
+        a cell's tests, to the row's replicates_run.  A null test that stops
+        after its first block refits 16 responses; a rejection refits all."""
+        refit, blocks, tests = wast_module.refit_null, sim_module.wast_blocks, []
+
+        def counted_refit(ds, family, fit, y):
+            tests[-1].append(y.shape[1])
+            return refit(ds, family, fit, y)
+
+        def recorded_test(*args, **kwargs):
+            tests.append([])
+            return blocks(*args, **kwargs)
+
+        monkeypatch.setattr(wast_module, "refit_null", counted_refit)
+        monkeypatch.setattr(sim_module, "wast_blocks", recorded_test)
+        table = run_power(glm_scenario(n=60, seed=29), [0.0, 1.5], reps=4, n_boot=200)
+        schedule = refit_block_widths(200)
+        assert len(tests) == 8 and all(widths == schedule[:len(widths)] for widths in tests)
+        for row, cell in zip(table.rows, (tests[:4], tests[4:])):
+            assert sum(map(sum, cell)) == row["replicates_run"]
+        assert tests[0] == [16] and table.rows[0]["rate"] == 0.0
+        assert tests[4:] == [schedule] * 4 and table.rows[1]["rate"] == 1.0
+
     def test_failure_cap_applies_to_the_replicates_run(self, monkeypatch):
-        """Every refit of a test's third block fails, 64 of B = 200: the full
+        """Every refit of a test's third block fails, 32 of B = 200: the full
         test raises, as does a study whose test reaches that block, but one
-        whose test stops after its first block completes."""
+        whose test stops after its first block, of 16 refits, completes."""
         refit = wast_module.refit_null
         blocks = []
 
@@ -297,16 +325,16 @@ class TestStudyLoop:
         monkeypatch.setattr(wast_module, "refit_null", third_block_fails)
         sc = glm_scenario(n=60, seed=29)
         ds = generate(sc, child_rng(sc.seed, 0, 0))
-        with pytest.raises(NumericalError, match="64/200 bootstrap refits failed"):
+        with pytest.raises(NumericalError, match="32/200 bootstrap refits failed"):
             wast_test(ds, sc.family, n_boot=200, seed=sim_module._test_seed(sc, 0))
-        assert blocks == [64, 64, 64, 8]
+        assert blocks == [16, 16, 32, 64, 64, 8]
         blocks.clear()
         row = run_size(sc, reps=1, n_boot=200)
-        assert (row["rate"], row["replicates_run"], blocks) == (0.0, 64, [64])
+        assert (row["rate"], row["replicates_run"], blocks) == (0.0, 16, [16])
         blocks.clear()
-        with pytest.raises(NumericalError, match="64/200 bootstrap refits failed"):
+        with pytest.raises(NumericalError, match="32/200 bootstrap refits failed"):
             run_size(sc, reps=1, n_boot=200, level=0.9)
-        assert blocks == [64, 64, 64]
+        assert blocks == [16, 16, 32]
 
     @pytest.mark.parametrize("methods", [("wast", "foo"), ("foo", "wast"), (),
                                          ("wast", "wast"), ("sst", "wast", "sst")])
@@ -322,7 +350,9 @@ class TestStudyLoop:
         (("sst",), {"sst_kwargs": {"k_directions": 0}}, "k_directions=0"),
         (("wast", "sst"), {"sst_kwargs": {"grid_per_direction": 0}}, "grid_per_direction=0"),
         (("sst",), {"sst_kwargs": {"k_direction": 30}}, "sst_kwargs must name"),
-        (("wast",), {"sst_kwargs": {"seed": 1}}, "sst_kwargs must name")])
+        (("wast",), {"sst_kwargs": {"seed": 1}}, "sst_kwargs must name"),
+        (("wast",), {"threads": 0}, "threads must be >= 1, got 0"),
+        (("wast", "sst"), {"threads": -2}, "threads must be >= 1, got -2")])
     def test_bad_study_inputs_raise_before_any_replicate(self, monkeypatch, methods, kwargs,
                                                          message):
         calls = counting(monkeypatch, "generate", "wast_blocks", "sst_blocks")
@@ -330,6 +360,34 @@ class TestStudyLoop:
         with pytest.raises(ParameterError, match=message):
             run_power(glm_scenario(), methods=methods, **args)
         assert calls == {"generate": 0, "wast_blocks": 0, "sst_blocks": 0}
+
+    @pytest.mark.parametrize("threads", [3, 64])
+    def test_no_more_workers_than_jobs(self, monkeypatch, threads):
+        """A process pool forks all its workers at its first job, so a study
+        of two jobs asks for two; the fake runs them in this process."""
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        sc = glm_scenario(n=40, seed=27)
+        table = run_power(sc, [0.0, 1.0], reps=1, n_boot=5, threads=threads)
+        assert pools == [2]
+        assert table.rows == run_power(sc, [0.0, 1.0], reps=1, n_boot=5).rows
+        assert pools == [2]  # the serial study builds no pool
+        run_power(sc, [0.0], reps=1, n_boot=5, threads=threads)
+        assert pools == [2]  # nor does a study of one job
 
     def test_grid_options_are_sst_only(self):
         # Without sst the grid options are unused: known names pass, whatever their values.
@@ -367,7 +425,7 @@ class TestStudyLoop:
                                        ["--n", "0"], ["--boot", "0"], ["--kappa", "nan"],
                                        ["--methods", "sst", "--grid-k", "0"],
                                        ["--methods", "wast,sst", "--grid-per-direction", "0"],
-                                       ["--dims", "2,2,1"]])
+                                       ["--dims", "2,2,1"], ["--threads", "0"]])
     def test_cli_usage_exit_and_no_csv(self, tmp_path, capsys, monkeypatch, command, flags):
         calls = counting(monkeypatch, "generate", "wast_blocks", "sst_blocks")
         out_csv = tmp_path / "out.csv"

@@ -21,7 +21,7 @@ from changeplane.families import (DEFAULT_MAX_ITER, DEFAULT_TOL, _fit, bootstrap
 from changeplane.errors import DataError, NumericalError, ParameterError
 from changeplane.rng import child_rng
 
-from conftest import check_loss, highs_check_loss, random_dataset
+from conftest import check_loss, highs_check_loss, random_dataset, refit_block_widths
 
 
 def double_loop_statistic(psi0, omega):
@@ -262,12 +262,9 @@ class TestWastTest:
         assert np.isfinite(out.statistic)
         assert out.n_failed == 0
 
-    @pytest.mark.parametrize("n_boot, failed", [
-        (1, ()),
-        (wast_module.BOOT_BLOCK + 6, ()),
-        (wast_module.BOOT_BLOCK + 6, (0, wast_module.BOOT_BLOCK - 1,
-                                      wast_module.BOOT_BLOCK + 5)),
-    ])
+    # B = 70 is four refit blocks, 16 + 16 + 32 + 6; the failed replicates
+    # open the first block, close the second and fall in the last.
+    @pytest.mark.parametrize("n_boot, failed", [(1, ()), (70, ()), (70, (0, 31, 69))])
     def test_batched_bootstrap_matches_per_replicate_loop(
             self, rng, monkeypatch, n_boot, failed):
         ds = random_dataset(rng, n=60, family="binomial")
@@ -275,8 +272,7 @@ class TestWastTest:
         ref, _ = loop_boot_stats(ds, fam, n_boot, seed=11, failed=failed)
         widths = flaky_refits(monkeypatch, failed)
         out = wast_test(ds, fam, n_boot=n_boot, seed=11)
-        block = wast_module.BOOT_BLOCK
-        assert widths == [min(block, n_boot - b) for b in range(0, n_boot, block)]
+        assert widths == refit_block_widths(n_boot)
         assert out.n_failed == len(failed)
         assert out.n_boot == n_boot - len(failed) == ref.size
         np.testing.assert_allclose(out.boot_stats, ref, rtol=1e-10, atol=0)
@@ -326,7 +322,8 @@ class TestWastTest:
         monkeypatch.setattr(families_module, "validate",
                             lambda *args: validations.append(args) or validate_once(*args))
         wast_test(ds, FamilyKind("semiparametric"), n_boot=70, seed=1)
-        assert fits == [("binomial", 1), ("gaussian", 1), ("gaussian", 64), ("gaussian", 6)]
+        assert fits == [("binomial", 1), ("gaussian", 1), ("gaussian", 16), ("gaussian", 16),
+                        ("gaussian", 32), ("gaussian", 6)]
         assert len(validations) == 1
 
     # (family, statistic, sum, min and max of boot_stats, p-value, n_boot) of
@@ -459,26 +456,24 @@ class TestBlocks:
         fam = FamilyKind(family)
         out = wast_test(ds, fam, n_boot=n_boot, seed=n_boot)
         blocks = list(wast_blocks(ds, fam, n_boot=n_boot, seed=n_boot))
-        block = wast_module.BOOT_BLOCK
-        assert [ran for _, _, ran in blocks] == [min(block, n_boot - b)
-                                                 for b in range(0, n_boot, block)]
+        assert [ran for _, _, ran in blocks] == refit_block_widths(n_boot)
         assert all(statistic == out.statistic for statistic, _, _ in blocks)
         np.testing.assert_array_equal(np.concatenate([boot for _, boot, _ in blocks]),
                                       out.boot_stats)
 
     def test_failed_refits_checked_after_each_block(self, rng, monkeypatch):
-        # Every refit of the third block fails: 64 of B = 200 is over the cap.
+        # Every refit of the third block fails: 32 of B = 200 is over the cap.
         ds = random_dataset(rng, n=60, family="binomial")
         fam = FamilyKind("binomial")
-        flaky_refits(monkeypatch, failed=range(128, 192))
-        with pytest.raises(NumericalError, match="64/200 bootstrap refits failed"):
+        flaky_refits(monkeypatch, failed=range(32, 64))
+        with pytest.raises(NumericalError, match="32/200 bootstrap refits failed"):
             wast_test(ds, fam, n_boot=200, seed=3)
-        widths = flaky_refits(monkeypatch, failed=range(128, 192))
+        widths = flaky_refits(monkeypatch, failed=range(32, 64))
         blocks = wast_blocks(ds, fam, n_boot=200, seed=3)
-        assert [ran for _, _, ran in (next(blocks), next(blocks))] == [64, 64]
-        with pytest.raises(NumericalError, match="64/200 bootstrap refits failed"):
+        assert [ran for _, _, ran in (next(blocks), next(blocks))] == [16, 16]
+        with pytest.raises(NumericalError, match="32/200 bootstrap refits failed"):
             next(blocks)
-        assert widths == [64, 64, 64]
+        assert widths == [16, 16, 32]
 
 
 TILE = weights_module._TILE
@@ -518,7 +513,8 @@ class TestTileKernel:
             omega = (omega + omega.T) / 2
             tiles = ((rows, cols, omega[rows, cols])
                      for rows, cols in weights_module.upper_tiles(n))
-            got = np.concatenate(wast_module._pair_sums(tiles, d, [s[:, :1], s[:, 1:]]))
+            got = np.concatenate(wast_module._pair_sums(wast_module._weighted_tiles(tiles, d),
+                                                        [s[:, :1], s[:, 1:]]))
             for b in range(4):
                 terms = [omega[i, j] * (d[i] @ d[j]) * s[i, b] * s[j, b]
                          for i in range(n) for j in range(n) if i != j]
@@ -546,27 +542,32 @@ class TestTileKernel:
         assert abs(a - b) <= 1e-12 * scale
 
     def test_each_upper_tile_evaluated_once_per_test(self, rng, monkeypatch):
-        """omega depends on Z and the prior only: ``wast_test`` and a
-        ``wast_blocks`` run to the end, here over four refit blocks, each
-        evaluate every upper tile once."""
+        """omega and d are fixed across replicates: ``wast_test`` and a
+        ``wast_blocks`` run to the end, here over six refit blocks, each
+        evaluate every upper tile once and weight it by d_i'd_j once."""
         n = 600
         ds = random_dataset(rng, n=n)
         fam = FamilyKind("gaussian")
-        evaluated, omega_tiles = [], wast_module.omega_tiles
+        evaluated, weighted = [], []
+        omega_tiles, weighted_tiles = wast_module.omega_tiles, wast_module._weighted_tiles
 
-        def counted(*args):
-            for rows, cols, tile in omega_tiles(*args):
-                evaluated.append((rows.start, cols.start))
-                yield rows, cols, tile
+        def counting(source, seen):
+            def counted(*args):
+                for rows, cols, tile in source(*args):
+                    seen.append((rows.start, cols.start))
+                    yield rows, cols, tile
+            return counted
 
-        monkeypatch.setattr(wast_module, "omega_tiles", counted)
+        monkeypatch.setattr(wast_module, "omega_tiles", counting(omega_tiles, evaluated))
+        monkeypatch.setattr(wast_module, "_weighted_tiles", counting(weighted_tiles, weighted))
         upper = [(rows.start, cols.start) for rows, cols in weights_module.upper_tiles(n)]
         assert len(upper) == 6
         wast_test(ds, fam, n_boot=200, seed=4)
-        assert evaluated == upper
+        assert evaluated == weighted == upper
         evaluated.clear()
-        assert len(list(wast_blocks(ds, fam, n_boot=200, seed=4))) == 4
-        assert evaluated == upper
+        weighted.clear()
+        assert len(list(wast_blocks(ds, fam, n_boot=200, seed=4))) == len(refit_block_widths(200))
+        assert evaluated == weighted == upper
 
     def test_no_n_by_n_array(self, rng):
         n = 3000
