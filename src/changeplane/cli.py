@@ -54,6 +54,16 @@ def _columns(raw: str | None) -> list[str]:
     return [c for c in (raw.split(",") if raw else []) if c]
 
 
+def _write_output(path: str, write) -> None:
+    """Open ``path`` for writing and pass it to ``write``; DataError when it
+    cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            write(fh)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def cmd_test(args) -> int:
     if not 0.0 < args.level < 1.0:
         raise ParameterError(f"level must lie in (0, 1), got {args.level}")
@@ -87,11 +97,11 @@ def cmd_test(args) -> int:
     print(f"p_value={_fmt(out.p_value)}")
     print(f"decision={decision} (level={_fmt(args.level)})")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write("method,family,n,n_boot,statistic,p_value,level,decision,seed\n")
-            fh.write(f"{out.method},{out.family},{ds.n},{out.n_boot},"
-                     f"{_fmt(out.statistic)},{_fmt(out.p_value)},"
-                     f"{_fmt(args.level)},{decision},{args.seed}\n")
+        _write_output(args.output, lambda fh: fh.write(
+            "method,family,n,n_boot,statistic,p_value,level,decision,seed\n"
+            f"{out.method},{out.family},{ds.n},{out.n_boot},"
+            f"{_fmt(out.statistic)},{_fmt(out.p_value)},"
+            f"{_fmt(args.level)},{decision},{args.seed}\n"))
     return 0
 
 
@@ -143,8 +153,7 @@ def _study(args, kappas, default_output: str, banner: str, line: str) -> int:
     print(f"# seed={args.seed}")
     for row in table.rows:
         print(line.format_map({**row, **{k: _fmt(row[k]) for k in ("kappa", "rate", "stderr")}}))
-    with open(args.output or default_output, "w", encoding="utf-8") as fh:
-        table.write_csv(fh)
+    _write_output(args.output or default_output, table.write_csv)
     return 0
 
 

@@ -19,7 +19,6 @@ rows psi1_i = s_i x_base,i.  This module provides:
 * ``score_psi0``      -- the n x p theta-free score rows psi0,
 * ``sst_derivatives`` -- the row factors of K(theta) and the J matrix needed
                          by the supremum score test,
-* ``plane_projections``-- which rows lie inside which change planes,
 * ``bootstrap_sampler``-- redrawn responses for calibration, an n x m block
                          per call, per the family-specific scheme
                          (parametric for GLM/probit, two-point wild for
@@ -43,7 +42,7 @@ from .data import Dataset, validate
 from .errors import ParameterError, SingularDesignError
 
 __all__ = [
-    "FAMILIES", "FamilyKind", "NullFit", "SstDerivatives", "plane_projections",
+    "FAMILIES", "FamilyKind", "NullFit", "SstDerivatives",
     "fit_null", "refit_null", "score_factor", "score_psi0", "sst_derivatives",
     "bootstrap_sampler", "bootstrap_sample",
 ]
@@ -143,11 +142,11 @@ class NullFit:
 class SstDerivatives:
     """Row factors of K(theta), the inverse of J and the nuisance rows.
 
-    K(theta) = n^-1 sum_i d_i(theta) g_i h_i', d_i(theta) the membership of
-    ``plane_projections``, is the p x r derivative of the mean half-space
-    score in the nuisance coefficients; ``g`` (n x p) and ``h`` (n x r) are
-    its theta-free row factors.  ``j_inv`` is the inverse of the derivative
-    of the nuisance estimating function; the score-covariance correction is
+    K(theta) = n^-1 sum_i d_i(theta) g_i h_i', d_i(theta) row i's membership
+    of the plane, is the p x r derivative of the mean half-space score in the
+    nuisance coefficients; ``g`` (n x p) and ``h`` (n x r) are its theta-free
+    row factors.  ``j_inv`` is the inverse of the derivative of the nuisance
+    estimating function; the score-covariance correction is
     ``K(theta) @ j_inv @ psi1_i``.
     """
 
@@ -155,34 +154,6 @@ class SstDerivatives:
     h: np.ndarray
     j_inv: np.ndarray
     psi1: np.ndarray  # n x r matrix of nuisance estimating-function rows
-    z: np.ndarray     # grouping rows the indicator is taken over
-
-    def k_of_theta(self, theta) -> np.ndarray:
-        """K(theta) at one plane.
-
-        Its projections come from a one-row product, rounded unlike the
-        grid-wide GEMM; at odd n the row at the plane's quantile may land on
-        the other side from the same plane in a grid (see ``score_test_at``).
-        """
-        theta = np.asarray(theta, float)
-        ind = plane_projections(self.z, theta[None])[0] >= -theta[0]
-        return self.g[ind].T @ self.h[ind] / self.z.shape[0]
-
-
-def plane_projections(z: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """K x n projections z_tail,i' theta_tail,k of the grouping rows on the
-    planes; row i is inside plane k when its projection is >= -theta_1k.
-
-    The theta grid takes its intercepts as quantiles of these rows and the
-    SST kernel its indicator from them, both calling this on the same
-    ``sst.PLANE_BLOCK`` blocks of one thetas array: BLAS rounds a product by
-    its shape, and equal products round alike, so the row at a quantile is
-    inside its plane.  theta_1 is the intercept: z's first column must be
-    all ones.
-    """
-    if not np.all(z[:, 0] == 1.0):
-        raise ParameterError("change planes need an all-ones first grouping column")
-    return thetas[:, 1:] @ z[:, 1:].T
 
 
 # --------------------------------------------------------------------------
@@ -467,7 +438,7 @@ def sst_derivatives(ds: Dataset, family: FamilyKind, fit: NullFit) -> SstDerivat
         j_inv = np.linalg.inv(j_base)
     except np.linalg.LinAlgError as exc:
         raise SingularDesignError("singular J matrix") from exc
-    return SstDerivatives(g, h, j_inv, psi1, z)
+    return SstDerivatives(g, h, j_inv, psi1)
 
 
 def bootstrap_sampler(ds: Dataset, family: FamilyKind, fit: NullFit):

@@ -27,8 +27,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import NumericalError, ParameterError
-from .families import (FamilyKind, SstDerivatives, fit_null, plane_projections,
-                       score_psi0, sst_derivatives)
+from .families import FamilyKind, SstDerivatives, fit_null, score_psi0, sst_derivatives
 from .rng import child_rng
 from .wast import TestOutcome
 
@@ -43,10 +42,9 @@ RIDGE_SCALE = 1e-8
 # U x p x DRAW_BLOCK result is the largest array of the resampling.
 DRAW_BLOCK = 32
 
-# Planes whose projections are formed together, by the grid for its
-# intercepts and by the kernel for its memberships, so no K x n array of
-# projections is formed.  Part of the grid's definition: both cut the grid into the same
-# blocks from plane 0, and BLAS rounds a product by its shape.
+# Planes whose projections are formed together (``_plane_blocks``), so no
+# K x n array of projections is formed.  Part of the grid's definition, as
+# BLAS rounds a product by its shape.
 PLANE_BLOCK = 256
 
 # Indicator rows unpacked from bits together into each GEMM.  Not tied to
@@ -80,11 +78,10 @@ def build_theta_grid(ds: Dataset, k_directions: int = 1000,
 
     Each of ``k_directions`` directions for (theta_2..theta_q) is drawn
     standard normal and normalized.  The intercept theta_1 is minus an
-    empirical quantile of the plane's row of ``plane_projections``, formed
-    ``PLANE_BLOCK`` planes at a time as ``_distinct_memberships`` forms
-    them, so the row at the quantile lies inside the plane; quantile levels
-    are spread over [0.10, 0.90] (``grid_per_direction`` of them, the
-    midpoint when one).
+    empirical quantile of the plane's row of projections (``_plane_blocks``),
+    so the row at the quantile lies inside the plane; quantile levels are
+    spread over [0.10, 0.90] (``grid_per_direction`` of them, the midpoint
+    when one).
     """
     if ds.q < 2:
         raise ParameterError("theta grid requires q >= 2 grouping columns")
@@ -100,13 +97,24 @@ def build_theta_grid(ds: Dataset, k_directions: int = 1000,
         levels = np.linspace(0.10, 0.90, grid_per_direction)
     thetas = np.empty((k_directions * levels.size, ds.q))
     thetas[:, 1:] = np.repeat(dirs, levels.size, axis=0)
-    for start in range(0, len(thetas), PLANE_BLOCK):
-        block = thetas[start:start + PLANE_BLOCK]
-        proj = plane_projections(ds.z_group, block)
+    for start, block, proj in _plane_blocks(ds.z_group, thetas):
         for j, level in enumerate(levels):
             first = (j - start) % levels.size  # the block's first plane at level j
             block[first::levels.size, 0] = -_row_quantile(proj[first::levels.size], level)
     return ThetaGrid(thetas=thetas)
+
+
+def _plane_blocks(z: np.ndarray, thetas: np.ndarray):
+    """The planes ``PLANE_BLOCK`` at a time from plane 0, the one place
+    their projections are formed: yields (start, block, proj), ``block`` the
+    view of thetas from row ``start`` and ``proj`` its projections
+    z_tail,i' theta_tail,k.  Row i is inside plane k when its projection is
+    >= -theta_1k, so z's first column must be all ones."""
+    if not np.all(z[:, 0] == 1.0):
+        raise ParameterError("change planes need an all-ones first grouping column")
+    for start in range(0, len(thetas), PLANE_BLOCK):
+        block = thetas[start:start + PLANE_BLOCK]
+        yield start, block, block[:, 1:] @ z[:, 1:].T
 
 
 def _row_quantile(rows: np.ndarray, level: float) -> np.ndarray:
@@ -131,18 +139,14 @@ def _distinct_memberships(z: np.ndarray, thetas: np.ndarray):
     """The distinct plane memberships of the grid, packed to bits, and the
     plane -> row map.
 
-    Row i is inside plane k when its projection is >= -theta_1k.  The
-    projections are formed ``PLANE_BLOCK`` planes at a time, the blocks of
-    ``build_theta_grid``, and each block is compared and packed to bits;
+    Each block of ``_plane_blocks`` is compared and packed to bits;
     ``np.unique`` over the packed rows gives the U x ceil(n/8) bytes of the
     distinct memberships and ``inverse``, plane k's row of them.
     """
-    n = z.shape[0]
-    packed = np.empty((len(thetas), (n + 7) // 8), np.uint8)
-    for start in range(0, len(thetas), PLANE_BLOCK):
-        block = thetas[start:start + PLANE_BLOCK]
-        packed[start:start + PLANE_BLOCK] = np.packbits(
-            plane_projections(z, block) >= -block[:, :1], axis=1)
+    packed = np.empty((len(thetas), (z.shape[0] + 7) // 8), np.uint8)
+    for start, block, proj in _plane_blocks(z, thetas):
+        packed[start:start + len(block)] = np.packbits(proj >= -block[:, :1], axis=1)
+        del proj  # so the next block is formed with no other one alive
     rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     return packed[first], inverse

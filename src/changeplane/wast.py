@@ -173,26 +173,27 @@ def _refit_blocks(ds: Dataset, family: FamilyKind, fit, s0: np.ndarray, n_boot: 
     (``bootstrap_sampler``) and refit by one ``refit_null`` call.  Yields
     the n x m score factors of the block's converged refits, with s0 as
     column 0 of the first block's, and the block's iterations and counts of
-    refits stopped unconverged at the cap, degenerate and failed.
+    refits stopped unconverged at the cap, degenerate and failed.  Raises
+    after the first block that takes the failed refits past
+    ``MAX_FAILED_FRACTION`` of n_boot.
     """
     draw = bootstrap_sampler(ds, family, fit)
     widths = itertools.chain(BOOT_BLOCKS, itertools.repeat(BOOT_BLOCKS[-1]))
-    start = 0
+    start, n_failed = 0, 0
     while start < n_boot:
         stop = min(start + next(widths), n_boot)
         y = draw([child_rng(seed, b) for b in range(start, stop)])
         s, converged, its, met = refit_null(ds, family, fit, y)
+        failed = int(np.count_nonzero(~converged))
+        n_failed += failed
+        if n_failed > MAX_FAILED_FRACTION * n_boot:
+            raise NumericalError(f"{n_failed}/{n_boot} bootstrap refits failed to converge")
         kept = s[:, converged]
         if start == 0:
             kept = np.column_stack([s0, kept])
         yield (kept, its, int(np.count_nonzero(~converged & (its >= DEFAULT_MAX_ITER))),
-               int(np.count_nonzero(met)), int(np.count_nonzero(~converged)))
+               int(np.count_nonzero(met)), failed)
         start = stop
-
-
-def _check_failed(n_failed: int, n_boot: int) -> None:
-    if n_failed > MAX_FAILED_FRACTION * n_boot:
-        raise NumericalError(f"{n_failed}/{n_boot} bootstrap refits failed to converge")
 
 
 def wast_test(ds: Dataset, family: FamilyKind,
@@ -204,10 +205,10 @@ def wast_test(ds: Dataset, family: FamilyKind,
     refit loop in ``BOOT_BLOCKS`` chunks (16, 16, 32, then 64 replicates), and
     one pass over the upper omega tiles, each weighted by d_i'd_j as it is
     evaluated, scores every chunk: memory is O(_TILE^2 + n*B).
-    Replicates whose refit fails to converge are excluded; if more than 5%
-    are, the test raises.  ``diagnostics`` counts the refits' (min, median,
-    max) iterations, those stopped unconverged at the iteration cap and the
-    quantile refits that met a degenerate vertex.
+    Replicates whose refit fails to converge are excluded; once more than 5%
+    of B have, the test raises.  ``diagnostics`` counts the refits' (min,
+    median, max) iterations, those stopped unconverged at the iteration cap
+    and the quantile refits that met a degenerate vertex.
     """
     weight, fit, s0, tiles = _null_model(ds, family, weight, n_boot)
     chunks, iterations, at_cap, degenerate, n_failed = [], [], 0, 0, 0
@@ -215,7 +216,6 @@ def wast_test(ds: Dataset, family: FamilyKind,
         chunks.append(chunk)
         iterations.append(its)
         at_cap, degenerate, n_failed = at_cap + cap, degenerate + met, n_failed + failed
-    _check_failed(n_failed, n_boot)
     stats = np.concatenate(_pair_sums(tiles, chunks))
     iterations = np.concatenate(iterations)
     return TestOutcome.calibrated(
@@ -236,15 +236,13 @@ def wast_blocks(ds: Dataset, family: FamilyKind, weight: WeightSpec | None = Non
     replicate statistics, refits the block ran), each block scored by its
     own pass over omega's upper tiles, evaluated and weighted by d_i'd_j
     once before the first block and kept (about n^2/2 floats), so the
-    statistics are bit-identical to ``wast_test``'s.  The failed refits are checked against ``wast_test``'s
-    cap after each block.
+    statistics are bit-identical to ``wast_test``'s, and the failed refits
+    meet the same cap after each block.
     """
     weight, fit, s0, tiles = _null_model(ds, family, weight, n_boot)
     tiles = list(tiles)
-    statistic, n_failed = None, 0
-    for chunk, its, _, _, failed in _refit_blocks(ds, family, fit, s0, n_boot, seed):
-        n_failed += failed
-        _check_failed(n_failed, n_boot)
+    statistic = None
+    for chunk, its, _, _, _ in _refit_blocks(ds, family, fit, s0, n_boot, seed):
         stats = _pair_sums(tiles, [chunk])[0]
         if statistic is None:
             statistic, stats = stats[0], stats[1:]

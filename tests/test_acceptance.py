@@ -165,8 +165,8 @@ def test_criterion_4_null_fits_and_k_derivative(report):
             # the half-space, step 1e-5, relative tolerance 1e-4.
             derivs = sst_derivatives(ds, fam, fit)
             theta = np.array([0.1, 1.0, -0.7])
-            ind = (ds.z_group @ theta >= 0).astype(float)
-            k = derivs.k_of_theta(theta)
+            ind = ds.z_group @ theta >= 0
+            k = derivs.g[ind].T @ derivs.h[ind] / ds.n
             h = 1e-5
             scale = max(float(np.max(np.abs(k))), 1e-8)
             for j in range(ds.r):

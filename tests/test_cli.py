@@ -367,3 +367,35 @@ class TestStartup:
                          "print(code, 'scipy.special' in sys.modules)")
         assert out[0] == "False" and out[-1] == "0 True"
         assert any(line.startswith("p_value=") for line in out)
+
+
+class TestFileErrors:
+    """A file the CLI cannot read or write is a usage error: exit 2 with the
+    path named, not a traceback."""
+
+    TEST_ARGS = ["--family", "binomial", "--response", "y", "--baseline", "x1",
+                 "--diff", "x1", "--grouping", "z1,z2", "--boot", "10", "--seed", "1"]
+
+    def test_missing_data_file_usage_exit(self, tmp_path, capsys):
+        path = tmp_path / "missing.csv"
+        code, out, err = run_cli(["test", str(path), *self.TEST_ARGS], capsys)
+        assert code == USAGE_EXIT and out == ""
+        assert f"{path}: cannot read" in err
+
+    def test_non_utf8_data_file_usage_exit(self, glm_csv, capsys):
+        glm_csv.write_bytes(glm_csv.read_bytes().replace(b"x1", b"x\xe91", 1))
+        code, out, err = run_cli(["test", str(glm_csv), *self.TEST_ARGS], capsys)
+        assert code == USAGE_EXIT and out == ""
+        assert f"{glm_csv}: not UTF-8 text" in err
+
+    @pytest.mark.parametrize("command", ["test", "simulate", "power"])
+    def test_unwritable_output_usage_exit(self, glm_csv, tmp_path, capsys, command):
+        output = tmp_path / "absent" / "out.csv"
+        argv = {"test": ["test", str(glm_csv), *self.TEST_ARGS],
+                "simulate": ["simulate", "--family", "gaussian", "--n", "40",
+                             "--reps", "1", "--boot", "5", "--seed", "1"],
+                "power": ["power", "--family", "gaussian", "--n", "40", "--reps", "1",
+                          "--boot", "5", "--kappa-grid", "0", "--seed", "1"]}[command]
+        code, _, err = run_cli([*argv, "--output", str(output)], capsys)
+        assert code == USAGE_EXIT
+        assert f"cannot write {output}" in err

@@ -195,3 +195,12 @@ def test_column_spec_name_twice_in_one_role(role):
     with pytest.raises(DataError, match=f"column '{roles[role][0]}' listed twice in {role}"):
         ColumnSpec(response="y", **roles)
 
+
+def test_load_csv_utf8_byte_order_mark(tmp_path):
+    # Spreadsheet "CSV UTF-8" exports start the header with U+FEFF.
+    text = "y,x1,z1\n1,0.5,2\n2,1.5,3\n3,2.5,4\n"
+    spec = ColumnSpec(response="y", baseline=["x1"], diff=["x1"], grouping=["z1"])
+    plain = load_csv(write_csv(tmp_path / "plain.csv", text), spec)
+    ds = load_csv(write_csv(tmp_path / "bom.csv", "\ufeff" + text), spec)
+    for a, b in [(ds.y, plain.y), (ds.x_base, plain.x_base), (ds.z_group, plain.z_group)]:
+        np.testing.assert_array_equal(a, b)

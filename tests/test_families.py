@@ -360,8 +360,8 @@ class TestSstDerivatives:
         fit = fit_null(ds, fam)
         derivs = sst_derivatives(ds, fam, fit)
         theta = np.array([0.2, 1.0, -0.5])
-        ind = (ds.z_group @ theta >= 0).astype(float)
-        k = derivs.k_of_theta(theta)
+        ind = ds.z_group @ theta >= 0
+        k = derivs.g[ind].T @ derivs.h[ind] / ds.n
         h = 1e-5
         for j in range(ds.r):
             e = np.zeros(ds.r)
@@ -390,8 +390,8 @@ class TestSstDerivatives:
         fam = FamilyKind("quantile", tau=0.5)
         fit = fit_null(ds, fam)
         derivs = sst_derivatives(ds, fam, fit)
-        f0 = -derivs.k_of_theta(np.array([1.0, 0.0]))[0, 0] * ds.n / np.sum(
-            ds.z_group @ np.array([1.0, 0.0]) >= 0)
+        ind = ds.z_group @ np.array([1.0, 0.0]) >= 0
+        f0 = -(derivs.g[ind].T @ derivs.h[ind] / ds.n)[0, 0] * ds.n / np.sum(ind)
         assert f0 == pytest.approx(norm.pdf(0.0), abs=0.03)
 
 

@@ -312,8 +312,8 @@ class TestStudyLoop:
 
     def test_failure_cap_applies_to_the_replicates_run(self, monkeypatch):
         """Every refit of a test's third block fails, 32 of B = 200: the full
-        test raises, as does a study whose test reaches that block, but one
-        whose test stops after its first block, of 16 refits, completes."""
+        test raises at that block, as does a study whose test reaches it, but
+        one whose test stops after its first block, of 16 refits, completes."""
         refit = wast_module.refit_null
         blocks = []
 
@@ -327,7 +327,7 @@ class TestStudyLoop:
         ds = generate(sc, child_rng(sc.seed, 0, 0))
         with pytest.raises(NumericalError, match="32/200 bootstrap refits failed"):
             wast_test(ds, sc.family, n_boot=200, seed=sim_module._test_seed(sc, 0))
-        assert blocks == [16, 16, 32, 64, 64, 8]
+        assert blocks == [16, 16, 32]
         blocks.clear()
         row = run_size(sc, reps=1, n_boot=200)
         assert (row["rate"], row["replicates_run"], blocks) == (0.0, 16, [16])

@@ -12,18 +12,15 @@ from changeplane import (Dataset, FamilyKind, ThetaGrid, build_theta_grid, fit_n
 from changeplane import cli
 from changeplane import sst as sst_module
 from changeplane.errors import NumericalError, ParameterError
-from changeplane.families import plane_projections
 from changeplane.rng import child_rng
 
 from conftest import random_dataset
 
 
 def block_projections(z, thetas):
-    """The K x n projections, formed ``PLANE_BLOCK`` planes at a time from
-    plane 0, as the grid and the kernel form them."""
-    block = sst_module.PLANE_BLOCK
-    return np.vstack([plane_projections(z, thetas[start:start + block])
-                      for start in range(0, len(thetas), block)])
+    """The K x n projections, stacked from the blocks of ``_plane_blocks``
+    that the grid and the kernel read."""
+    return np.vstack([proj for _, _, proj in sst_module._plane_blocks(z, thetas)])
 
 
 def loop_theta_grid(ds, k_directions, grid_per_direction, seed):
@@ -212,9 +209,9 @@ class TestScoreTestAt:
         derivs = sst_derivatives(ds, fam, fit)
         theta = np.array([0.1, 0.8, -0.6])
         psi0 = score_psi0(ds, fam, fit)
-        ind = (ds.z_group @ theta >= 0).astype(float)
+        ind = ds.z_group @ theta >= 0
         psi_t = psi0 * ind[:, None]
-        corr = derivs.psi1 @ (derivs.k_of_theta(theta) @ derivs.j_inv).T
+        corr = derivs.psi1 @ (derivs.g[ind].T @ derivs.h[ind] / ds.n @ derivs.j_inv).T
         v = (psi_t - corr).T @ (psi_t - corr) / ds.n
         s = psi_t.sum(axis=0)
         expected = float(s @ np.linalg.solve(v, s)) / ds.n

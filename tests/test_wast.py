@@ -465,9 +465,10 @@ class TestBlocks:
         # Every refit of the third block fails: 32 of B = 200 is over the cap.
         ds = random_dataset(rng, n=60, family="binomial")
         fam = FamilyKind("binomial")
-        flaky_refits(monkeypatch, failed=range(32, 64))
+        widths = flaky_refits(monkeypatch, failed=range(32, 64))
         with pytest.raises(NumericalError, match="32/200 bootstrap refits failed"):
             wast_test(ds, fam, n_boot=200, seed=3)
+        assert widths == [16, 16, 32]
         widths = flaky_refits(monkeypatch, failed=range(32, 64))
         blocks = wast_blocks(ds, fam, n_boot=200, seed=3)
         assert [ran for _, _, ran in (next(blocks), next(blocks))] == [16, 16]
