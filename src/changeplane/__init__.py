@@ -6,9 +6,9 @@ weights, per-family null fits and scores, the weighted-average score test
 perturbation resampling, and Monte-Carlo size/power drivers.
 """
 
-from .data import ColumnSpec, Dataset, load_csv, save_csv, validate
-from .families import (FamilyKind, NullFit, SstDerivatives,
-                       bootstrap_sample, fit_null, score_psi0, sst_derivatives)
+from .data import ColumnSpec, Dataset, load_csv, save_csv
+from .families import (FamilyKind, NullFit, SstDerivatives, bootstrap_sample,
+                       fit_null, score_psi0, sst_derivatives, validate)
 from .sim import PowerTable, Scenario, generate, run_power, run_size
 from .sst import ThetaGrid, build_theta_grid, score_test_at, sst_statistic, sst_test
 from .wast import PlaneBlock, TestOutcome, wast_multi_statistic, wast_statistic, wast_test

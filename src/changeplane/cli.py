@@ -14,6 +14,7 @@ report; emitted numbers are independent of ``--threads``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -54,6 +55,15 @@ def _columns(raw: str | None) -> list[str]:
     return [c for c in (raw.split(",") if raw else []) if c]
 
 
+def _check_output(path: str) -> None:
+    """DataError, before any work, when ``path`` is a directory or its
+    directory does not exist; other write failures surface in ``_write_output``."""
+    if os.path.isdir(path):
+        raise DataError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise DataError(f"cannot write {path}: no such directory")
+
+
 def _write_output(path: str, write) -> None:
     """Open ``path`` for writing and pass it to ``write``; DataError when it
     cannot be written."""
@@ -77,6 +87,8 @@ def cmd_test(args) -> int:
     )
     ds = load_csv(args.data, spec)
     family = _family(args)
+    if args.output:
+        _check_output(args.output)
     if args.method == "wast":
         out = wast_test(ds, family, weight=_weight_spec(args, ds.q),
                         n_boot=args.boot, seed=args.seed)
@@ -144,6 +156,8 @@ def _study(args, kappas, default_output: str, banner: str, line: str) -> int:
     the flags) goes to stderr, one ``line`` per table row to stdout, and the
     table to ``--output`` or ``default_output``."""
     sc = _scenario(args)
+    output = args.output or default_output
+    _check_output(output)
     methods = tuple(_columns(args.methods))
     print(banner.format_map({**vars(args), "methods": ",".join(methods)}), file=sys.stderr)
     table = run_power(sc, kappas, reps=args.reps, n_boot=args.boot,
@@ -153,7 +167,7 @@ def _study(args, kappas, default_output: str, banner: str, line: str) -> int:
     print(f"# seed={args.seed}")
     for row in table.rows:
         print(line.format_map({**row, **{k: _fmt(row[k]) for k in ("kappa", "rate", "stderr")}}))
-    _write_output(args.output or default_output, table.write_csv)
+    _write_output(output, table.write_csv)
     return 0
 
 
@@ -252,7 +266,7 @@ def main(argv=None) -> int:
         # wins because the last value is kept.
         try:
             argv[1:1] = _config_flags(pre.config)
-        except (OSError, DataError) as exc:
+        except (OSError, UnicodeDecodeError, DataError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return USAGE_EXIT
     try:

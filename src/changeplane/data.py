@@ -1,9 +1,10 @@
-"""Observation containers, validation, and CSV ingestion.
+"""Observation containers and CSV ingestion.
 
 A :class:`Dataset` bundles the response ``y``, the baseline design ``x_base``
 (first column conventionally all ones), the grouping-difference design
 ``x_diff``, and the grouping-variable design ``z_group`` (first column
-conventionally all ones).  All blocks are immutable after construction.
+conventionally all ones).  All blocks are immutable after construction;
+``Dataset`` checks their shapes and that every entry is finite.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, ValidationError
+from .errors import DataError
 
-__all__ = ["Dataset", "ColumnSpec", "load_csv", "save_csv", "validate"]
+__all__ = ["Dataset", "ColumnSpec", "load_csv", "save_csv"]
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -201,37 +202,3 @@ def save_csv(ds: Dataset, path, spec: ColumnSpec) -> None:
         for i in range(ds.n):
             writer.writerow([repr(float(lookup[name][i])) for name in names])
 
-
-def validate(ds: Dataset, family: str) -> None:
-    """Check family-specific response constraints; raises ValidationError.
-
-    Pure predicate: never mutates the dataset.
-    """
-    fam = family.lower()
-    y = ds.y
-    if fam in ("binomial", "probit"):
-        bad = np.nonzero((y != 0.0) & (y != 1.0))[0]
-        if bad.size:
-            raise ValidationError(
-                f"{family}: response must be 0/1; first violation at row "
-                f"{bad[0] + 1} (y={y[bad[0]]})")
-    elif fam == "poisson":
-        bad = np.nonzero((y < 0) | (y != np.floor(y)))[0]
-        if bad.size:
-            raise ValidationError(
-                f"poisson: response must be a nonnegative integer; first "
-                f"violation at row {bad[0] + 1} (y={y[bad[0]]})")
-    elif fam in ("gaussian", "quantile"):
-        pass  # finite reals already enforced by Dataset
-    elif fam == "semiparametric":
-        if ds.p != 1:
-            raise ValidationError(
-                "semiparametric: x_diff must be a single treatment column")
-        a = ds.x_diff[:, 0]
-        bad = np.nonzero((a != 0.0) & (a != 1.0))[0]
-        if bad.size:
-            raise ValidationError(
-                f"semiparametric: treatment must be 0/1; first violation at "
-                f"row {bad[0] + 1} (A={a[bad[0]]})")
-    else:
-        raise ValidationError(f"unknown family {family!r}")

@@ -6,6 +6,8 @@ sum_i s_i x_base,i = 0; the test score rows are psi0_i = s_i d_i, d = x_diff
 (the propensity residual for the semiparametric model), and the nuisance
 rows psi1_i = s_i x_base,i.  This module provides:
 
+* ``validate``        -- each family's rules on the response, and on the
+                         semiparametric treatment column,
 * ``fit_null``        -- the null-model fit (beta = 0) solving the nuisance
                          estimating equation: one least-squares solve for
                          gaussian, one Newton loop for binomial and poisson
@@ -38,11 +40,11 @@ from functools import partial
 
 import numpy as np
 
-from .data import Dataset, validate
-from .errors import ParameterError, SingularDesignError
+from .data import Dataset
+from .errors import ParameterError, SingularDesignError, ValidationError
 
 __all__ = [
-    "FAMILIES", "FamilyKind", "NullFit", "SstDerivatives",
+    "FAMILIES", "FamilyKind", "NullFit", "SstDerivatives", "validate",
     "fit_null", "refit_null", "score_factor", "score_psi0", "sst_derivatives",
     "bootstrap_sampler", "bootstrap_sample",
 ]
@@ -121,6 +123,32 @@ class FamilyKind:
 
     def describe(self) -> str:
         return f"quantile(tau={self.tau})" if self.name == "quantile" else self.name
+
+
+def validate(ds: Dataset, family: str) -> None:
+    """Check the rules of the family named ``family``: a 0/1 response for
+    binomial and probit, nonnegative integers for poisson, one 0/1 treatment
+    column for semiparametric.  Raises ValidationError, or ParameterError for
+    a name not in FAMILIES; never mutates the dataset."""
+    name, y = FamilyKind(family).name, ds.y
+    if name in ("binomial", "probit"):
+        bad = np.flatnonzero((y != 0.0) & (y != 1.0))
+        if bad.size:
+            raise ValidationError(f"{name}: response must be 0/1; first violation at row "
+                                  f"{bad[0] + 1} (y={y[bad[0]]})")
+    elif name == "poisson":
+        bad = np.flatnonzero((y < 0) | (y != np.floor(y)))
+        if bad.size:
+            raise ValidationError(f"poisson: response must be a nonnegative integer; first "
+                                  f"violation at row {bad[0] + 1} (y={y[bad[0]]})")
+    elif name == "semiparametric":
+        if ds.p != 1:
+            raise ValidationError("semiparametric: x_diff must be a single treatment column")
+        a = ds.x_diff[:, 0]
+        bad = np.flatnonzero((a != 0.0) & (a != 1.0))
+        if bad.size:
+            raise ValidationError(f"semiparametric: treatment must be 0/1; first violation at "
+                                  f"row {bad[0] + 1} (A={a[bad[0]]})")
 
 
 @dataclass(frozen=True)
@@ -336,11 +364,6 @@ def _fit(family: FamilyKind, y, x, tol, max_iter, design="baseline"):
             np.zeros(y.shape[1], bool))
 
 
-def _semi_fitted(ds: Dataset, alpha: np.ndarray):
-    """pi_hat(Z) and gamma_hat(x_base) of the semiparametric working fits."""
-    return _logistic(ds.z_group @ alpha[: ds.q]), ds.x_base @ alpha[ds.q:]
-
-
 def _fit_family(family: FamilyKind) -> FamilyKind:
     """The family fitted on x_base: the semiparametric baseline Y ~ x_base
     is a least-squares fit, its score factor the residual Y - gamma."""
@@ -412,8 +435,8 @@ def sst_derivatives(ds: Dataset, family: FamilyKind, fit: NullFit) -> SstDerivat
 
     if family.name == "semiparametric":
         # nuisance blocks: propensity over Z, baseline over x_base
-        pi_hat, gam_hat = _semi_fitted(ds, fit.alpha_hat)
-        resid_a, resid_y = xd[:, 0] - pi_hat, ds.y - gam_hat
+        pi_hat = _logistic(z @ fit.alpha_hat[: ds.q])
+        resid_a, resid_y = xd[:, 0] - pi_hat, ds.y - x @ fit.alpha_hat[ds.q:]
         psi1 = np.hstack([resid_a[:, None] * z, resid_y[:, None] * x])
         w1 = pi_hat * (1.0 - pi_hat)
         j_base = np.zeros((ds.q + ds.r, ds.q + ds.r))
@@ -448,45 +471,36 @@ def bootstrap_sampler(ds: Dataset, family: FamilyKind, fit: NullFit):
     two-point wild multiplier P(nu = 2(1-tau)) = 1 - tau, P(nu = -2 tau) = tau
     on absolute residuals (0 at the fit's basis rows, ``_quantile_residual``,
     so those are redrawn at eta); the semiparametric model uses a Gaussian wild
-    multiplier on signed residuals around gamma_hat(x_base).  The fitted
-    eta, the mean, the dispersion and the residuals are formed here, once;
-    the returned ``draw(rngs)`` gives the n x m block whose column b is drawn
-    from ``rngs[b]`` alone.
+    multiplier on signed residuals around gamma_hat(x_base).  Each family's
+    raw draw and its map to responses are chosen here, once, with the fitted
+    eta, mean, dispersion or residuals they use; the returned ``draw(rngs)``
+    gives the n x m block whose column b is drawn from ``rngs[b]`` alone.
     """
     name, tau = family.name, family.tau
     eta = ds.x_base @ fit.alpha_hat[-ds.r:]  # the x_base coefficients come last
     loc = eta[:, None]
-    if name == "gaussian":
-        scale = np.sqrt(np.mean((ds.y - eta) ** 2))  # MLE dispersion
-    elif name == "semiparametric":
-        scale = (ds.y - eta)[:, None]
+    if name == "poisson":
+        lam = np.exp(eta)
+        raw, law = (lambda rng: rng.poisson(lam)), (lambda v: v)
     elif name == "binomial":
         mu = _logistic(eta)[:, None]
-    elif name == "poisson":
-        lam = np.exp(eta)
+        raw, law = (lambda rng: rng.random(ds.n)), (lambda v: (v < mu).astype(float))
     elif name == "quantile":
         spread = np.abs(_quantile_residual(ds.y, ds.x_base, fit.alpha_hat))[:, None]
-
-    def one(rng) -> np.ndarray:
-        if name == "poisson":
-            return rng.poisson(lam)
-        if name in ("binomial", "quantile"):
-            return rng.random(ds.n)
-        return rng.standard_normal(ds.n)
+        raw, law = (lambda rng: rng.random(ds.n)), (
+            lambda v: loc + np.where(v < 1.0 - tau, 2.0 * (1.0 - tau), -2.0 * tau) * spread)
+    elif name == "probit":  # Y* = 1(nu <= eta), nu ~ N(0,1)
+        raw, law = (lambda rng: rng.standard_normal(ds.n)), (lambda v: (v <= loc).astype(float))
+    else:  # gaussian: MLE dispersion; semiparametric: signed residuals
+        scale = (np.sqrt(np.mean((ds.y - eta) ** 2)) if name == "gaussian"
+                 else (ds.y - eta)[:, None])
+        raw, law = (lambda rng: rng.standard_normal(ds.n)), (lambda v: loc + v * scale)
 
     def draw(rngs) -> np.ndarray:
         v = np.empty((ds.n, len(rngs)))
         for b, rng in enumerate(rngs):
-            v[:, b] = one(np.random.default_rng(rng))
-        if name in ("gaussian", "semiparametric"):
-            return loc + v * scale
-        if name == "binomial":
-            return (v < mu).astype(float)
-        if name == "probit":  # Y* = 1(nu <= eta), nu ~ N(0,1)
-            return (v <= loc).astype(float)
-        if name == "quantile":
-            return loc + np.where(v < 1.0 - tau, 2.0 * (1.0 - tau), -2.0 * tau) * spread
-        return v  # poisson counts
+            v[:, b] = raw(np.random.default_rng(rng))
+        return law(v)
 
     return draw
 

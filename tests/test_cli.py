@@ -1,5 +1,6 @@
 import io
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -266,6 +267,24 @@ class TestSimulateCommand:
         assert code == USAGE_EXIT
 
 
+    def test_non_utf8_config_usage_exit(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"n = 5\xe90\n")
+        code, out, err = run_cli(
+            ["simulate", "--family", "gaussian", "--seed", "1", "--config", str(cfg)], capsys)
+        assert code == USAGE_EXIT and out == ""
+        assert "error: cannot read config:" in err
+
+    def test_run_as_module_exits_with_main_code(self, tmp_path, monkeypatch):
+        """``python -m changeplane.cli`` exits with main's return code."""
+        monkeypatch.setattr(sys, "argv", ["changeplane", "simulate", "--family", "gaussian",
+                                          "--seed", "1", "--config", str(tmp_path / "absent.cfg")])
+        with pytest.warns(RuntimeWarning, match="found in sys.modules"), \
+                pytest.raises(SystemExit) as exc:
+            runpy.run_module("changeplane.cli", run_name="__main__")
+        assert exc.value.code == USAGE_EXIT
+
+
 class TestPowerCommand:
     def test_power_table(self, tmp_path, capsys):
         out_csv = tmp_path / "power.csv"
@@ -390,12 +409,25 @@ class TestFileErrors:
 
     @pytest.mark.parametrize("command", ["test", "simulate", "power"])
     def test_unwritable_output_usage_exit(self, glm_csv, tmp_path, capsys, command):
-        output = tmp_path / "absent" / "out.csv"
+        """An output in a missing directory, or a directory, fails before the
+        work: nothing on stdout and no file made."""
         argv = {"test": ["test", str(glm_csv), *self.TEST_ARGS],
                 "simulate": ["simulate", "--family", "gaussian", "--n", "40",
                              "--reps", "1", "--boot", "5", "--seed", "1"],
                 "power": ["power", "--family", "gaussian", "--n", "40", "--reps", "1",
                           "--boot", "5", "--kappa-grid", "0", "--seed", "1"]}[command]
-        code, _, err = run_cli([*argv, "--output", str(output)], capsys)
+        for output, reason in ((tmp_path / "absent" / "out.csv", "no such directory"),
+                               (tmp_path, "it is a directory")):
+            code, out, err = run_cli([*argv, "--output", str(output)], capsys)
+            assert code == USAGE_EXIT and out == ""
+            assert f"cannot write {output}: {reason}" in err
+        assert not (tmp_path / "absent").exists()
+
+    def test_failed_write_after_the_study_usage_exit(self, tmp_path, capsys):
+        """A write that fails past the early check, here on a file name longer
+        than the file system takes, is still a usage error."""
+        output = tmp_path / ("x" * 300 + ".csv")
+        code, _, err = run_cli(["simulate", "--family", "gaussian", "--n", "40", "--reps", "1",
+                                "--boot", "5", "--seed", "1", "--output", str(output)], capsys)
         assert code == USAGE_EXIT
         assert f"cannot write {output}" in err

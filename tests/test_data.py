@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from changeplane import ColumnSpec, Dataset, load_csv, save_csv, validate
-from changeplane.errors import DataError, ValidationError
+from changeplane.errors import DataError, ParameterError, ValidationError
 
 
 def write_csv(path, text):
@@ -150,6 +150,14 @@ def test_validate_semiparametric_needs_one_treatment_column():
                  z_group=np.ones((3, 1)))
     with pytest.raises(ValidationError, match="single treatment column"):
         validate(ds, "semiparametric")
+
+
+@pytest.mark.parametrize("family", ["Binomial", "laplace"])
+def test_validate_takes_only_family_names(family):
+    ds = Dataset(y=np.array([0.0, 1.0]), x_base=np.ones((2, 1)), x_diff=np.ones((2, 1)),
+                 z_group=np.ones((2, 1)))
+    with pytest.raises(ParameterError, match="unknown family"):
+        validate(ds, family)
 
 
 def test_validate_is_pure():

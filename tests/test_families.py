@@ -5,12 +5,13 @@ import pytest
 from scipy.special import expit
 from scipy.stats import norm
 
-from changeplane import (FamilyKind, bootstrap_sample, fit_null, score_psi0,
+from changeplane import (FamilyKind, NullFit, bootstrap_sample, fit_null, score_psi0,
                          sst_derivatives)
 from changeplane import families as families_module
 from changeplane.errors import ParameterError, SingularDesignError
 from changeplane.families import (_ZERO_ULPS, DEFAULT_MAX_ITER, DEFAULT_TOL, _factor, _fit,
-                                  _mills_pair, bootstrap_sampler, refit_null, score_factor)
+                                  _mills_pair, _solve_spd, bootstrap_sampler, refit_null,
+                                  score_factor)
 from changeplane.rng import child_rng
 
 from conftest import check_loss, highs_check_loss, random_dataset
@@ -215,6 +216,13 @@ class TestLockStepFit:
         np.testing.assert_array_equal(score_factor(ds, fam, fit)[1], ds.x_diff)
 
 
+    def test_zero_weights_are_singular(self):
+        """Newton weights that are all 0 give a zero information matrix."""
+        x = np.column_stack([np.ones(4), np.arange(4.0)])
+        with pytest.raises(SingularDesignError, match="singular information matrix"):
+            _solve_spd(x, np.zeros((4, 2, 3)), np.ones((3, 2, 1)))
+
+
 def quantile_design(rng, n, r, kind, cols):
     """x = [1, normals] (a binary second column for "binary"), and ``cols``
     responses y with t3 noise ("rounded": to integers, so tied)."""
@@ -393,6 +401,14 @@ class TestSstDerivatives:
         ind = ds.z_group @ np.array([1.0, 0.0]) >= 0
         f0 = -(derivs.g[ind].T @ derivs.h[ind] / ds.n)[0, 0] * ds.n / np.sum(ind)
         assert f0 == pytest.approx(norm.pdf(0.0), abs=0.03)
+
+
+    def test_singular_j_raises(self, rng):
+        """At eta = -1000 every logistic weight mu (1 - mu) is 0, and so is J."""
+        ds = random_dataset(rng, n=50, r=2, family="binomial")
+        fit = NullFit(np.array([-1000.0, 0.0]), True, 1, 0.0)
+        with pytest.raises(SingularDesignError, match="singular J matrix"):
+            sst_derivatives(ds, FamilyKind("binomial"), fit)
 
 
 def _with_alpha(fit, alpha):

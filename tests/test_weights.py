@@ -111,6 +111,12 @@ class TestGaussianMC:
                               n_draws=1, rng=42)
         assert a == b
 
+    def test_antipodal_rows_take_the_step(self):
+        """z_j = -z_i: rho = -1, the conditional CDF is a step and the two
+        half-spaces meet only at 0, so omega is the closed form's at -1."""
+        v = omega_gaussian_mc([1, 0], [-1, 0], np.zeros(2), np.eye(2), n_draws=1000, rng=9)
+        assert v == omega_closed_form(-1.0) == 0.0
+
     def test_invalid_draws(self):
         with pytest.raises(ParameterError):
             omega_gaussian_mc([1, 0], [0, 1], np.zeros(2), np.eye(2), n_draws=0)
