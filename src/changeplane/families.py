@@ -188,10 +188,10 @@ class SstDerivatives:
 # the per-row score factor and its Newton weight
 # --------------------------------------------------------------------------
 
-def _logistic(eta: np.ndarray) -> np.ndarray:
-    """The logistic mean 1 / (1 + exp(-eta)); exp overflows to inf below
-    eta = -709, where the mean is 0."""
-    mu = np.negative(eta)
+def _logistic(eta: np.ndarray, out=None) -> np.ndarray:
+    """The logistic mean 1 / (1 + exp(-eta)), into ``out`` if given (it may
+    be eta); exp overflows to inf below eta = -709, where the mean is 0."""
+    mu = np.negative(eta, out=out)
     with np.errstate(over="ignore"):
         np.exp(mu, out=mu)
     mu += 1.0
@@ -214,17 +214,17 @@ def _rational(coef, t: np.ndarray) -> np.ndarray:
     return num
 
 
-def _lam_low(x, phi):
-    """2 phi / erfc(x) for x < 0.84375; 1 - erf(x) is formed as fdlibm does."""
-    return 2.0 * phi / (0.5 - (x * _rational(_ERF_LOW, x * x) + (x - 0.5)))
+def _half_erfc_low(x):
+    """erfc(x)/2 for x < 0.84375; 1 - erf(x) is formed as fdlibm does."""
+    return 0.5 * (0.5 - (x * _rational(_ERF_LOW, x * x) + (x - 0.5)))
 
 
-def _lam_mid(x, phi):
-    """2 phi / erfc(x) for 0.84375 <= x < 1.25."""
-    return 2.0 * phi / ((1.0 - _ERX) - _rational(_ERF_MID, x - 1.0))
+def _half_erfc_mid(x):
+    """erfc(x)/2 for 0.84375 <= x < 1.25."""
+    return 0.5 * ((1.0 - _ERX) - _rational(_ERF_MID, x - 1.0))
 
 
-def _lam_tail(coef, x, phi):
+def _lam_tail(coef, x):
     """2 phi / erfc(x) for x >= 1.25, with phi = exp(-x^2)/sqrt(2 pi): the
     exp(-x^2) of phi and of erfc cancel exactly, so no exp(-x^2) is formed
     and nothing underflows."""
@@ -239,24 +239,29 @@ def _mills_pair(eta: np.ndarray):
     (x >= 1.25) is free of cancellation, and lam_l = phi/Phi(|eta|) =
     phi / (1 - phi/lam_s).  Relative error is within (4 + eta^2/2) eps for
     |eta| <= 37, where the rounding of exp(-eta^2/2) sets it; on the left
-    tail lambda(eta) ~ |eta| stays accurate for any finite eta.
+    tail lambda(eta) ~ |eta| stays accurate for any finite eta.  Each branch
+    gathers its rows by mask, with no index array, and phi is formed only
+    after the branches, so it is not held while their buffers are.
     """
     e = np.ravel(eta)
     x = np.abs(e) * np.sqrt(0.5)
-    phi = np.exp(-0.5 * e * e) / _SQRT_2PI
     lam_s = np.empty_like(x)
-    # Four branches partition x; NaN goes to the third and stays NaN.
+    # Four branches partition x; NaN goes to the third and stays NaN.  Below
+    # x = 1.25 a branch gives erfc(x)/2, and lam_s = phi / (erfc(x)/2).
     near, low, far = x < 1.25, x < 0.84375, x >= 1.0 / 0.35
-    for inside, branch in ((low, _lam_low), (near ^ low, _lam_mid),
+    for inside, branch in ((low, _half_erfc_low), (near ^ low, _half_erfc_mid),
                            (~(near | far), partial(_lam_tail, _ERFC_NEAR)),
                            (far, partial(_lam_tail, _ERFC_FAR))):
-        rows = np.flatnonzero(inside)
+        rows = x[inside]
         if rows.size:
-            lam_s[rows] = branch(x[rows], phi[rows])
+            lam_s[inside] = branch(rows)
+    phi = np.exp(-0.5 * e * e) / _SQRT_2PI
+    np.divide(phi, lam_s, out=lam_s, where=near)
     lam_l = phi / (1.0 - phi / lam_s)
-    pos = e >= 0
-    return (np.where(pos, lam_l, lam_s).reshape(np.shape(eta)),
-            np.where(pos, lam_s, lam_l).reshape(np.shape(eta)))
+    neg = e < 0
+    lam_p = np.where(neg, lam_s, lam_l)
+    np.copyto(lam_s, lam_l, where=neg)  # lam_s becomes lambda(-eta)
+    return lam_p.reshape(np.shape(eta)), lam_s.reshape(np.shape(eta))
 
 
 def _factor(family: FamilyKind, y: np.ndarray, x: np.ndarray, alpha: np.ndarray):
@@ -264,22 +269,28 @@ def _factor(family: FamilyKind, y: np.ndarray, x: np.ndarray, alpha: np.ndarray)
     semiparametric one, and its Newton weight: c''(eta) = -ds/d eta of a
     canonical GLM, for probit the expected information phi^2 / (Phi Phi(-))
     = lam(eta) lam(-eta), None for quantile.  The mean, or the Mills-ratio
-    pair, is evaluated once for both."""
+    pair, is evaluated once for both; the GLM means overwrite eta."""
     name = family.name
     if name == "quantile":  # the check-loss subgradient 1(y - eta <= 0) - tau
         return np.where(_quantile_residual(y, x, alpha) <= 0, 1.0, 0.0) - family.tau, None
+    if name == "probit":
+        lam_p, lam_m = _mills_pair(x @ alpha)
+        w = lam_p * lam_m
+        lam_p *= y
+        lam_p -= (1.0 - y) * lam_m
+        return lam_p, w
     eta = x @ alpha
     if name == "gaussian":
         return y - eta, np.ones_like(eta)
     if name == "binomial":
-        mu = _logistic(eta)
-        return y - mu, mu * (1.0 - mu)
-    if name == "poisson":
-        mu = np.exp(eta)
-        return y - mu, mu
-    # probit
-    lam_p, lam_m = _mills_pair(eta)
-    return y * lam_p - (1.0 - y) * lam_m, lam_p * lam_m
+        mu = _logistic(eta, out=eta)
+        w = np.subtract(1.0, mu)
+        w *= mu
+        return np.subtract(y, mu, out=mu), w
+    # poisson: exp overflows to inf, and the column's score goes non-finite
+    with np.errstate(over="ignore"):
+        mu = np.exp(eta, out=eta)
+    return y - mu, mu
 
 
 def _quantile_residual(y: np.ndarray, x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -299,13 +310,14 @@ def _quantile_residual(y: np.ndarray, x: np.ndarray, alpha: np.ndarray) -> np.nd
 # null fits: every column of an n x B response in lock step
 # --------------------------------------------------------------------------
 
-def _solve_spd(x: np.ndarray, xw: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """r x B solutions of (x' W_b x) a_b = b_b, with xw the n x r x B stack
-    x_ia w_ib and b B x r x 1: one GEMM for the Grams, one batched solve."""
-    n, r = x.shape
-    gram = (x.T @ xw.reshape(n, -1)).reshape(r, r, -1).transpose(2, 0, 1)
+def _solve_spd(xx: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """r x m solutions of (x' W_b x) a_b = b_b, with xx the n x r^2 row
+    products x_ia x_ic of x, w the n x m weights and b the r x m right-hand
+    sides: one GEMM for the m Grams, one batched solve."""
+    r = b.shape[0]
+    gram = (xx.T @ w).T.reshape(-1, r, r)
     try:
-        return np.linalg.solve(gram, b)[:, :, 0].T
+        return np.linalg.solve(gram, b.T[:, :, None])[:, :, 0].T
     except np.linalg.LinAlgError as exc:
         raise SingularDesignError("singular information matrix") from exc
 
@@ -313,27 +325,32 @@ def _solve_spd(x: np.ndarray, xw: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _newton(family: FamilyKind, y, x, tol, max_iter):
     """Newton steps on X's = 0 from alpha = 0: IRLS for binomial and poisson,
     Fisher scoring for probit.  A column stops at its first evaluation with
-    max|X's|/n <= tol, the evaluations made being its iterations.  Returns
-    alpha and the score factor s at it: a stopped column keeps the factor of
-    its last evaluation; a column at the cap has stepped since its last one,
-    so its factor is evaluated once more."""
+    max|X's|/n <= tol, or with a non-finite score, the evaluations made being
+    its iterations; a column still live after max_iter steps is evaluated
+    once more and stops there.  Returns alpha, iterations, and per column
+    the gradient norm max|X's|/n and score factor s of the evaluation that
+    stopped it.  The live responses are gathered only when a column stops."""
     n, r = x.shape
-    alpha = np.zeros((r, y.shape[1]))
-    s_at_alpha = np.empty(y.shape)
-    iterations, live = np.full(y.shape[1], max_iter), np.arange(y.shape[1])
-    for it in range(1, max_iter + 1):
-        s, w = _factor(family, y[:, live], x, alpha[:, live])
-        score = x.T @ s
-        done = np.max(np.abs(score), axis=0) / n <= tol
-        iterations[live[done]] = it
-        s_at_alpha[:, live[done]] = s[:, done]
-        live, score, w = live[~done], score[:, ~done], w[:, ~done]
-        if not live.size:
-            break
-        alpha[:, live] += _solve_spd(x, x[:, :, None] * w[:, None, :], score.T[:, :, None])
-    if live.size:
-        s_at_alpha[:, live] = _factor(family, y[:, live], x, alpha[:, live])[0]
-    return alpha, iterations, s_at_alpha
+    xx = (x[:, :, None] * x[:, None, :]).reshape(n, r * r)
+    alpha, s_out = np.zeros((r, y.shape[1])), np.empty(y.shape)
+    iterations, gnorm = np.full(y.shape[1], max_iter), np.empty(y.shape[1])
+    live = np.arange(y.shape[1])
+    for it in range(1, max_iter + 2):
+        s, w = _factor(family, y, x, alpha[:, live])
+        with np.errstate(invalid="ignore"):  # inf - inf in a non-finite column
+            score = x.T @ s
+        norm = np.max(np.abs(score), axis=0) / n
+        stop = (norm <= tol) | ~np.isfinite(norm) | (it > max_iter)
+        if stop.any():
+            done, keep = live[stop], ~stop
+            iterations[done], gnorm[done], s_out[:, done] = min(it, max_iter), norm[stop], s[:, stop]
+            live = live[keep]
+            if not live.size:
+                break
+            y, w, score = y[:, keep], w[:, keep], score[:, keep]
+        alpha[:, live] += _solve_spd(xx, w, score)
+        del s, w  # before the next evaluation forms its own
+    return alpha, iterations, gnorm, s_out
 
 
 def _fit(family: FamilyKind, y, x, tol, max_iter, design="baseline"):
@@ -341,25 +358,26 @@ def _fit(family: FamilyKind, y, x, tol, max_iter, design="baseline"):
     response y in lock step; a stopped column is never touched again.
     Returns alpha (r x B), per column converged, iterations and the gradient
     norm max|X's|/n, the n x B score factor s at alpha, evaluated once, and
-    per column degenerate.  For quantile, X's = 0 is the minimum of the
-    check loss: converged means certified optimal (``quantile.fit_quantile``),
-    iterations counts simplex pivots, the gradient norm is max|X's|, and
-    degenerate marks a fit that met a degenerate vertex; it is False for
-    every other family."""
+    per column degenerate.  A Newton column is converged when the evaluation
+    that stopped it met the tolerance.  For quantile, X's = 0 is the minimum
+    of the check loss: converged means certified optimal
+    (``quantile.fit_quantile``), iterations counts simplex pivots, the
+    gradient norm is max|X's|, and degenerate marks a fit that met a
+    degenerate vertex; it is False for every other family."""
     n, r = x.shape
     if np.linalg.matrix_rank(x) < r:
         raise SingularDesignError(f"{design} design is rank-deficient")
     if family.name == "gaussian":
         alpha = np.linalg.lstsq(x, y, rcond=None)[0]
         iterations, s = np.ones(y.shape[1], int), y - x @ alpha
+        gnorm = np.max(np.abs(x.T @ s), axis=0) / n
     elif family.name == "quantile":
         from .quantile import fit_quantile  # compiled only when a quantile fit runs
         alpha, converged, iterations, degenerate = fit_quantile(y, x, family.tau, max_iter)
         s = _factor(family, y, x, alpha)[0]
         return alpha, converged, iterations, np.max(np.abs(x.T @ s), axis=0), s, degenerate
     else:
-        alpha, iterations, s = _newton(family, y, x, tol, max_iter)
-    gnorm = np.max(np.abs(x.T @ s), axis=0) / n
+        alpha, iterations, gnorm, s = _newton(family, y, x, tol, max_iter)
     return (alpha, (gnorm <= tol) | (family.name == "gaussian"), iterations, gnorm, s,
             np.zeros(y.shape[1], bool))
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +11,8 @@ from changeplane import (FamilyKind, NullFit, bootstrap_sample, fit_null, score_
 from changeplane import families as families_module
 from changeplane.errors import ParameterError, SingularDesignError
 from changeplane.families import (_ZERO_ULPS, DEFAULT_MAX_ITER, DEFAULT_TOL, _factor, _fit,
-                                  _mills_pair, _solve_spd, bootstrap_sampler, refit_null,
-                                  score_factor)
+                                  _mills_pair, _newton, _solve_spd, bootstrap_sampler,
+                                  refit_null, score_factor)
 from changeplane.rng import child_rng
 
 from conftest import check_loss, highs_check_loss, random_dataset
@@ -220,7 +221,44 @@ class TestLockStepFit:
         """Newton weights that are all 0 give a zero information matrix."""
         x = np.column_stack([np.ones(4), np.arange(4.0)])
         with pytest.raises(SingularDesignError, match="singular information matrix"):
-            _solve_spd(x, np.zeros((4, 2, 3)), np.ones((3, 2, 1)))
+            _solve_spd(row_products(x), np.zeros((4, 3)), np.ones((2, 3)))
+
+    def test_row_product_grams_are_the_weighted_grams(self, rng):
+        """``_solve_spd`` forms every column's Gram from the n x r^2 row
+        products; its solutions solve x' W_b x a_b = b_b with a residual
+        within 1e-13 of |x' W_b x| |a_b|, so the Grams are x' W_b x to that."""
+        n, r, m = 500, 4, 37
+        x = np.hstack([np.ones((n, 1)), rng.standard_normal((n, r - 1))])
+        w, b = rng.uniform(0.01, 1.0, (n, m)), rng.standard_normal((r, m))
+        a = _solve_spd(row_products(x), w, b)
+        for col in range(m):
+            gram = x.T @ (x * w[:, [col]])
+            resid = np.max(np.abs(gram @ a[:, col] - b[:, col]))
+            assert resid <= 1e-13 * np.max(np.abs(gram)) * np.max(np.abs(a[:, col]))
+
+    @pytest.mark.parametrize("family, bound", [("binomial", 6), ("poisson", 6),
+                                               ("probit", 10)])
+    def test_newton_peak_memory(self, family, bound):
+        """A lock-step refit of 64 columns at n = 2000, r = 3 holds at most
+        ``bound`` n x 64 float arrays at once: no n x r x B weighted stack
+        and no per-iteration copy of the live responses."""
+        n, m = 2000, 64
+        ds = random_dataset(np.random.default_rng(7), n=n, family=family)
+        fam = FamilyKind(family)
+        y = bootstrap_sampler(ds, fam, fit_null(ds, fam))([child_rng(11, b) for b in range(m)])
+        tracemalloc.start()
+        try:
+            _, iterations, *_ = _newton(fam, y, ds.x_base, DEFAULT_TOL, DEFAULT_MAX_ITER)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert iterations.max() < DEFAULT_MAX_ITER
+        assert peak <= bound * 8 * n * m
+
+
+def row_products(x):
+    """The n x r^2 products x_ia x_ic, written out apart from ``_newton``."""
+    return np.einsum("ia,ic->iac", x, x).reshape(len(x), -1)
 
 
 def quantile_design(rng, n, r, kind, cols):
