@@ -39,12 +39,10 @@ def _family(args) -> FamilyKind:
     return FamilyKind(args.family, tau=getattr(args, "tau", 0.5))
 
 
-def _weight_spec(args, q: int):
+def _weight_spec(args):
     name = args.weight
-    if name == "std_gaussian":
+    if name in ("std_gaussian", "gaussian"):  # gaussian is N(0, I), the standard prior
         return weights.standard_gaussian()
-    if name == "gaussian":
-        return weights.gaussian(np.zeros(q), np.eye(q))
     if name == "beta":
         return weights.beta_prior(args.beta_lambda1, args.beta_lambda2)
     # argparse's choices leave uni_gaussian as the only other name.
@@ -90,7 +88,7 @@ def cmd_test(args) -> int:
     if args.output:
         _check_output(args.output)
     if args.method == "wast":
-        out = wast_test(ds, family, weight=_weight_spec(args, ds.q),
+        out = wast_test(ds, family, weight=_weight_spec(args),
                         n_boot=args.boot, seed=args.seed)
         grid_info = ""
     else:

@@ -21,7 +21,7 @@ class SingularDesignError(ChangePlaneError):
     """Design matrix is rank-deficient or an information matrix is singular."""
 
 
-class DegenerateVectorError(ChangePlaneError):
+class DegenerateVectorError(DataError):
     """A grouping row has zero norm under the weight covariance."""
 
 

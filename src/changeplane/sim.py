@@ -232,18 +232,18 @@ def _test_seed(sc: Scenario, rep: int) -> int:
     return int(child_seed_sequence(sc.seed, 1, rep).generate_state(1)[0])
 
 
-def _decide(blocks, n_boot: int, level: float) -> tuple[bool, int]:
-    """Whether a test rejects at ``level``, and the replicates it ran.
+def _decide(statistic, blocks, n_boot: int, level: float) -> tuple[bool, int]:
+    """Whether a test of ``statistic`` rejects at ``level``, and the replicates it ran.
 
-    ``blocks`` yields (statistic, block of replicate statistics, replicates
-    run).  Once count/n_boot >= level, with count the replicates so far at
+    ``blocks`` yields (block of replicate statistics, replicates run).  Once
+    count/n_boot >= level, with count the replicates so far at
     or above the statistic, the test cannot reject: its p-value is
     count'/kept with count' >= count and kept <= n_boot, and correctly
     rounded division is monotone.  So it stops there; a test that runs to
     the end decides by its p-value, ``TestOutcome.upper_tail``.
     """
     count, kept, ran = 0, [], 0
-    for statistic, boot, width in blocks:
+    for boot, width in blocks:
         ran += width
         count += int(np.count_nonzero(boot >= statistic))
         if count / n_boot >= level:
@@ -259,7 +259,7 @@ def _study_job(job) -> list[tuple[bool, int]]:
     sc, rep, tests, n_boot, level = job
     ds = generate(sc, child_rng(sc.seed, 0, rep))
     seed = _test_seed(sc, rep)
-    return [_decide(test(ds, sc.family, seed=seed), n_boot, level) for test in tests]
+    return [_decide(*test(ds, sc.family, seed=seed), n_boot, level) for test in tests]
 
 
 def run_size(sc: Scenario, reps: int = 300, n_boot: int = 200,

@@ -320,9 +320,10 @@ def sst_test(ds: Dataset, family: FamilyKind, k_directions: int = 1000,
 def sst_blocks(ds: Dataset, family: FamilyKind, k_directions: int = 1000,
                grid_per_direction: int = 1, n_resample: int = 1000, seed: int = 0):
     """``sst_test``'s calibration one ``DRAW_BLOCK`` at a time, for a caller
-    that may stop early.  Yields (statistic, the block's resampled suprema,
-    draws the block ran), bit-identical to ``sst_test``'s."""
+    that may stop early.  Returns (statistic, blocks): the null fit, the grid
+    and the statistic are formed by the call, and ``blocks`` lazily yields
+    (the block's resampled suprema, draws the block ran), bit-identical to
+    ``sst_test``'s."""
     stat, _, suprema = _calibration(ds, family, k_directions, grid_per_direction,
                                     n_resample, seed)
-    for boot in suprema:
-        yield stat, boot, boot.size
+    return stat, ((boot, boot.size) for boot in suprema)

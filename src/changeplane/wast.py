@@ -10,10 +10,10 @@ kernel, ``_pair_sums``, scores any number of factor columns against omega's
 upper tiles weighted by d_i'd_j (``_weighted_tiles``).  The p-value is
 calibrated by refitting the null model on bootstrap responses in blocks of
 ``BOOT_BLOCKS``; d and omega are fixed across replicates, so one pass over
-the weighted tiles scores the observed factor and every replicate's, and
-the n x n omega is never stored.  ``wast_blocks`` gives the same statistics
-one refit block at a time, from weighted tiles it keeps, for a study that
-stops once its decision is fixed.
+the weighted tiles scores the observed factor, a chunk of its own, and
+every replicate's, and the n x n omega is never stored.  ``wast_blocks``
+gives the statistic, then the replicates one refit block at a time from
+weighted tiles it keeps, for a study that stops once its decision is fixed.
 """
 
 from __future__ import annotations
@@ -53,13 +53,16 @@ class TestOutcome:
     statistic: float
     boot_stats: np.ndarray
     p_value: float
-    n_boot: int
     family: str
     weight: str
     seed: int
     method: str = "wast"
     n_failed: int = 0
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def n_boot(self) -> int:  # B, the replicates the p-value is calibrated on
+        return self.boot_stats.size
 
     @staticmethod
     def upper_tail(statistic, boot_stats) -> float:
@@ -72,7 +75,7 @@ class TestOutcome:
         diagnostics["p_value_se"] = sqrt(p(1-p)/B)."""
         p = cls.upper_tail(statistic, boot_stats)
         se = float(np.sqrt(p * (1.0 - p) / boot_stats.size))
-        return cls(float(statistic), boot_stats, p, boot_stats.size,
+        return cls(float(statistic), boot_stats, p,
                    diagnostics={**diagnostics, "p_value_se": se}, **fields)
 
 
@@ -164,18 +167,16 @@ def _null_model(ds: Dataset, family: FamilyKind, weight: WeightSpec | None, n_bo
     return weight, fit, s0, _weighted_tiles(tiles, d)
 
 
-def _refit_blocks(ds: Dataset, family: FamilyKind, fit, s0: np.ndarray, n_boot: int,
-                  seed: int):
+def _refit_blocks(ds: Dataset, family: FamilyKind, fit, n_boot: int, seed: int):
     """The refit loop, the one place that cuts the replicates into blocks:
     ``BOOT_BLOCKS``, the last width repeated, the final block cut at n_boot.
 
     Each block's responses are drawn as one n x width matrix
     (``bootstrap_sampler``) and refit by one ``refit_null`` call.  Yields
-    the n x m score factors of the block's converged refits, with s0 as
-    column 0 of the first block's, and the block's iterations and counts of
-    refits stopped unconverged at the cap, degenerate and failed.  Raises
-    after the first block that takes the failed refits past
-    ``MAX_FAILED_FRACTION`` of n_boot.
+    the n x m score factors of the block's converged refits, and the
+    block's iterations and counts of refits stopped unconverged at the cap,
+    degenerate and failed.  Raises after the first block that takes the
+    failed refits past ``MAX_FAILED_FRACTION`` of n_boot.
     """
     draw = bootstrap_sampler(ds, family, fit)
     widths = itertools.chain(BOOT_BLOCKS, itertools.repeat(BOOT_BLOCKS[-1]))
@@ -188,10 +189,8 @@ def _refit_blocks(ds: Dataset, family: FamilyKind, fit, s0: np.ndarray, n_boot: 
         n_failed += failed
         if n_failed > MAX_FAILED_FRACTION * n_boot:
             raise NumericalError(f"{n_failed}/{n_boot} bootstrap refits failed to converge")
-        kept = s[:, converged]
-        if start == 0:
-            kept = np.column_stack([s0, kept])
-        yield (kept, its, int(np.count_nonzero(~converged & (its >= DEFAULT_MAX_ITER))),
+        yield (s[:, converged], its,
+               int(np.count_nonzero(~converged & (its >= DEFAULT_MAX_ITER))),
                int(np.count_nonzero(met)), failed)
         start = stop
 
@@ -201,25 +200,25 @@ def wast_test(ds: Dataset, family: FamilyKind,
               seed: int = 0) -> TestOutcome:
     """Full WAST test with parametric / wild bootstrap calibration.
 
-    The observed score factor and those of the kept replicates come from the
-    refit loop in ``BOOT_BLOCKS`` chunks (16, 16, 32, then 64 replicates), and
-    one pass over the upper omega tiles, each weighted by d_i'd_j as it is
-    evaluated, scores every chunk: memory is O(_TILE^2 + n*B).
+    The observed score factor, a one-column chunk, and those of the kept
+    replicates, in the refit loop's ``BOOT_BLOCKS`` chunks (16, 16, 32, then
+    64), are scored by one pass over the upper omega tiles, each weighted by
+    d_i'd_j as it is evaluated: memory is O(_TILE^2 + n*B).
     Replicates whose refit fails to converge are excluded; once more than 5%
     of B have, the test raises.  ``diagnostics`` counts the refits' (min,
     median, max) iterations, those stopped unconverged at the iteration cap
     and the quantile refits that met a degenerate vertex.
     """
     weight, fit, s0, tiles = _null_model(ds, family, weight, n_boot)
-    chunks, iterations, at_cap, degenerate, n_failed = [], [], 0, 0, 0
-    for chunk, its, cap, met, failed in _refit_blocks(ds, family, fit, s0, n_boot, seed):
+    chunks, iterations, at_cap, degenerate, n_failed = [s0[:, None]], [], 0, 0, 0
+    for chunk, its, cap, met, failed in _refit_blocks(ds, family, fit, n_boot, seed):
         chunks.append(chunk)
         iterations.append(its)
         at_cap, degenerate, n_failed = at_cap + cap, degenerate + met, n_failed + failed
-    stats = np.concatenate(_pair_sums(tiles, chunks))
+    statistic, *boot = _pair_sums(tiles, chunks)
     iterations = np.concatenate(iterations)
     return TestOutcome.calibrated(
-        stats[0], stats[1:], family=family.describe(),
+        statistic[0], np.concatenate(boot), family=family.describe(),
         weight=weight.describe(), seed=seed, method="wast", n_failed=n_failed,
         diagnostics={"fit_iterations": fit.iterations,
                      "fit_gradient_norm": fit.gradient_norm,
@@ -232,18 +231,16 @@ def wast_test(ds: Dataset, family: FamilyKind,
 def wast_blocks(ds: Dataset, family: FamilyKind, weight: WeightSpec | None = None,
                 n_boot: int = 1000, seed: int = 0):
     """``wast_test``'s calibration one ``BOOT_BLOCKS`` block at a time, for a
-    caller that may stop early.  Yields (statistic, the block's kept
-    replicate statistics, refits the block ran), each block scored by its
-    own pass over omega's upper tiles, evaluated and weighted by d_i'd_j
-    once before the first block and kept (about n^2/2 floats), so the
-    statistics are bit-identical to ``wast_test``'s, and the failed refits
-    meet the same cap after each block.
+    caller that may stop early.  Returns (statistic, blocks): the null fit,
+    omega's upper tiles, evaluated and weighted by d_i'd_j once and kept
+    (about n^2/2 floats), and the statistic are formed by the call, and
+    ``blocks`` lazily yields (the block's kept replicate statistics, refits
+    the block ran), each block scored by its own pass over the kept tiles.
+    Every statistic is bit-identical to ``wast_test``'s, and the failed
+    refits meet the same cap after each block.
     """
     weight, fit, s0, tiles = _null_model(ds, family, weight, n_boot)
     tiles = list(tiles)
-    statistic = None
-    for chunk, its, _, _, _ in _refit_blocks(ds, family, fit, s0, n_boot, seed):
-        stats = _pair_sums(tiles, [chunk])[0]
-        if statistic is None:
-            statistic, stats = stats[0], stats[1:]
-        yield statistic, stats, its.size
+    blocks = ((_pair_sums(tiles, [chunk])[0], its.size)
+              for chunk, its, *_ in _refit_blocks(ds, family, fit, n_boot, seed))
+    return _pair_sums(tiles, [s0[:, None]])[0][0], blocks

@@ -231,20 +231,35 @@ def _gaussian_block(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
     unit rows.  numpy forms a diagonal tile's by syrk, so that tile is
     exactly symmetric.  The cosines are clipped to [-1, 1] once and mapped
     in place by the arcsin closed form at mu = 0, by ``_orthant`` otherwise.
+    A Gram of two equal unit rows is 1 - O(eps), which arcsin turns into an
+    error of O(sqrt(eps)): at mu = 0, when rows repeat, each row's id among
+    the distinct rows (one ``np.unique`` of z's rows as bytes, -0.0 made
+    0.0) sets the cosine of every tied pair to exactly 1, so omega is
+    exactly 1/2 there.  ``_orthant``'s endpoint guard is already exact.
     """
     w = z @ np.linalg.cholesky(sigma)
     norms = np.sqrt(np.einsum("ij,ij->i", w, w))
     if np.any(norms <= 0):
-        raise DegenerateVectorError("grouping row has zero Sigma-norm")
+        row = int(np.argmax(norms <= 0)) + 1
+        raise DegenerateVectorError(f"grouping row {row} has zero Sigma-norm")
     wn = w / norms[:, None]
     a = (z @ mu) / norms if np.any(mu) else None
+    ids = None
+    if a is None:
+        zc = np.ascontiguousarray(z + 0.0)
+        ids = np.unique(zc.view(np.dtype((np.void, zc.itemsize * zc.shape[1]))).ravel(),
+                        return_inverse=True)[1]
+        if ids.max() == len(z) - 1:  # every row distinct: no tied pair
+            ids = None
 
     def block(rows, cols):
         rho = wn[rows] @ wn[cols].T
         np.clip(rho, -1.0, 1.0, out=rho)
-        if a is None:
-            return _arcsin_map(rho)
-        return _orthant(*np.broadcast_arrays(a[rows, None], a[None, cols]), rho)
+        if a is not None:
+            return _orthant(*np.broadcast_arrays(a[rows, None], a[None, cols]), rho)
+        if ids is not None:
+            rho[ids[rows, None] == ids[None, cols]] = 1.0
+        return _arcsin_map(rho)
 
     return block
 

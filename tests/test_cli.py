@@ -123,6 +123,21 @@ class TestTestCommand:
              "--seed", "1"], capsys)
         assert code == NUMERIC_EXIT
 
+    def test_zero_grouping_row_usage_exit(self, tmp_path, capsys):
+        # A grouping row of zeros has no direction: a data error naming the
+        # row, 1-based, not a numerical failure.
+        rng = np.random.default_rng(6)
+        table = rng.standard_normal((60, 3))
+        table[5, 2] = 0.0
+        path = tmp_path / "zero.csv"
+        np.savetxt(path, table, delimiter=",", header="y,x1,z1", comments="")
+        code, out, err = run_cli(
+            ["test", str(path), "--family", "gaussian", "--response", "y",
+             "--baseline", "x1", "--diff", "x1", "--grouping", "z1",
+             "--no-intercept-grouping", "--boot", "10", "--seed", "1"], capsys)
+        assert code == USAGE_EXIT and out == ""
+        assert err == "error: grouping row 6 has zero Sigma-norm\n"
+
     def test_gaussian_weight_is_exact_standard_prior(self, glm_csv, capsys):
         argv = ["test", str(glm_csv), "--family", "binomial", "--response", "y",
                 "--baseline", "x1", "--diff", "x1", "--grouping", "z1,z2",

@@ -312,17 +312,19 @@ class TestSstTest:
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("n_resample", [1, 31, 32, 33, 100])
     def test_blocks_equal_the_full_test(self, rng, family, n_resample):
-        # sst_blocks yields sst_test's statistic and suprema, one draw block at a time.
+        # sst_blocks returns sst_test's statistic and yields its suprema, one draw block
+        # at a time.
         ds = family_dataset(rng, 90, family)
         fam = FamilyKind(family)
         out = sst_test(ds, fam, k_directions=40, n_resample=n_resample, seed=8)
-        blocks = list(sst_module.sst_blocks(ds, fam, k_directions=40, n_resample=n_resample,
-                                            seed=8))
+        statistic, blocks = sst_module.sst_blocks(ds, fam, k_directions=40,
+                                                  n_resample=n_resample, seed=8)
+        blocks = list(blocks)
         block = sst_module.DRAW_BLOCK
-        assert [ran for _, _, ran in blocks] == [min(block, n_resample - b)
-                                                 for b in range(0, n_resample, block)]
-        assert all(statistic == out.statistic for statistic, _, _ in blocks)
-        np.testing.assert_array_equal(np.concatenate([boot for _, boot, _ in blocks]),
+        assert [ran for _, ran in blocks] == [min(block, n_resample - b)
+                                              for b in range(0, n_resample, block)]
+        assert statistic == out.statistic
+        np.testing.assert_array_equal(np.concatenate([boot for boot, _ in blocks]),
                                       out.boot_stats)
 
     def test_irreparable_planes_are_skipped_and_counted(self, rng, monkeypatch):

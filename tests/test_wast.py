@@ -18,7 +18,8 @@ from changeplane import families as families_module
 from changeplane import wast as wast_module
 from changeplane import weights as weights_module
 from changeplane.families import (DEFAULT_MAX_ITER, DEFAULT_TOL, _fit, bootstrap_sampler,
-                                  refit_null)
+                                  refit_null, score_factor)
+from changeplane.sim import Scenario, generate
 from changeplane.errors import DataError, NumericalError, ParameterError
 from changeplane.rng import child_rng
 
@@ -461,10 +462,11 @@ class TestBlocks:
             ds = random_dataset(rng, n=n, family=family)
         fam = FamilyKind(family)
         out = wast_test(ds, fam, n_boot=n_boot, seed=n_boot)
-        blocks = list(wast_blocks(ds, fam, n_boot=n_boot, seed=n_boot))
-        assert [ran for _, _, ran in blocks] == refit_block_widths(n_boot)
-        assert all(statistic == out.statistic for statistic, _, _ in blocks)
-        np.testing.assert_array_equal(np.concatenate([boot for _, boot, _ in blocks]),
+        statistic, blocks = wast_blocks(ds, fam, n_boot=n_boot, seed=n_boot)
+        blocks = list(blocks)
+        assert [ran for _, ran in blocks] == refit_block_widths(n_boot)
+        assert statistic == out.statistic
+        np.testing.assert_array_equal(np.concatenate([boot for boot, _ in blocks]),
                                       out.boot_stats)
 
     def test_failed_refits_checked_after_each_block(self, rng, monkeypatch):
@@ -476,11 +478,116 @@ class TestBlocks:
             wast_test(ds, fam, n_boot=200, seed=3)
         assert widths == [16, 16, 32]
         widths = flaky_refits(monkeypatch, failed=range(32, 64))
-        blocks = wast_blocks(ds, fam, n_boot=200, seed=3)
-        assert [ran for _, _, ran in (next(blocks), next(blocks))] == [16, 16]
+        _, blocks = wast_blocks(ds, fam, n_boot=200, seed=3)
+        assert [ran for _, ran in (next(blocks), next(blocks))] == [16, 16]
         with pytest.raises(NumericalError, match="32/200 bootstrap refits failed"):
             next(blocks)
         assert widths == [16, 16, 32]
+
+
+def family_dataset(rng, n, family):
+    if family == "semiparametric":
+        return semiparametric_dataset(rng, n)
+    return random_dataset(rng, n=n, family=family)
+
+
+class TestObservedStatistic:
+    """T_n is a function of the data alone: the observed factor is scored
+    as its own one-column chunk, whatever the replicates."""
+
+    FAMILIES = ["gaussian", "binomial", "poisson", "probit", "quantile", "semiparametric"]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", [90, 301, 700])
+    def test_same_bits_for_every_n_boot(self, family, n):
+        ds = family_dataset(np.random.default_rng([41, n]), n, family)
+        fam = FamilyKind(family)
+        stats = {wast_test(ds, fam, n_boot=n_boot, seed=n_boot).statistic
+                 for n_boot in (1, 2, 3, 16, 40)}
+        assert len(stats) == 1
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", [90, 301, 700])
+    def test_equals_the_one_plane_multi_statistic(self, family, n):
+        # Both sum the same one-column factor over the same weighted tiles.
+        ds = family_dataset(np.random.default_rng([43, n]), n, family)
+        fam = FamilyKind(family)
+        s0, d = score_factor(ds, fam, fit_null(ds, fam))
+        assert (wast_test(ds, fam, n_boot=40, seed=2).statistic
+                == wast_multi_statistic(s0, [PlaneBlock(d, ds.z_group)]))
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_tied_grouping_rows_match_extended_precision(self, family):
+        """On grouping rows with many ties the statistic matches a long
+        double reference, omega = 1/2 - angle/(2 pi) with the angle between
+        unit rows u, v taken as 2 atan2(|u - v|, |u + v|), exact on equal rows."""
+        n = 300
+        rng = np.random.default_rng([3, n])
+        ds = random_dataset(rng, n=n, family=family)
+        ds = replace(ds, z_group=np.column_stack([np.ones(n),
+                                                  np.round(rng.standard_normal(n), 1)]))
+        fam = FamilyKind(family)
+        s, d = score_factor(ds, fam, fit_null(ds, fam))
+        z = ds.z_group.astype(np.longdouble)
+        u = z / np.sqrt((z * z).sum(axis=1))[:, None]
+        half_angle = np.arctan2(np.sqrt(((u[:, None] - u[None]) ** 2).sum(axis=2)),
+                                np.sqrt(((u[:, None] + u[None]) ** 2).sum(axis=2)))
+        psi = s.astype(np.longdouble)[:, None] * d.astype(np.longdouble)
+        pairs = (0.5 - half_angle / np.longdouble(np.pi)) * (psi @ psi.T)
+        np.fill_diagonal(pairs, 0.0)
+        want = pairs.sum() / (n * (n - 1))
+        got = wast_test(ds, fam, n_boot=1).statistic
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def imhof_upper_tail(lam: np.ndarray, x: float) -> float:
+    """P(sum_k lam_k chi2_1 >= x) by Imhof's (1961) integral
+    1/2 + (1/pi) int_0^inf sin(theta(u)) / (u rho(u)) du, with
+    theta(u) = sum_k arctan(lam_k u)/2 - x u/2 and
+    log rho(u) = sum_k log1p(lam_k^2 u^2)/4, on lam and x scaled by max|lam|."""
+    from scipy.integrate import quad
+    scale = np.abs(lam).max()
+    lam, x = lam / scale, x / scale
+
+    def integrand(u):
+        theta = 0.5 * np.arctan(lam * u).sum() - 0.5 * x * u
+        return np.sin(theta) * np.exp(-0.25 * np.log1p((lam * u) ** 2).sum()) / u
+
+    return 0.5 + quad(integrand, 0.0, np.inf, limit=200)[0] / np.pi
+
+
+class TestCalibrationOracle:
+    """The gaussian and semiparametric refits are least squares, so a
+    replicate's factor is s* = M C eps, with M = I - X(X'X)^-1 X' on x_base,
+    eps standard normal and C = sigma_hat I (gaussian, the MLE scale of
+    ``bootstrap_sampler``) or diag(y - gamma_hat) (semiparametric, whose
+    propensity is not refit).  With A_ij = omega_ij d_i'd_j off the diagonal
+    and 0 on it, n(n-1) T* = eps'Q eps, Q = C M A M C, and the B -> inf
+    p-value is P(sum_k lam_k chi2_1 >= n(n-1) T) over the eigenvalues of Q.
+    ``wast_test``'s p-value must lie within four Monte-Carlo standard
+    errors of it, plus one lattice step."""
+
+    @pytest.mark.parametrize("family", ["gaussian", "semiparametric"])
+    @pytest.mark.parametrize("kappa", [0.0, 0.3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_p_value_matches_the_exact_law(self, family, kappa, seed):
+        n, n_boot = 150, 2000
+        fam = FamilyKind(family)
+        ds = generate(Scenario(family=fam, dims=(2, 2, 3), n=n, kappa=kappa, seed=seed))
+        s, d = score_factor(ds, fam, fit_null(ds, fam))
+        a = weight_matrix(ds) * (d @ d.T)
+        np.fill_diagonal(a, 0.0)
+        q_basis = np.linalg.qr(ds.x_base)[0]
+        m = np.eye(n) - q_basis @ q_basis.T
+        c = np.full(n, np.sqrt(np.mean(s ** 2))) if family == "gaussian" else s
+        lam = np.linalg.eigvalsh(c[:, None] * (m @ a @ m) * c[None, :])
+        out = wast_test(ds, fam, n_boot=n_boot, seed=seed)
+        x = n * (n - 1) * out.statistic
+        assert x == pytest.approx(s @ a @ s, rel=1e-12, abs=0)
+        p_inf = imhof_upper_tail(lam, x)
+        assert out.n_boot == n_boot
+        assert (abs(out.p_value - p_inf)
+                <= 4 * np.sqrt(p_inf * (1 - p_inf) / n_boot) + 1 / n_boot)
 
 
 TILE = weights_module._TILE
@@ -573,7 +680,8 @@ class TestTileKernel:
         assert evaluated == weighted == upper
         evaluated.clear()
         weighted.clear()
-        assert len(list(wast_blocks(ds, fam, n_boot=200, seed=4))) == len(refit_block_widths(200))
+        assert len(list(wast_blocks(ds, fam, n_boot=200, seed=4)[1])) == len(
+            refit_block_widths(200))
         assert evaluated == weighted == upper
 
     def test_no_n_by_n_array(self, rng):

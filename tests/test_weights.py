@@ -187,6 +187,21 @@ class TestWeightMatrix:
         off = w[~np.eye(3, dtype=bool)]
         np.testing.assert_allclose(off, 0.5)
 
+    @pytest.mark.parametrize("spec", GAUSSIAN_SPECS[:2])
+    def test_tied_rows_are_exactly_one_half(self, spec):
+        """At mu = 0 a Gram of two equal unit rows is 1 - O(eps), which
+        arcsin would turn into an error of O(sqrt(eps)); every tied pair,
+        -0.0 and 0.0 alike, must come out exactly 1/2, in both triangles."""
+        rng = np.random.default_rng(3)
+        n = 2 * weights_module._TILE + 30
+        z = np.column_stack([np.ones(n), np.round(rng.standard_normal((n, 2)), 1)])
+        z[0, 1:], z[1, 1:] = 0.0, -0.0
+        w = weight_matrix(z, spec)
+        tied = (z[:, None, :] == z[None, :, :]).all(axis=2)
+        assert np.count_nonzero(np.triu(tied, 1)) > 100
+        assert tied[0, 1] and np.signbit(z[1, 1])
+        np.testing.assert_array_equal(w[tied], 0.5)
+
     def test_mc_matches_closed_form(self):
         # mu != 0: the exact omega against the Monte-Carlo oracle, 1e6 draws.
         rng = np.random.default_rng(5)
