@@ -16,6 +16,14 @@ them from bit-packed rows, keeps only the U packed rows, and gets their
 quantities through GEMMs of the indicator, unpacked ``UNPACK_BLOCK`` rows
 at a time, and one batched Cholesky.  Memory is O(PLANE_BLOCK n + U n/8 +
 U p DRAW_BLOCK): no K x n or U x n float array is formed.
+
+A halving plane and its antipode split the rows into complementary halves,
+so at q = 3 with one median level and even n about 90 % of the distinct
+memberships come in pairs d, 1 - d (``_fold``).  Every indicator product
+unpacks and multiplies only the U' memberships that are not the complement
+of another, and forms each complement's row as 1'm - d m.  At odd n the
+antipodes share the median row and nothing pairs; at q >= 4 few
+memberships pair.
 """
 
 from __future__ import annotations
@@ -152,13 +160,38 @@ def _distinct_memberships(z: np.ndarray, thetas: np.ndarray):
     return packed[first], inverse
 
 
-def _indicator_product(packed: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _fold(packed: np.ndarray, n: int):
+    """The distinct memberships whose complement is distinct too, one base
+    per pair: (order, folded).
+
+    ``packed`` holds the memberships as ``_distinct_memberships`` sorts
+    them; each row is XORed with the packed all-ones row (pad bits 0, as
+    ``np.packbits`` leaves them) and looked up among them.  ``order`` lists
+    the ``folded`` bases, the unpaired memberships, then each base's
+    complement in the bases' order.
+    """
+    void = np.dtype((np.void, packed.shape[1]))
+    rows = packed.view(void).ravel()
+    complements = (packed ^ np.packbits(np.ones(n, bool))).view(void).ravel()
+    at = np.minimum(np.searchsorted(rows, complements), len(rows) - 1)
+    partner = np.where(rows[at] == complements, at, -1)
+    bases = np.flatnonzero(partner > np.arange(len(rows)))
+    return np.concatenate([bases, np.flatnonzero(partner < 0), partner[bases]]), bases.size
+
+
+def _indicator_product(packed: np.ndarray, m: np.ndarray, folded: int = 0) -> np.ndarray:
     """D m for the 0/1 indicator D whose rows ``packed`` holds as bits,
-    unpacking ``UNPACK_BLOCK`` rows of D at a time."""
+    unpacking ``UNPACK_BLOCK`` rows of D at a time.  The last ``folded``
+    rows of D are the complements 1 - d of its first ``folded`` (``_fold``):
+    their products are 1'm - d m, with no row unpacked."""
+    own = len(packed) - folded
     out = np.empty((len(packed), m.shape[1]))
-    for start in range(0, len(packed), UNPACK_BLOCK):
-        rows = np.unpackbits(packed[start:start + UNPACK_BLOCK], axis=1, count=m.shape[0])
-        np.matmul(rows.astype(float), m, out=out[start:start + UNPACK_BLOCK])
+    for start in range(0, own, UNPACK_BLOCK):
+        rows = np.unpackbits(packed[start:min(start + UNPACK_BLOCK, own)], axis=1,
+                             count=m.shape[0])
+        np.matmul(rows.astype(float), m, out=out[start:start + len(rows)])
+    if folded:
+        np.subtract(m.sum(axis=0), out[:folded], out=out[own:])
     return out
 
 
@@ -191,32 +224,38 @@ def _grid_planes(ds: Dataset, psi0: np.ndarray, derivs: SstDerivatives,
     """Every plane's quantities at once, over its distinct memberships.
 
     A plane's quantities depend on it only through its membership, so they
-    are formed once per distinct membership.  With D the U x n indicator of
-    those (one ``_indicator_product`` gives every D product), the score sums
+    are formed once per distinct membership, in ``_fold``'s order.  With D
+    the U x n indicator of those (one ``_indicator_product`` gives every D
+    product, taking each folded row from its base's), the score sums
     are S = D psi0, K(theta) = D(g x h)/n and C = K J^-1; as d_i^2 = d_i,
     the covariance of the centered rows d_i psi0_i - C psi1_i is
     V = [D(psi0 x psi0) - B01 C' - C B01' + C (psi1'psi1) C']/n with
     B01 = D(psi0 x psi1).  ``_cholesky`` factors every V, then again with a
     ridge those that are rank-deficient; those with no factor either way
-    are skipped.
+    are skipped: their L^-1 is 0, so their statistic and every resampled
+    one is 0, below or at every kept membership's.
 
-    Returns (stats, packed, l_inv, c, counts) over the kept distinct
-    memberships: the statistics n^-1 |L^-1 S|^2, the packed indicator rows,
-    L^-1 and C, and ``counts``, which holds grid_distinct (U) and the grid
-    planes skipped and ridge-repaired.
+    Returns (stats, packed, folded, l_inv, c, counts) over the distinct
+    memberships: the statistics n^-1 |L^-1 S|^2, the packed indicator rows
+    and the number of them folded, L^-1 and C, and ``counts``, which holds
+    grid_distinct (U), grid_folded and the grid planes skipped and
+    ridge-repaired.
     """
     _check_grid(thetas, ds.q)
     n, p = psi0.shape
     psi1 = derivs.psi1
     r = psi1.shape[1]
     packed, inverse = _distinct_memberships(ds.z_group, thetas)
-    planes = np.bincount(inverse)  # grid planes per distinct membership
+    order, folded = _fold(packed, n)
+    planes = np.bincount(inverse)[order]  # grid planes per distinct membership
+    if folded:
+        packed = packed[order]
 
     def outer(a, b):
         return (a[:, :, None] * b[:, None, :]).reshape(n, -1)
 
     sums = _indicator_product(packed, np.hstack([
-        psi0, outer(derivs.g, derivs.h), outer(psi0, psi0), outer(psi0, psi1)]))
+        psi0, outer(derivs.g, derivs.h), outer(psi0, psi0), outer(psi0, psi1)]), folded)
     score, k_sums, b00, b01 = np.split(sums, np.cumsum([p, p * r, p * p]), axis=1)
     c = (k_sums.reshape(-1, p, r) / n) @ derivs.j_inv
     cross = b01.reshape(-1, p, r) @ c.transpose(0, 2, 1)  # B01 C'
@@ -231,16 +270,16 @@ def _grid_planes(ds: Dataset, psi0: np.ndarray, derivs: SstDerivatives,
     repair = ~(np.diagonal(chol, axis1=1, axis2=2).min(axis=1) ** 2 >= tol)
     chol[repair] = _cholesky(v[repair] + tol[repair, None, None] * np.eye(p))
     keep = ~np.isnan(chol[:, 0, 0])
-    counts = {"grid_distinct": planes.size,
+    counts = {"grid_distinct": planes.size, "grid_folded": folded,
               "grid_skipped": int(planes[~keep].sum()),
               "grid_repaired": int(planes[keep & repair].sum())}
     if not keep.any():
         raise NumericalError("V(theta) singular beyond ridge repair at every plane")
-    if not keep.all():
-        packed, score, chol, c = packed[keep], score[keep], chol[keep], c[keep]
+    chol[~keep] = np.eye(p)
     l_inv = np.linalg.inv(chol)
+    l_inv[~keep] = 0.0
     w = l_inv @ score[:, :, None]
-    return np.einsum("kpj,kpj->k", w, w) / n, packed, l_inv, c, counts
+    return np.einsum("kpj,kpj->k", w, w) / n, packed, folded, l_inv, c, counts
 
 
 def score_test_at(ds: Dataset, family: FamilyKind, fit, derivs: SstDerivatives,
@@ -276,7 +315,7 @@ def _calibration(ds: Dataset, family: FamilyKind, k_directions: int,
     grid = build_theta_grid(ds, k_directions, grid_per_direction, seed)
     psi0 = score_psi0(ds, family, fit)
     n, p = psi0.shape
-    stats, packed, l_inv, c, counts = _grid_planes(ds, psi0, derivs, grid.thetas)
+    stats, packed, folded, l_inv, c, counts = _grid_planes(ds, psi0, derivs, grid.thetas)
     c_flat = c.reshape(-1, c.shape[2])
 
     def suprema():
@@ -285,7 +324,7 @@ def _calibration(ds: Dataset, family: FamilyKind, k_directions: int,
             nu = np.stack([child_rng(seed, 1, j).standard_normal(n)
                            for j in range(start, stop)], axis=1)
             u = _indicator_product(packed,
-                                   (psi0[:, :, None] * nu[:, None, :]).reshape(n, -1))
+                                   (psi0[:, :, None] * nu[:, None, :]).reshape(n, -1), folded)
             u -= (c_flat @ (derivs.psi1.T @ nu)).reshape(u.shape)
             s = l_inv @ u.reshape(-1, p, stop - start)
             yield np.einsum("kpj,kpj->kj", s, s).max(axis=0) / n
@@ -307,8 +346,9 @@ def sst_test(ds: Dataset, family: FamilyKind, k_directions: int = 1000,
     is the fraction of resampled suprema at or above the observed statistic.
     Draws are taken ``DRAW_BLOCK`` at a time, each block through one
     ``_indicator_product``.  ``diagnostics`` counts the distinct memberships
-    (grid_distinct) and the grid planes ridge-repaired and skipped, and
-    gives the p-value's Monte-Carlo standard error sqrt(p(1-p)/B).
+    (grid_distinct), those whose products are taken from their complement's
+    (grid_folded) and the grid planes ridge-repaired and skipped, and gives
+    the p-value's Monte-Carlo standard error sqrt(p(1-p)/B).
     """
     stat, diagnostics, suprema = _calibration(ds, family, k_directions, grid_per_direction,
                                               n_resample, seed)

@@ -7,13 +7,15 @@ import pickle
 from dataclasses import fields, replace
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from changeplane import FamilyKind, sst_test, wast_statistic, wast_test, weight_matrix
 from changeplane.families import DEFAULT_MAX_ITER, DEFAULT_TOL, _fit, fit_null, score_psi0
+from changeplane.quantile import _kb_excess
 
-from conftest import random_dataset
+from conftest import check_loss, random_dataset
 
 SEEDS = st.integers(0, 2**31 - 1)
 
@@ -85,9 +87,33 @@ def quantile_problem(seed, n, r):
     return rng, x @ rng.uniform(-1.0, 1.0, r) + rng.standard_t(3, n), x
 
 
-def assert_close(got, want):
-    """Equal to 1e-12 relative to the larger coefficient."""
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+def kb_excess(y, x, tau, alpha):
+    """The Koenker-Bassett excess of alpha over its bounds and the rounding
+    allowance (``quantile._kb_excess``), at the basis of the r rows alpha
+    interpolates: those with the smallest |residual|."""
+    resid = y - x @ alpha
+    basis = np.sort(np.argsort(np.abs(resid))[:x.shape[1]])
+    over, under, slack = _kb_excess(x, resid[:, None], basis[None],
+                                    np.linalg.inv(x[basis])[None], tau)
+    return np.maximum(over, under)[0], slack[0]
+
+
+def assert_same_optimum(y, x, tau, got, want):
+    """got, the fit of (y, tau), against want, the fit of another problem
+    carried onto this one by a map that carries its optima onto this one's.
+    Where the Koenker-Bassett condition holds strictly at got, the optimum
+    is unique, and the two are equal to 1e-12 relative to the larger
+    coefficient.  Where it holds only on a bound, the optima form an edge or
+    a face (the median of two points is any point between them), and the
+    two need only both be certified optimal, with equal check loss."""
+    excess, slack = kb_excess(y, x, tau, got)
+    if np.all(excess < -slack):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        return
+    excess, slack = kb_excess(y, x, tau, want)
+    assert np.all(excess <= slack)
+    assert check_loss(y, x, got, tau) == pytest.approx(check_loss(y, x, want, tau),
+                                                       rel=1e-12, abs=0)
 
 
 QUANTILE_PROBLEMS = dict(seed=SEEDS, n=st.integers(2, 150), r=st.integers(1, 4),
@@ -96,24 +122,30 @@ QUANTILE_PROBLEMS = dict(seed=SEEDS, n=st.integers(2, 150), r=st.integers(1, 4),
 
 @settings(max_examples=30, deadline=None)
 @given(**QUANTILE_PROBLEMS)
+@example(seed=175, n=2, r=1, tau=0.5)  # the median of two points: a segment of optima
 def test_quantile_fit_shift_equivariant(seed, n, r, tau):
     # fit(y + X c) = fit(y) + c: the residuals, hence the optimal basis, are
     # those of y.
     rng, y, x = quantile_problem(seed, max(n, r + 1), r)
     c = rng.uniform(-3.0, 3.0, r)
-    assert_close(quantile_fit(y + x @ c, x, tau), quantile_fit(y, x, tau) + c)
+    assert_same_optimum(y + x @ c, x, tau, quantile_fit(y + x @ c, x, tau),
+                        quantile_fit(y, x, tau) + c)
 
 
 @settings(max_examples=30, deadline=None)
 @given(**QUANTILE_PROBLEMS, lam=st.floats(1e-3, 1e3))
+@example(seed=902168985, n=2, r=1, tau=0.5, lam=152.50757010582856)  # a segment of optima
 def test_quantile_fit_scale_equivariant(seed, n, r, tau, lam):
     _, y, x = quantile_problem(seed, max(n, r + 1), r)
-    assert_close(quantile_fit(lam * y, x, tau), lam * quantile_fit(y, x, tau))
+    assert_same_optimum(lam * y, x, tau, quantile_fit(lam * y, x, tau),
+                        lam * quantile_fit(y, x, tau))
 
 
 @settings(max_examples=30, deadline=None)
 @given(**QUANTILE_PROBLEMS)
+@example(seed=175, n=2, r=1, tau=0.5)  # a segment of optima
 def test_quantile_fit_reflection(seed, n, r, tau):
     # rho_{1-tau}(-u) = rho_tau(u): fit(-y, 1 - tau) = -fit(y, tau).
     _, y, x = quantile_problem(seed, max(n, r + 1), r)
-    assert_close(quantile_fit(-y, x, 1.0 - tau), -quantile_fit(y, x, tau))
+    assert_same_optimum(-y, x, 1.0 - tau, quantile_fit(-y, x, 1.0 - tau),
+                        -quantile_fit(y, x, tau))

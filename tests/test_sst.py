@@ -398,9 +398,9 @@ class TestSstTest:
         np.testing.assert_array_equal(thetas_7, loop_theta_grid(ds, 40, 4, seed=7))
         np.testing.assert_allclose(thetas_7, thetas, rtol=1e-13, atol=0)
         blocked = sst_module._grid_planes(*args, thetas_7)
-        for a, b in zip(whole[:4], blocked[:4]):
+        for a, b in zip(whole[:5], blocked[:5]):
             np.testing.assert_array_equal(a, b)
-        assert whole[4] == blocked[4]
+        assert whole[5] == blocked[5]
         for a, b in zip(whole_rows, sst_module._distinct_memberships(ds.z_group, thetas_7)):
             np.testing.assert_array_equal(a, b)
         out = sst_test(ds, fam, k_directions=40, grid_per_direction=4,
@@ -441,6 +441,113 @@ class TestSstTest:
             m = rng.standard_normal((n, width))
             np.testing.assert_array_equal(sst_module._indicator_product(packed, m),
                                           whole @ m)
+
+    @staticmethod
+    def direct_product(packed, m, folded=0):
+        """Every row of D m from its own row of D, as one float product."""
+        return np.unpackbits(packed, axis=1, count=m.shape[0]).astype(float) @ m
+
+    @staticmethod
+    def unfolded_product(packed, m, folded=0):
+        """``_indicator_product`` before the fold, UNPACK_BLOCK rows at a time."""
+        assert folded == 0
+        out = np.empty((len(packed), m.shape[1]))
+        for start in range(0, len(packed), sst_module.UNPACK_BLOCK):
+            rows = np.unpackbits(packed[start:start + sst_module.UNPACK_BLOCK], axis=1,
+                                 count=m.shape[0])
+            np.matmul(rows.astype(float), m, out=out[start:start + sst_module.UNPACK_BLOCK])
+        return out
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial", "quantile"])
+    @pytest.mark.parametrize("levels", [1, 4])
+    def test_folded_products_match_direct_product(self, rng, monkeypatch, family, levels):
+        # q = 3, even n: a median plane and its antipode have complementary
+        # memberships, so most products come from 1'm - d m.
+        ds = family_dataset(rng, 300, family)
+        fam = FamilyKind(family)
+        fit = fit_null(ds, fam)
+        args = ds, score_psi0(ds, fam, fit), sst_derivatives(ds, fam, fit)
+        thetas = build_theta_grid(ds, k_directions=800 // levels, grid_per_direction=levels,
+                                  seed=3).thetas
+        kwargs = dict(k_directions=800 // levels, grid_per_direction=levels,
+                      n_resample=40, seed=3)
+        got = sst_module._grid_planes(*args, thetas)
+        out = sst_test(ds, fam, **kwargs)
+        assert got[2] > 0.25 * got[5]["grid_distinct"]
+        assert out.diagnostics["grid_folded"] == got[2]
+        monkeypatch.setattr(sst_module, "_indicator_product", self.direct_product)
+        direct = sst_module._grid_planes(*args, thetas)
+        np.testing.assert_allclose(got[0], direct[0], rtol=1e-12, atol=0)
+        assert got[5] == direct[5]
+        plain = sst_test(ds, fam, **kwargs)
+        np.testing.assert_allclose(out.statistic, plain.statistic, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(out.boot_stats, plain.boot_stats, rtol=1e-12, atol=0)
+        assert out.diagnostics == plain.diagnostics
+
+    def test_skipped_membership_folds_with_its_complement(self, rng, monkeypatch):
+        # The empty plane (V = 0, skipped) and the full plane are complements:
+        # the full plane's products come from the empty one's, which stays in
+        # the products with L^-1 = 0.  A binary x_diff outside x_base's span
+        # gives the full plane a V(theta) of full rank.
+        ds = family_dataset(rng, 80, "semiparametric")
+        fam = FamilyKind("semiparametric")
+        good = build_theta_grid(ds, k_directions=30, seed=4).thetas
+        thetas = np.vstack([[-1e6, 1.0, 0.0], good, [1e6, 1.0, 0.0]])
+        monkeypatch.setattr(sst_module, "build_theta_grid",
+                            lambda *args: ThetaGrid(thetas=thetas))
+        out = sst_test(ds, fam, k_directions=32, n_resample=40, seed=4)
+        assert out.diagnostics["grid_skipped"] == 1
+        assert out.diagnostics["grid_folded"] >= 1
+        np.testing.assert_allclose(out.boot_stats, loop_resampled(ds, fam, thetas, 40, 4),
+                                   rtol=1e-12, atol=0)
+        monkeypatch.setattr(sst_module, "_indicator_product", self.direct_product)
+        plain = sst_test(ds, fam, k_directions=32, n_resample=40, seed=4)
+        np.testing.assert_allclose(out.statistic, plain.statistic, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(out.boot_stats, plain.boot_stats, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n, levels", [(300, 1), (301, 1), (300, 4), (120, 2)])
+    def test_fold_pairs_each_base_with_its_complement(self, rng, n, levels):
+        # The folded count is that of a set lookup: the distinct memberships
+        # whose complement is distinct too, one per pair; each base's
+        # complement sits ``folded`` rows from the end.
+        ds = random_dataset(rng, n=n, q=3)
+        thetas = build_theta_grid(ds, k_directions=600 // levels, grid_per_direction=levels,
+                                  seed=2).thetas
+        packed, _ = sst_module._distinct_memberships(ds.z_group, thetas)
+        rows = np.unpackbits(packed, axis=1, count=n)
+        members = {row.tobytes() for row in rows}
+        paired = sum((1 - row).tobytes() in members for row in rows)
+        order, folded = sst_module._fold(packed, n)
+        assert paired == 2 * folded
+        np.testing.assert_array_equal(np.sort(order), np.arange(len(packed)))
+        ordered = rows[order]
+        np.testing.assert_array_equal(ordered[:folded], 1 - ordered[len(order) - folded:])
+        assert (folded > 0) == (n % 2 == 0)
+
+    @pytest.mark.parametrize("n, q", [(301, 3), (1001, 3), (300, 7)])
+    def test_grids_with_no_complements_fold_nothing(self, monkeypatch, n, q):
+        # At odd n the antipodes of a median plane share its median row, and
+        # at q = 7 hardly a membership repeats: nothing folds, and every
+        # number is that of the products formed before the fold.
+        ds = random_dataset(np.random.default_rng([n, q]), n=n, q=q, family="binomial")
+        fam = FamilyKind("binomial")
+        fit = fit_null(ds, fam)
+        args = ds, score_psi0(ds, fam, fit), sst_derivatives(ds, fam, fit)
+        thetas = build_theta_grid(ds, k_directions=400, seed=6).thetas
+        order, folded = sst_module._fold(
+            sst_module._distinct_memberships(ds.z_group, thetas)[0], n)
+        assert folded == 0
+        np.testing.assert_array_equal(order, np.arange(len(order)))
+        kept = sst_module._grid_planes(*args, thetas)
+        out = sst_test(ds, fam, k_directions=400, n_resample=40, seed=6)
+        assert out.diagnostics["grid_folded"] == 0
+        monkeypatch.setattr(sst_module, "_indicator_product", self.unfolded_product)
+        before = sst_module._grid_planes(*args, thetas)
+        for a, b in zip(kept[:5], before[:5]):
+            np.testing.assert_array_equal(a, b)
+        plain = sst_test(ds, fam, k_directions=400, n_resample=40, seed=6)
+        assert out.statistic == plain.statistic
+        np.testing.assert_array_equal(out.boot_stats, plain.boot_stats)
 
     def test_every_plane_irreparable_raises(self, rng, monkeypatch, tmp_path, capsys):
         # Empty planes have V(theta) = 0, beyond ridge repair; with no plane
