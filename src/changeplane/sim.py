@@ -19,7 +19,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ParameterError
 from .families import FamilyKind, _logistic
-from .rng import child_rng, child_seed_sequence
+from .rng import check_seed, child_rng, child_seed_sequence
 from .sst import GRID_OPTIONS, check_grid_options, sst_blocks
 from .wast import TestOutcome, wast_blocks
 from .wast import wast_test  # noqa: F401  -- traced by bench/worker.py
@@ -87,6 +87,7 @@ class Scenario:
         if not ok:
             raise ParameterError(f"z law must be std_normal, t3 or normal:<sd> with a finite "
                                  f"sd > 0, got {self.z_law!r}")
+        check_seed(self.seed)
 
 
 @dataclass

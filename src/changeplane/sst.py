@@ -28,6 +28,7 @@ memberships pair.
 
 from __future__ import annotations
 
+import itertools
 from contextlib import suppress
 from dataclasses import dataclass
 
@@ -36,7 +37,7 @@ import numpy as np
 from .data import Dataset
 from .errors import NumericalError, ParameterError
 from .families import FamilyKind, SstDerivatives, fit_null, score_psi0, sst_derivatives
-from .rng import child_rng
+from .rng import check_seed, child_rng, child_rngs
 from .wast import TestOutcome
 
 __all__ = ["ThetaGrid", "GRID_OPTIONS", "check_grid_options", "build_theta_grid",
@@ -94,6 +95,7 @@ def build_theta_grid(ds: Dataset, k_directions: int = 1000,
     if ds.q < 2:
         raise ParameterError("theta grid requires q >= 2 grouping columns")
     check_grid_options(k_directions=k_directions, grid_per_direction=grid_per_direction)
+    check_seed(seed)
     rng = child_rng(seed, 0)
     dirs = rng.standard_normal((k_directions, ds.q - 1))
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -305,9 +307,13 @@ def _calibration(ds: Dataset, family: FamilyKind, k_directions: int,
                  grid_per_direction: int, n_resample: int, seed: int):
     """The checked inputs, grid and observed statistic of ``sst_test``:
     (statistic, diagnostics, suprema), with suprema a generator of the
-    resampled suprema, one ``DRAW_BLOCK`` of draws at a time."""
+    resampled suprema, one ``DRAW_BLOCK`` of draws at a time.  Draw j's
+    multipliers come from the stream ``child_rng(seed, 1, j)``; the
+    n_resample streams' states are derived once (``child_rngs``) and each
+    block's generators built when it runs."""
     if n_resample < 1:
         raise ParameterError("n_resample must be >= 1")
+    check_seed(seed)
     fit = fit_null(ds, family)
     if not fit.converged:
         raise NumericalError("null fit did not converge")
@@ -319,10 +325,11 @@ def _calibration(ds: Dataset, family: FamilyKind, k_directions: int,
     c_flat = c.reshape(-1, c.shape[2])
 
     def suprema():
+        rngs = child_rngs(seed, 1, keys=range(n_resample))
         for start in range(0, n_resample, DRAW_BLOCK):
             stop = min(start + DRAW_BLOCK, n_resample)
-            nu = np.stack([child_rng(seed, 1, j).standard_normal(n)
-                           for j in range(start, stop)], axis=1)
+            nu = np.stack([rng.standard_normal(n)
+                           for rng in itertools.islice(rngs, stop - start)], axis=1)
             u = _indicator_product(packed,
                                    (psi0[:, :, None] * nu[:, None, :]).reshape(n, -1), folded)
             u -= (c_flat @ (derivs.psi1.T @ nu)).reshape(u.shape)

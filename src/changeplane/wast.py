@@ -28,7 +28,7 @@ from .errors import DataError, NumericalError, ParameterError
 from .families import (DEFAULT_MAX_ITER, FamilyKind, bootstrap_sampler, fit_null,
                        refit_null, score_factor)
 from .families import bootstrap_sample, score_psi0  # noqa: F401  -- traced by bench/worker.py
-from .rng import child_rng
+from .rng import check_seed, child_rngs
 from .weights import WeightSpec, omega_tiles, standard_gaussian, upper_tiles
 from .weights import weight_matrix  # noqa: F401  -- traced by bench/worker.py
 
@@ -150,13 +150,15 @@ def wast_multi_statistic(psi0_scalar: np.ndarray,
     return float(total)
 
 
-def _null_model(ds: Dataset, family: FamilyKind, weight: WeightSpec | None, n_boot: int):
+def _null_model(ds: Dataset, family: FamilyKind, weight: WeightSpec | None, n_boot: int,
+                seed: int):
     """The checked inputs and null fit: (weight, fit, s0, tiles), with s0 the
     score factor at the fit and ``tiles`` the test's one source of omega's
     upper tiles weighted by the fit's rows d, its prior checked against Z
     here: Z and d are fixed across replicates."""
     if n_boot < 1:
         raise ParameterError("n_boot must be >= 1")
+    check_seed(seed)
     if weight is None:
         weight = standard_gaussian()
     fit = fit_null(ds, family)
@@ -172,18 +174,22 @@ def _refit_blocks(ds: Dataset, family: FamilyKind, fit, n_boot: int, seed: int):
     ``BOOT_BLOCKS``, the last width repeated, the final block cut at n_boot.
 
     Each block's responses are drawn as one n x width matrix
-    (``bootstrap_sampler``) and refit by one ``refit_null`` call.  Yields
+    (``bootstrap_sampler``), column b from the stream ``child_rng(seed, b)``,
+    and refit by one ``refit_null`` call.  The B streams' states are derived
+    once (``child_rngs``), and a block's generators are built when it runs,
+    so a caller that stops early builds no other.  Yields
     the n x m score factors of the block's converged refits, and the
     block's iterations and counts of refits stopped unconverged at the cap,
     degenerate and failed.  Raises after the first block that takes the
     failed refits past ``MAX_FAILED_FRACTION`` of n_boot.
     """
     draw = bootstrap_sampler(ds, family, fit)
+    rngs = child_rngs(seed, keys=range(n_boot))
     widths = itertools.chain(BOOT_BLOCKS, itertools.repeat(BOOT_BLOCKS[-1]))
     start, n_failed = 0, 0
     while start < n_boot:
         stop = min(start + next(widths), n_boot)
-        y = draw([child_rng(seed, b) for b in range(start, stop)])
+        y = draw(list(itertools.islice(rngs, stop - start)))
         s, converged, its, met = refit_null(ds, family, fit, y)
         failed = int(np.count_nonzero(~converged))
         n_failed += failed
@@ -209,7 +215,7 @@ def wast_test(ds: Dataset, family: FamilyKind,
     median, max) iterations, those stopped unconverged at the iteration cap
     and the quantile refits that met a degenerate vertex.
     """
-    weight, fit, s0, tiles = _null_model(ds, family, weight, n_boot)
+    weight, fit, s0, tiles = _null_model(ds, family, weight, n_boot, seed)
     chunks, iterations, at_cap, degenerate, n_failed = [s0[:, None]], [], 0, 0, 0
     for chunk, its, cap, met, failed in _refit_blocks(ds, family, fit, n_boot, seed):
         chunks.append(chunk)
@@ -239,7 +245,7 @@ def wast_blocks(ds: Dataset, family: FamilyKind, weight: WeightSpec | None = Non
     Every statistic is bit-identical to ``wast_test``'s, and the failed
     refits meet the same cap after each block.
     """
-    weight, fit, s0, tiles = _null_model(ds, family, weight, n_boot)
+    weight, fit, s0, tiles = _null_model(ds, family, weight, n_boot, seed)
     tiles = list(tiles)
     blocks = ((_pair_sums(tiles, [chunk])[0], its.size)
               for chunk, its, *_ in _refit_blocks(ds, family, fit, n_boot, seed))

@@ -195,6 +195,23 @@ class TestTestCommand:
         assert code == USAGE_EXIT
         assert "level must lie in (0, 1)" in err and "decision=" not in out
 
+    @pytest.mark.parametrize("method", ["wast", "sst"])
+    def test_negative_seed_usage_exit(self, glm_csv, capsys, method):
+        code, out, err = run_cli(
+            ["test", str(glm_csv), "--method", method, "--family", "binomial",
+             "--response", "y", "--baseline", "x1", "--diff", "x1",
+             "--grouping", "z1,z2", "--boot", "20", "--seed", "-1"], capsys)
+        assert code == USAGE_EXIT and out == ""
+        assert "seed must be a non-negative integer, got -1" in err
+
+    @pytest.mark.parametrize("command", [["simulate"], ["power", "--kappa-grid", "0"]])
+    def test_study_negative_seed_usage_exit(self, capsys, command):
+        code, out, err = run_cli(
+            [*command, "--family", "binomial", "--n", "60", "--reps", "2",
+             "--boot", "10", "--seed", "-1"], capsys)
+        assert code == USAGE_EXIT and out == ""
+        assert "seed must be a non-negative integer, got -1" in err
+
     def test_simulate_level_outside_unit_interval_usage_exit(self, capsys):
         code, _, err = run_cli(
             ["simulate", "--family", "binomial", "--n", "60", "--reps", "2",
