@@ -14,7 +14,7 @@ share one kernel.  A plane enters only through its membership, the rows
 inside it, and K planes have U <= K distinct memberships: the kernel finds
 them from bit-packed rows, keeps only the U packed rows, and gets their
 quantities through GEMMs of the indicator, unpacked ``UNPACK_BLOCK`` rows
-at a time, and one batched Cholesky.  Memory is O(PLANE_BLOCK n + U n/8 +
+at a time, and one batched Cholesky.  Memory is O(PLANE_BUDGET + U n/8 +
 U p DRAW_BLOCK): no K x n or U x n float array is formed.
 
 A halving plane and its antipode split the rows into complementary halves,
@@ -51,13 +51,15 @@ RIDGE_SCALE = 1e-8
 # U x p x DRAW_BLOCK result is the largest array of the resampling.
 DRAW_BLOCK = 32
 
-# Planes whose projections are formed together (``_plane_blocks``), so no
-# K x n array of projections is formed.  Part of the grid's definition, as
-# BLAS rounds a product by its shape.
-PLANE_BLOCK = 256
+# Projections formed together (``_plane_blocks``): max(1, PLANE_BUDGET // n)
+# planes per block, 512 KB of them, so a block stays in a core's L2 cache
+# and no K x n array of projections is formed.  Part of the grid's
+# definition, as BLAS rounds a product by its shape.
+PLANE_BUDGET = 2 ** 16
 
 # Indicator rows unpacked from bits together into each GEMM.  Not tied to
-# PLANE_BLOCK, so a grid cut into other plane blocks meets the same products.
+# the plane blocks, so a grid cut into other plane blocks meets the same
+# products.
 UNPACK_BLOCK = 256
 
 
@@ -115,15 +117,17 @@ def build_theta_grid(ds: Dataset, k_directions: int = 1000,
 
 
 def _plane_blocks(z: np.ndarray, thetas: np.ndarray):
-    """The planes ``PLANE_BLOCK`` at a time from plane 0, the one place
-    their projections are formed: yields (start, block, proj), ``block`` the
-    view of thetas from row ``start`` and ``proj`` its projections
-    z_tail,i' theta_tail,k.  Row i is inside plane k when its projection is
-    >= -theta_1k, so z's first column must be all ones."""
+    """The planes ``PLANE_BUDGET // n`` at a time (at least one) from plane
+    0, the one place their projections are formed: yields (start, block,
+    proj), ``block`` the view of thetas from row ``start`` and ``proj`` its
+    projections z_tail,i' theta_tail,k.  A block's shape, and so the last
+    bits of its products, depends on n.  Row i is inside plane k when its
+    projection is >= -theta_1k, so z's first column must be all ones."""
     if not np.all(z[:, 0] == 1.0):
         raise ParameterError("change planes need an all-ones first grouping column")
-    for start in range(0, len(thetas), PLANE_BLOCK):
-        block = thetas[start:start + PLANE_BLOCK]
+    size = max(1, PLANE_BUDGET // z.shape[0])
+    for start in range(0, len(thetas), size):
+        block = thetas[start:start + size]
         yield start, block, block[:, 1:] @ z[:, 1:].T
 
 

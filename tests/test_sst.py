@@ -123,13 +123,23 @@ class TestThetaGrid:
     @pytest.mark.parametrize("per_direction", [1, 3, 4])
     def test_matches_per_direction_quantile_loop_across_plane_blocks(self, rng,
                                                                      per_direction):
-        # K = 600 planes: two full blocks and a partial one; at three levels
-        # a block starts at a level other than the first.
+        # K = 600 planes: nine full blocks of 65 and a partial one; at three
+        # levels a block starts at a level other than the first.
         ds = random_dataset(rng, n=1001, q=4)
         k = 600 // per_direction
         grid = build_theta_grid(ds, k_directions=k, grid_per_direction=per_direction, seed=5)
         np.testing.assert_array_equal(
             grid.thetas, loop_theta_grid(ds, k, per_direction, seed=5))
+
+    @pytest.mark.parametrize("n", [300, 301])
+    def test_blocks_smaller_than_levels_match_quantile_loop(self, rng, monkeypatch, n):
+        # Three planes per block at four levels: a block may hold no plane
+        # of some level, and each level's first plane moves from block to
+        # block.
+        ds = random_dataset(rng, n=n, q=3)
+        monkeypatch.setattr(sst_module, "PLANE_BUDGET", 3 * n)
+        grid = build_theta_grid(ds, k_directions=20, grid_per_direction=4, seed=9)
+        np.testing.assert_array_equal(grid.thetas, loop_theta_grid(ds, 20, 4, seed=9))
 
     @pytest.mark.parametrize("per_direction", [1, 4])
     def test_two_rows_match_np_quantile(self, per_direction):
@@ -374,40 +384,66 @@ class TestSstTest:
         assert d2["grid_repaired"] == 2 * d1["grid_repaired"]
         assert d2["grid_distinct"] == d1["grid_distinct"] <= 241
 
-    @pytest.mark.parametrize("n", [300, 301])
-    def test_plane_blocks_cross_directions(self, rng, monkeypatch, n):
-        # Seven planes per block: blocks straddle directions and levels, and
-        # do not divide K = 160.  The block size is part of the grid, so the
+    @pytest.mark.parametrize("n, q, k, planes", [(300, 3, 40, 7), (301, 3, 40, 7),
+                                                 (999, 5, 150, 256)],
+                             ids=["300", "301", "999-q5"])
+    def test_plane_blocks_cross_directions(self, rng, monkeypatch, n, q, k, planes):
+        # Blocks of ``planes`` planes against the default budget's (218 planes
+        # at n = 300, 65 at n = 999): blocks straddle directions and levels,
+        # and do not divide K = 4k.  256-plane blocks are the ones used before
+        # the budget counted projections; at q >= 4 they round some
+        # intercepts differently.  The block size is part of the grid, so the
         # grid is rebuilt under it: its intercepts may move in their last
         # bits, its memberships and every number of the test may not.
-        ds = random_dataset(rng, n=n, family="gaussian")
+        ds = random_dataset(rng, n=n, q=q, family="gaussian")
         fam = FamilyKind("gaussian")
         fit = fit_null(ds, fam)
         args = ds, score_psi0(ds, fam, fit), sst_derivatives(ds, fam, fit)
 
         def grid():
-            return build_theta_grid(ds, k_directions=40, grid_per_direction=4, seed=7).thetas
+            return build_theta_grid(ds, k_directions=k, grid_per_direction=4, seed=7).thetas
+
+        def run():
+            return sst_test(ds, fam, k_directions=k, grid_per_direction=4, n_resample=40,
+                            seed=7)
 
         thetas = grid()
-        whole = sst_module._grid_planes(*args, thetas)
-        whole_rows = sst_module._distinct_memberships(ds.z_group, thetas)
-        whole_test = sst_test(ds, fam, k_directions=40, grid_per_direction=4,
-                              n_resample=40, seed=7)
-        monkeypatch.setattr(sst_module, "PLANE_BLOCK", 7)
-        thetas_7 = grid()
-        np.testing.assert_array_equal(thetas_7, loop_theta_grid(ds, 40, 4, seed=7))
-        np.testing.assert_allclose(thetas_7, thetas, rtol=1e-13, atol=0)
-        blocked = sst_module._grid_planes(*args, thetas_7)
-        for a, b in zip(whole[:5], blocked[:5]):
+        default = sst_module._grid_planes(*args, thetas)
+        default_rows = sst_module._distinct_memberships(ds.z_group, thetas)
+        default_test = run()
+        monkeypatch.setattr(sst_module, "PLANE_BUDGET", planes * n)
+        sizes = [len(block) for _, block, _ in sst_module._plane_blocks(ds.z_group, thetas)]
+        assert len(sizes) > 1 and set(sizes[:-1]) == {planes}
+        blocked_thetas = grid()
+        np.testing.assert_array_equal(blocked_thetas, loop_theta_grid(ds, k, 4, seed=7))
+        np.testing.assert_allclose(blocked_thetas, thetas, rtol=1e-13, atol=0)
+        blocked = sst_module._grid_planes(*args, blocked_thetas)
+        for a, b in zip(default[:5], blocked[:5]):
             np.testing.assert_array_equal(a, b)
-        assert whole[5] == blocked[5]
-        for a, b in zip(whole_rows, sst_module._distinct_memberships(ds.z_group, thetas_7)):
+        assert default[5] == blocked[5]
+        for a, b in zip(default_rows,
+                        sst_module._distinct_memberships(ds.z_group, blocked_thetas)):
             np.testing.assert_array_equal(a, b)
-        out = sst_test(ds, fam, k_directions=40, grid_per_direction=4,
-                       n_resample=40, seed=7)
-        assert out.statistic == whole_test.statistic
-        np.testing.assert_array_equal(out.boot_stats, whole_test.boot_stats)
-        assert out.diagnostics == whole_test.diagnostics
+        out = run()
+        assert out.statistic == default_test.statistic
+        np.testing.assert_array_equal(out.boot_stats, default_test.boot_stats)
+        assert out.p_value == default_test.p_value
+        assert out.diagnostics == default_test.diagnostics
+
+    def test_grid_projections_fit_the_plane_budget(self, rng):
+        # n = 4000, K = 2000: 256-plane blocks held 8 MB of projections and
+        # the grid with its memberships peaked at 16.5 MB.  A block of
+        # PLANE_BUDGET projections is 512 KB; the K n/8 = 1 MB of packed rows
+        # and np.unique's copies of them make up most of the rest.
+        ds = random_dataset(rng, n=4000, q=3, family="gaussian")
+        tracemalloc.start()
+        try:
+            grid = build_theta_grid(ds, k_directions=2000, seed=3)
+            sst_module._distinct_memberships(ds.z_group, grid.thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
     def test_no_k_by_n_array(self, rng):
         # K = 3000 planes at n = 1000: a K x n float array alone would be
