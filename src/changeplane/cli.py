@@ -23,7 +23,7 @@ from . import weights
 from .data import ColumnSpec, load_csv
 from .errors import ChangePlaneError, DataError, ParameterError, ValidationError
 from .families import FAMILIES, FamilyKind
-from .sim import ERROR_LAWS, METHODS, THETA_RULES, Scenario, run_power
+from .sim import ERROR_LAWS, METHODS, THETA_RULES, Scenario, check_level, run_power
 from .sst import sst_test
 from .wast import wast_test
 
@@ -73,8 +73,7 @@ def _write_output(path: str, write) -> None:
 
 
 def cmd_test(args) -> int:
-    if not 0.0 < args.level < 1.0:
-        raise ParameterError(f"level must lie in (0, 1), got {args.level}")
+    check_level(args.level)
     spec = ColumnSpec(
         response=args.response,
         baseline=_columns(args.baseline),
@@ -160,8 +159,7 @@ def _study(args, kappas, default_output: str, banner: str, line: str) -> int:
     print(banner.format_map({**vars(args), "methods": ",".join(methods)}), file=sys.stderr)
     table = run_power(sc, kappas, reps=args.reps, n_boot=args.boot,
                       level=args.level, methods=methods, threads=args.threads,
-                      sst_kwargs={"k_directions": args.grid_k,
-                                  "grid_per_direction": args.grid_per_direction})
+                      k_directions=args.grid_k, grid_per_direction=args.grid_per_direction)
     print(f"# seed={args.seed}")
     for row in table.rows:
         print(line.format_map({**row, **{k: _fmt(row[k]) for k in ("kappa", "rate", "stderr")}}))

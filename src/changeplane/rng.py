@@ -24,7 +24,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ParameterError
 
-__all__ = ["check_seed", "child_rng", "child_rngs", "child_seed_sequence"]
+__all__ = ["check_counts", "check_seed", "child_rng", "child_rngs", "child_seed_sequence"]
 
 # SeedSequence's pool size and the constants of its hash (O'Neill's seed_seq).
 _POOL = 4
@@ -38,6 +38,14 @@ def check_seed(seed) -> None:
     """The rule for a master seed: a non-negative integer."""
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def check_counts(**counts) -> None:
+    """The rule for a count (replicates, draws, directions, workers): an
+    integer >= 1, and not a bool."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def child_seed_sequence(seed: int, *key: int) -> SeedSequence:

@@ -19,13 +19,13 @@ import numpy as np
 from .data import Dataset
 from .errors import ParameterError
 from .families import FamilyKind, _logistic
-from .rng import check_seed, child_rng, child_seed_sequence
-from .sst import GRID_OPTIONS, check_grid_options, sst_blocks
+from .rng import check_counts, check_seed, child_rng, child_seed_sequence
+from .sst import sst_blocks
 from .wast import TestOutcome, wast_blocks
 from .wast import wast_test  # noqa: F401  -- traced by bench/worker.py
 
-__all__ = ["Scenario", "PowerTable", "THETA_RULES", "ERROR_LAWS", "METHODS", "generate",
-           "run_size", "run_power"]
+__all__ = ["Scenario", "PowerTable", "THETA_RULES", "ERROR_LAWS", "METHODS", "check_level",
+           "generate", "run_size", "run_power"]
 
 _LOG14 = math.log(1.4)
 
@@ -62,12 +62,11 @@ class Scenario:
 
     def __post_init__(self):
         r, p, q = self.dims
-        if min(r, p, q) < 1:
-            raise ParameterError("dims must be positive")
+        check_counts(r=r, p=p, q=q)
         if q < 2:  # every design groups on the intercept and at least one variable
             raise ParameterError(f"dims need q >= 2 grouping columns, got q = {q}")
-        if self.n < 2:
-            raise ParameterError(f"n must be >= 2, got {self.n}")
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):  # a bool is < 2
+            raise ParameterError(f"n must be an integer >= 2, got {self.n!r}")
         if not math.isfinite(self.kappa):
             raise ParameterError(f"kappa must be finite, got {self.kappa}")
         if not 0.0 <= self.rho < 1.0:
@@ -229,6 +228,12 @@ def generate(sc: Scenario, rng=None) -> Dataset:
     return _generate_semiparametric(sc, rng)
 
 
+def check_level(level) -> None:
+    """The rule for a test level: a number in (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise ParameterError(f"level must lie in (0, 1), got {level}")
+
+
 def _test_seed(sc: Scenario, rep: int) -> int:
     return int(child_seed_sequence(sc.seed, 1, rep).generate_state(1)[0])
 
@@ -265,47 +270,41 @@ def _study_job(job) -> list[tuple[bool, int]]:
 
 def run_size(sc: Scenario, reps: int = 300, n_boot: int = 200,
              level: float = 0.05, method: str = "wast", threads: int = 1,
-             sst_kwargs: dict | None = None) -> dict:
+             k_directions: int = 1000, grid_per_direction: int = 1) -> dict:
     """Empirical rejection rate at the scenario's own kappa: a one-cell power study."""
-    row = run_power(sc, [sc.kappa], reps, n_boot, level, (method,), threads, sst_kwargs).rows[0]
+    row = run_power(sc, [sc.kappa], reps, n_boot, level, (method,), threads,
+                    k_directions, grid_per_direction).rows[0]
     return {**row, "level": level}
 
 
 def run_power(sc: Scenario, kappa_grid, reps: int = 300, n_boot: int = 200,
               level: float = 0.05, methods=("wast",), threads: int = 1,
-              sst_kwargs: dict | None = None) -> PowerTable:
+              k_directions: int = 1000, grid_per_direction: int = 1) -> PowerTable:
     """One rejection-rate row per (kappa, method), kappa-major.
 
     The study is one ordered list of (kappa, replicate) jobs.  Each job
     generates its dataset once and tests it with every method, so the
     methods share their datasets.  Every input is checked before the first
-    replicate runs.  A test stops once its decision at ``level`` is fixed
-    (``_decide``), so the rates are those of the full tests.
+    replicate runs; ``k_directions`` and ``grid_per_direction``, the grid
+    options of ``sst_test``, are read and checked only when ``sst`` is
+    among the methods.  A test stops once its decision at ``level`` is
+    fixed (``_decide``), so the rates are those of the full tests.
     """
     kappa_grid = [float(kappa) for kappa in kappa_grid]
     if not kappa_grid:
         raise ParameterError("kappa grid must be nonempty")
-    if reps < 1:
-        raise ParameterError("reps must be >= 1")
-    if not 0.0 < level < 1.0:
-        raise ParameterError(f"level must lie in (0, 1), got {level}")
-    if n_boot < 1:
-        raise ParameterError("n_boot must be >= 1")
-    if threads < 1:
-        raise ParameterError(f"threads must be >= 1, got {threads}")
-    sst_kwargs = sst_kwargs or {}
-    if not set(sst_kwargs) <= set(GRID_OPTIONS):
-        raise ParameterError(f"sst_kwargs must name options among {GRID_OPTIONS}, "
-                             f"got {sorted(sst_kwargs)}")
+    check_counts(reps=reps, n_boot=n_boot, threads=threads)
+    check_level(level)
     # Bound per call, not at import, so a replaced module attribute is the test that runs.
     bound = dict(zip(METHODS, (partial(wast_blocks, n_boot=n_boot),
-                               partial(sst_blocks, n_resample=n_boot, **sst_kwargs))))
+                               partial(sst_blocks, n_resample=n_boot, k_directions=k_directions,
+                                       grid_per_direction=grid_per_direction))))
     methods = tuple(methods)
     if not methods or len(set(methods)) < len(methods) or not set(methods) <= set(METHODS):
         raise ParameterError(f"methods must be distinct names among {' and '.join(METHODS)}, "
                              f"got {methods}")
     if "sst" in methods:
-        check_grid_options(**sst_kwargs)
+        check_counts(k_directions=k_directions, grid_per_direction=grid_per_direction)
     tests = tuple(bound[method] for method in methods)
     jobs = [(replace(sc, kappa=kappa), rep, tests, n_boot, level)
             for kappa in kappa_grid for rep in range(reps)]

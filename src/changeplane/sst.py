@@ -37,11 +37,11 @@ import numpy as np
 from .data import Dataset
 from .errors import NumericalError, ParameterError
 from .families import FamilyKind, SstDerivatives, fit_null, score_psi0, sst_derivatives
-from .rng import check_seed, child_rng, child_rngs
+from .rng import check_counts, check_seed, child_rng, child_rngs
 from .wast import TestOutcome
 
-__all__ = ["ThetaGrid", "GRID_OPTIONS", "check_grid_options", "build_theta_grid",
-           "score_test_at", "sst_statistic", "sst_test", "sst_blocks"]
+__all__ = ["ThetaGrid", "build_theta_grid", "score_test_at", "sst_statistic", "sst_test",
+           "sst_blocks"]
 
 # Ridge repair for near-singular V(theta): add this multiple of trace/p.
 RIDGE_SCALE = 1e-8
@@ -73,16 +73,6 @@ class ThetaGrid:
         return self.thetas.shape[0]
 
 
-GRID_OPTIONS = ("k_directions", "grid_per_direction")  # of build_theta_grid and sst_test
-
-
-def check_grid_options(**options) -> None:
-    """The rule for the theta-grid options: each must be >= 1."""
-    bad = [f"{name}={value}" for name, value in options.items() if not value >= 1]
-    if bad:
-        raise ParameterError(f"grid options must be >= 1, got {', '.join(bad)}")
-
-
 def build_theta_grid(ds: Dataset, k_directions: int = 1000,
                      grid_per_direction: int = 1, seed: int = 0) -> ThetaGrid:
     """Random unit directions with percentile-calibrated intercepts.
@@ -96,7 +86,7 @@ def build_theta_grid(ds: Dataset, k_directions: int = 1000,
     """
     if ds.q < 2:
         raise ParameterError("theta grid requires q >= 2 grouping columns")
-    check_grid_options(k_directions=k_directions, grid_per_direction=grid_per_direction)
+    check_counts(k_directions=k_directions, grid_per_direction=grid_per_direction)
     check_seed(seed)
     rng = child_rng(seed, 0)
     dirs = rng.standard_normal((k_directions, ds.q - 1))
@@ -315,8 +305,8 @@ def _calibration(ds: Dataset, family: FamilyKind, k_directions: int,
     multipliers come from the stream ``child_rng(seed, 1, j)``; the
     n_resample streams' states are derived once (``child_rngs``) and each
     block's generators built when it runs."""
-    if n_resample < 1:
-        raise ParameterError("n_resample must be >= 1")
+    check_counts(n_resample=n_resample, k_directions=k_directions,
+                 grid_per_direction=grid_per_direction)
     check_seed(seed)
     fit = fit_null(ds, family)
     if not fit.converged:

@@ -28,7 +28,7 @@ from .errors import DataError, NumericalError, ParameterError
 from .families import (DEFAULT_MAX_ITER, FamilyKind, bootstrap_sampler, fit_null,
                        refit_null, score_factor)
 from .families import bootstrap_sample, score_psi0  # noqa: F401  -- traced by bench/worker.py
-from .rng import check_seed, child_rngs
+from .rng import check_counts, check_seed, child_rngs
 from .weights import WeightSpec, omega_tiles, standard_gaussian, upper_tiles
 from .weights import weight_matrix  # noqa: F401  -- traced by bench/worker.py
 
@@ -156,8 +156,7 @@ def _null_model(ds: Dataset, family: FamilyKind, weight: WeightSpec | None, n_bo
     score factor at the fit and ``tiles`` the test's one source of omega's
     upper tiles weighted by the fit's rows d, its prior checked against Z
     here: Z and d are fixed across replicates."""
-    if n_boot < 1:
-        raise ParameterError("n_boot must be >= 1")
+    check_counts(n_boot=n_boot)
     check_seed(seed)
     if weight is None:
         weight = standard_gaussian()

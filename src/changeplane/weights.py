@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVectorError, ParameterError
+from .rng import check_counts
 
 __all__ = [
     "VARIANTS", "WeightSpec", "standard_gaussian", "gaussian", "beta_prior",
@@ -162,8 +163,7 @@ def omega_gaussian_mc(z_i, z_j, mu, sigma, n_draws: int | None = None,
     z_i = np.asarray(z_i, float)
     z_j = np.asarray(z_j, float)
     if draws is None:
-        if n_draws is None or n_draws < 1:
-            raise ParameterError("n_draws must be >= 1")
+        check_counts(n_draws=n_draws)
         rng = np.random.default_rng(rng)
         draws = rng.standard_normal(n_draws)
     from scipy.special import ndtr

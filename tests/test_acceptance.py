@@ -239,7 +239,7 @@ def test_criterion_7_power_ordering(report):
     reps = 200
     wast = run_size(sc, reps=reps, n_boot=200, method="wast")
     sst = run_size(sc, reps=reps, n_boot=200, method="sst",
-                   sst_kwargs={"k_directions": 500})
+                   k_directions=500)
     pooled = float(np.hypot(wast["stderr"], sst["stderr"]))
     ok = wast["rate"] >= sst["rate"] - 2.0 * pooled
     report(7, ok, f"kappa=0.5 power: WAST {wast['rate']:.3f} vs "

@@ -1,7 +1,13 @@
+import operator
+import re
+from functools import partial
+
 import numpy as np
 import pytest
 
-from changeplane import FamilyKind, Scenario, build_theta_grid, sst_test, wast_test
+from changeplane import (FamilyKind, Scenario, build_theta_grid, omega_gaussian_mc, run_power,
+                         sst_test, wast_test)
+from changeplane import sim as sim_module
 from changeplane import sst as sst_module
 from changeplane import wast as wast_module
 from changeplane.errors import ParameterError
@@ -78,6 +84,61 @@ def test_negative_seed_rejected_before_the_null_fit(entry, monkeypatch):
     with pytest.raises(ParameterError, match="seed must be a non-negative integer, got -3"):
         entry(ds, FamilyKind("gaussian"), seed=-3)
     assert fits == []
+
+
+GAUSS = FamilyKind("gaussian")
+
+
+def count_entries():
+    """Each entry point that takes a count: name -> (call taking the counts
+    by keyword, the counts it checks, its output's numbers)."""
+    ds = random_dataset(np.random.default_rng(0), n=30)
+    sc = Scenario(GAUSS, (2, 2, 3), 40, seed=1)
+    def boot(out):
+        return out.statistic, out.boot_stats.tolist()
+
+    rows = operator.attrgetter("rows")
+    return {
+        "wast_test": (partial(wast_test, ds, GAUSS), ("n_boot",), boot),
+        "wast_blocks": (partial(wast_blocks, ds, GAUSS), ("n_boot",),
+                        lambda out: (out[0], [b.tolist() for b, _ in out[1]])),
+        "sst_test": (partial(sst_test, ds, GAUSS),
+                     ("n_resample", "k_directions", "grid_per_direction"), boot),
+        "build_theta_grid": (partial(build_theta_grid, ds),
+                             ("k_directions", "grid_per_direction"),
+                             lambda grid: grid.thetas.tolist()),
+        "run_power": (partial(run_power, sc, [0.0]), ("reps", "n_boot", "threads"), rows),
+        "run_power_sst": (partial(run_power, sc, [0.0], methods=("sst",)),
+                          ("k_directions", "grid_per_direction"), rows),
+        "omega_gaussian_mc": (partial(omega_gaussian_mc, [1.0, 0.2], [1.0, -0.4],
+                                      np.zeros(2), np.eye(2), rng=0), ("n_draws",), float),
+    }
+
+
+@pytest.mark.parametrize("value", [2.5, True, 0, -1])
+@pytest.mark.parametrize("entry, name", [(entry, name)
+                                         for entry, (_, names, _) in count_entries().items()
+                                         for name in names])
+def test_count_rule_at_every_entry(entry, name, value, monkeypatch):
+    # Each bad count is a usage error naming it, raised before any fit or dataset.
+    made = []
+    for module in (wast_module, sst_module):
+        monkeypatch.setattr(module, "fit_null", lambda *args: made.append(args))
+    monkeypatch.setattr(sim_module, "generate", lambda *args: made.append(args))
+    call = count_entries()[entry][0]
+    with pytest.raises(ParameterError,
+                       match=re.escape(f"{name} must be an integer >= 1, got {value!r}")):
+        call(**{name: value})
+    assert made == []
+
+
+@pytest.mark.parametrize("entry", list(count_entries()))
+def test_numpy_integer_counts_accepted(entry):
+    # Two of each count: run_power's threads = 2 runs its two jobs on two workers.
+    call, names, numbers = count_entries()[entry]
+    got, want = (numbers(call(**dict.fromkeys(names, count)))
+                 for count in (np.int64(2), 2))
+    assert got == want
 
 
 def test_negative_scenario_seed_rejected():

@@ -1,5 +1,6 @@
 import concurrent.futures
 import io
+import re
 from dataclasses import replace
 from functools import partial
 
@@ -34,10 +35,28 @@ class TestScenario:
         with pytest.raises(ParameterError, match="q >= 2"):
             glm_scenario(family=FamilyKind(family), dims=(2, 2, 1))
 
-    @pytest.mark.parametrize("n", [1, 0, -5])
+    @pytest.mark.parametrize("n", [1, 0, -5, 40.5, True, "40"])
     def test_validates_n(self, n):
-        with pytest.raises(ParameterError, match="n must be >= 2"):
+        # A float n used to be built and fail only in generate, with a TypeError.
+        message = f"n must be an integer >= 2, got {n!r}"
+        with pytest.raises(ParameterError, match=re.escape(message)):
             glm_scenario(n=n)
+
+    @pytest.mark.parametrize("dims, message", [
+        ((2.0, 1, 3), "r must be an integer >= 1, got 2.0"),
+        ((2, 1.5, 3), "p must be an integer >= 1, got 1.5"),
+        ((2, 1, 3.0), "q must be an integer >= 1, got 3.0"),
+        ((2, True, 3), "p must be an integer >= 1, got True"),
+        ((0, 1, 3), "r must be an integer >= 1, got 0")])
+    def test_dims_are_counts(self, dims, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            glm_scenario(dims=dims)
+
+    def test_numpy_integer_sizes_accepted(self):
+        sc = glm_scenario(n=np.int64(40), dims=tuple(np.int64(d) for d in (2, 2, 3)))
+        got, want = generate(sc), generate(glm_scenario(n=40))
+        for name in ("y", "x_base", "x_diff", "z_group"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
     def test_validates_rho(self):
         with pytest.raises(ParameterError):
@@ -191,7 +210,7 @@ class TestRunners:
         sc = glm_scenario(n=80, seed=24)
         table = run_power(sc, kappa_grid=[0.0], reps=3, n_boot=15,
                           methods=("wast", "sst"),
-                          sst_kwargs={"k_directions": 30})
+                          k_directions=30)
         methods = sorted(row["method"] for row in table.rows)
         assert methods == ["sst", "wast"]
 
@@ -226,19 +245,19 @@ class TestStudyLoop:
     def test_each_dataset_generated_once_for_all_methods(self, monkeypatch):
         calls = counting(monkeypatch, "generate", "wast_blocks", "sst_blocks")
         run_power(glm_scenario(n=60, seed=25), [0.0, 0.5, 1.0], reps=3, n_boot=10,
-                  methods=("wast", "sst"), sst_kwargs=self.SST)
+                  methods=("wast", "sst"), **self.SST)
         assert calls == {"generate": 9, "wast_blocks": 9, "sst_blocks": 9}
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_rows_equal_single_method_size_studies(self, threads):
         sc = glm_scenario(n=60, seed=26)
         table = run_power(sc, [0.0, 1.5], reps=4, n_boot=12, level=0.3,
-                          methods=("sst", "wast"), threads=threads, sst_kwargs=self.SST)
+                          methods=("sst", "wast"), threads=threads, **self.SST)
         cells = [(kappa, method) for kappa in (0.0, 1.5) for method in ("sst", "wast")]
         assert [(row["kappa"], row["method"]) for row in table.rows] == cells
         for row, (kappa, method) in zip(table.rows, cells):
             alone = run_size(replace(sc, kappa=kappa), reps=4, n_boot=12, level=0.3,
-                             method=method, threads=1, sst_kwargs=self.SST)
+                             method=method, threads=1, **self.SST)
             assert alone == {**row, "level": 0.3}
         assert len({row["rate"] for row in table.rows}) > 1  # the rates tell cells apart
 
@@ -272,7 +291,7 @@ class TestStudyLoop:
     def test_curtailed_rates_equal_the_full_tests(self, threads, level):
         sc = glm_scenario(family=FamilyKind("gaussian"), n=60, seed=28)
         table = run_power(sc, [0.0, 1.0], reps=6, n_boot=70, level=level,
-                          methods=("wast", "sst"), threads=threads, sst_kwargs=self.SST)
+                          methods=("wast", "sst"), threads=threads, **self.SST)
         for row in table.rows:
             pvals = []
             for rep in range(6):
@@ -345,14 +364,15 @@ class TestStudyLoop:
         assert calls == {"generate": 0, "wast_blocks": 0, "sst_blocks": 0}
 
     @pytest.mark.parametrize("methods, kwargs, message", [
-        (("wast",), {"n_boot": 0}, "n_boot must be >= 1"),
+        (("wast",), {"n_boot": 0}, "n_boot must be an integer >= 1, got 0"),
         (("wast",), {"kappa_grid": [0.0, float("nan")]}, "kappa must be finite"),
-        (("sst",), {"sst_kwargs": {"k_directions": 0}}, "k_directions=0"),
-        (("wast", "sst"), {"sst_kwargs": {"grid_per_direction": 0}}, "grid_per_direction=0"),
-        (("sst",), {"sst_kwargs": {"k_direction": 30}}, "sst_kwargs must name"),
-        (("wast",), {"sst_kwargs": {"seed": 1}}, "sst_kwargs must name"),
-        (("wast",), {"threads": 0}, "threads must be >= 1, got 0"),
-        (("wast", "sst"), {"threads": -2}, "threads must be >= 1, got -2")])
+        (("sst",), {"k_directions": 0}, "k_directions must be an integer >= 1, got 0"),
+        (("wast", "sst"), {"grid_per_direction": 0},
+         "grid_per_direction must be an integer >= 1, got 0"),
+        (("wast",), {"reps": 2.5}, "reps must be an integer >= 1, got 2.5"),
+        (("sst",), {"k_directions": True}, "k_directions must be an integer >= 1, got True"),
+        (("wast",), {"threads": 0}, "threads must be an integer >= 1, got 0"),
+        (("wast", "sst"), {"threads": -2}, "threads must be an integer >= 1, got -2")])
     def test_bad_study_inputs_raise_before_any_replicate(self, monkeypatch, methods, kwargs,
                                                          message):
         calls = counting(monkeypatch, "generate", "wast_blocks", "sst_blocks")
@@ -390,9 +410,9 @@ class TestStudyLoop:
         assert pools == [2]  # nor does a study of one job
 
     def test_grid_options_are_sst_only(self):
-        # Without sst the grid options are unused: known names pass, whatever their values.
+        # Without sst the grid options are unused: they pass, whatever their values.
         table = run_power(glm_scenario(n=40, seed=27), [0.0], reps=1, n_boot=5,
-                          sst_kwargs={"k_directions": 0, "grid_per_direction": 2})
+                          k_directions=0, grid_per_direction=2)
         assert [row["method"] for row in table.rows] == ["wast"]
 
     def test_bad_method_in_size_study(self):

@@ -385,8 +385,8 @@ class TestSstTest:
         assert d2["grid_distinct"] == d1["grid_distinct"] <= 241
 
     @pytest.mark.parametrize("n, q, k, planes", [(300, 3, 40, 7), (301, 3, 40, 7),
-                                                 (999, 5, 150, 256)],
-                             ids=["300", "301", "999-q5"])
+                                                 (999, 5, 150, 256), (999, 7, 150, 256)],
+                             ids=["300", "301", "999-q5", "999-q7"])
     def test_plane_blocks_cross_directions(self, rng, monkeypatch, n, q, k, planes):
         # Blocks of ``planes`` planes against the default budget's (218 planes
         # at n = 300, 65 at n = 999): blocks straddle directions and levels,
@@ -394,7 +394,10 @@ class TestSstTest:
         # the budget counted projections; at q >= 4 they round some
         # intercepts differently.  The block size is part of the grid, so the
         # grid is rebuilt under it: its intercepts may move in their last
-        # bits, its memberships and every number of the test may not.
+        # bits, its memberships and every number of the test may not.  An
+        # intercept's last bits are those of its plane's projections, so it is
+        # bounded in ulps of their scale, max_i sum_k |z_ik theta_k| over the
+        # tail columns, not relative to itself, which may be near 0.
         ds = random_dataset(rng, n=n, q=q, family="gaussian")
         fam = FamilyKind("gaussian")
         fit = fit_null(ds, fam)
@@ -416,7 +419,9 @@ class TestSstTest:
         assert len(sizes) > 1 and set(sizes[:-1]) == {planes}
         blocked_thetas = grid()
         np.testing.assert_array_equal(blocked_thetas, loop_theta_grid(ds, k, 4, seed=7))
-        np.testing.assert_allclose(blocked_thetas, thetas, rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(blocked_thetas[:, 1:], thetas[:, 1:])
+        scale = (np.abs(ds.z_group[:, 1:]) @ np.abs(thetas[:, 1:]).T).max(axis=0)
+        assert np.all(np.abs(blocked_thetas[:, 0] - thetas[:, 0]) <= 2 * np.spacing(scale))
         blocked = sst_module._grid_planes(*args, blocked_thetas)
         for a, b in zip(default[:5], blocked[:5]):
             np.testing.assert_array_equal(a, b)
