@@ -10,11 +10,10 @@ from .data import ColumnSpec, Dataset, load_csv, save_csv
 from .families import (FamilyKind, NullFit, SstDerivatives, bootstrap_sample,
                        fit_null, score_psi0, sst_derivatives, validate)
 from .sim import PowerTable, Scenario, generate, run_power, run_size
-from .sst import ThetaGrid, build_theta_grid, score_test_at, sst_statistic, sst_test
+from .sst import ThetaGrid, build_theta_grid, sst_statistic, sst_test
 from .wast import PlaneBlock, TestOutcome, wast_multi_statistic, wast_statistic, wast_test
-from .weights import (WeightSpec, beta_prior, gaussian, omega_closed_form,
-                      omega_gaussian_mc, standard_gaussian, univariate_gaussian,
-                      varrho, weight_matrix)
+from .weights import (WeightSpec, beta_prior, gaussian, standard_gaussian,
+                      univariate_gaussian, weight_matrix)
 
 __version__ = "0.1.0"
 
@@ -23,9 +22,8 @@ __all__ = [
     "FamilyKind", "NullFit", "SstDerivatives",
     "bootstrap_sample", "fit_null", "score_psi0", "sst_derivatives",
     "PowerTable", "Scenario", "generate", "run_power", "run_size",
-    "ThetaGrid", "build_theta_grid", "score_test_at", "sst_statistic", "sst_test",
+    "ThetaGrid", "build_theta_grid", "sst_statistic", "sst_test",
     "PlaneBlock", "TestOutcome", "wast_multi_statistic", "wast_statistic", "wast_test",
-    "WeightSpec", "beta_prior", "gaussian", "omega_closed_form",
-    "omega_gaussian_mc", "standard_gaussian", "univariate_gaussian", "varrho",
-    "weight_matrix",
+    "WeightSpec", "beta_prior", "gaussian", "standard_gaussian",
+    "univariate_gaussian", "weight_matrix",
 ]

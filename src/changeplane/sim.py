@@ -61,7 +61,11 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        r, p, q = self.dims
+        try:
+            r, p, q = self.dims
+        except (TypeError, ValueError):
+            raise ParameterError(
+                f"dims must be three counts (r, p, q), got {self.dims!r}") from None
         check_counts(r=r, p=p, q=q)
         if q < 2:  # every design groups on the intercept and at least one variable
             raise ParameterError(f"dims need q >= 2 grouping columns, got q = {q}")

@@ -9,8 +9,8 @@ test statistic is the supremum over a random grid of unit directions with
 percentile-calibrated intercepts, and the critical value comes from
 perturbation resampling with standard-normal multipliers.
 
-``score_test_at`` (a grid of one plane), ``sst_statistic`` and ``sst_test``
-share one kernel.  A plane enters only through its membership, the rows
+``sst_statistic`` and ``sst_test`` share one kernel; a fixed plane is a
+grid of one.  A plane enters only through its membership, the rows
 inside it, and K planes have U <= K distinct memberships: the kernel finds
 them from bit-packed rows, keeps only the U packed rows, and gets their
 quantities through GEMMs of the indicator, unpacked ``UNPACK_BLOCK`` rows
@@ -40,8 +40,7 @@ from .families import FamilyKind, SstDerivatives, fit_null, score_psi0, sst_deri
 from .rng import check_counts, check_seed, child_rng, child_rngs
 from .wast import TestOutcome
 
-__all__ = ["ThetaGrid", "build_theta_grid", "score_test_at", "sst_statistic", "sst_test",
-           "sst_blocks"]
+__all__ = ["ThetaGrid", "build_theta_grid", "sst_statistic", "sst_test", "sst_blocks"]
 
 # Ridge repair for near-singular V(theta): add this multiple of trace/p.
 RIDGE_SCALE = 1e-8
@@ -276,18 +275,6 @@ def _grid_planes(ds: Dataset, psi0: np.ndarray, derivs: SstDerivatives,
     l_inv[~keep] = 0.0
     w = l_inv @ score[:, :, None]
     return np.einsum("kpj,kpj->k", w, w) / n, packed, folded, l_inv, c, counts
-
-
-def score_test_at(ds: Dataset, family: FamilyKind, fit, derivs: SstDerivatives,
-                  theta) -> float:
-    """Squared score statistic at a fixed plane theta (nonnegative).
-
-    The plane's projections come from a one-row product, which BLAS rounds
-    differently from the grid-wide GEMM of ``sst_statistic``; at odd n the
-    row at a grid intercept's quantile can fall on the other side, so
-    ``score_test_at(grid.thetas[k])`` may differ from plane k of the grid.
-    """
-    return sst_statistic(ds, family, fit, derivs, ThetaGrid(np.asarray(theta, float)[None]))
 
 
 def sst_statistic(ds: Dataset, family: FamilyKind, fit, derivs: SstDerivatives,

@@ -18,9 +18,9 @@ Every prior gives omega through one generator, ``omega_tiles``, a square
 tile of the upper triangle at a time; ``weight_matrix`` assembles the n x n
 matrix from those tiles.
 
-scipy.special is imported inside the paths that need it (the scalar priors,
-mu != 0 and the Monte-Carlo reference): its import costs more than the rest
-of the package, and the default mu = 0 prior uses numpy alone.
+scipy.special is imported inside the paths that need it (the scalar priors
+and mu != 0): its import costs more than the rest of the package, and the
+default mu = 0 prior uses numpy alone.
 """
 
 from __future__ import annotations
@@ -30,17 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVectorError, ParameterError
-from .rng import check_counts
 
 __all__ = [
     "VARIANTS", "WeightSpec", "standard_gaussian", "gaussian", "beta_prior",
-    "univariate_gaussian", "varrho", "omega_closed_form", "omega_gaussian_mc",
-    "omega_tiles", "upper_tiles", "weight_matrix",
+    "univariate_gaussian", "omega_tiles", "upper_tiles", "weight_matrix",
 ]
 
-# Endpoint guard of the Owen's T and Monte-Carlo paths, which divide by
-# sqrt(1 - rho^2): where 1 - rho^2 is not above it, they take the limits at
-# rho = +-1.  The arcsin closed form needs no guard.
+# Endpoint guard of the Owen's T path, which divides by sqrt(1 - rho^2):
+# where 1 - rho^2 is not above it, it takes the limits at rho = +-1.  The
+# arcsin closed form needs no guard.
 _ENDPOINT_EPS = 1e-12
 
 # Side of the square omega tiles: every consumer of omega takes it one
@@ -119,68 +117,12 @@ def univariate_gaussian(mu: float, sigma2: float) -> WeightSpec:
     return WeightSpec("uni_gaussian", scalar_mu=mu, sigma2=sigma2)
 
 
-def varrho(z_i, z_j, sigma) -> float:
-    """Sigma-weighted cosine between two grouping rows, clamped to [-1, 1]."""
-    z_i = np.asarray(z_i, float)
-    z_j = np.asarray(z_j, float)
-    sigma = np.asarray(sigma, float)
-    si = z_i @ sigma @ z_i
-    sj = z_j @ sigma @ z_j
-    if si <= 0 or sj <= 0:
-        raise DegenerateVectorError("grouping row has zero Sigma-norm")
-    rho = (z_i @ sigma @ z_j) / np.sqrt(si * sj)
-    return float(np.clip(rho, -1.0, 1.0))
-
-
-def omega_closed_form(rho) -> np.ndarray | float:
-    """Orthant probability 1/4 + arcsin(rho)/(2 pi), rho clipped to [-1, 1].
-
-    arcsin(+-1) = +-pi/2 gives the limits 1/2 and 0 exactly.
-    """
-    rho = np.asarray(rho, float)
-    out = _arcsin_map(np.clip(rho, -1.0, 1.0, out=np.empty_like(rho)))
-    return out if out.ndim else float(out)
-
-
 def _arcsin_map(rho: np.ndarray) -> np.ndarray:
     """1/4 + arcsin(rho)/(2 pi), in place on an array of cosines in [-1, 1]."""
     np.arcsin(rho, out=rho)
     rho *= 1.0 / (2.0 * np.pi)
     rho += 0.25
     return rho
-
-
-def omega_gaussian_mc(z_i, z_j, mu, sigma, n_draws: int | None = None,
-                      rng=None, draws: np.ndarray | None = None) -> float:
-    """Monte-Carlo omega_ij for a general Gaussian prior N(mu, sigma).
-
-    Averages Phi((a_i - rho z) / sqrt(1 - rho^2)) over standard-normal draws z
-    restricted to z <= a_j, where a_k = Z_k' mu / ||Z_k||_Sigma.  A shared
-    ``draws`` array may be passed to reuse one stream across pairs.
-    """
-    mu = np.asarray(mu, float)
-    sigma = np.asarray(sigma, float)
-    z_i = np.asarray(z_i, float)
-    z_j = np.asarray(z_j, float)
-    if draws is None:
-        check_counts(n_draws=n_draws)
-        rng = np.random.default_rng(rng)
-        draws = rng.standard_normal(n_draws)
-    from scipy.special import ndtr
-    rho = varrho(z_i, z_j, sigma)
-    a_i = (z_i @ mu) / np.sqrt(z_i @ sigma @ z_i)
-    a_j = (z_j @ mu) / np.sqrt(z_j @ sigma @ z_j)
-    inside = draws <= a_j
-    one_minus = 1.0 - rho * rho
-    if one_minus <= _ENDPOINT_EPS:
-        # Degenerate correlation: the conditional CDF is a step function.
-        if rho > 0:
-            vals = (draws <= a_i).astype(float)
-        else:
-            vals = (-draws <= a_i).astype(float)
-    else:
-        vals = ndtr((a_i - rho * draws) / np.sqrt(one_minus))
-    return float(np.mean(vals * inside))
 
 
 def _orthant(h, k, rho):

@@ -3,6 +3,9 @@ import pytest
 from scipy.optimize import linprog
 
 from changeplane import Dataset
+from changeplane.errors import DegenerateVectorError
+from changeplane.rng import check_counts
+from changeplane.weights import _ENDPOINT_EPS
 
 
 @pytest.fixture
@@ -41,6 +44,59 @@ def highs_check_loss(y, x, tau):
                   bounds=[(None, None)] * r + [(0.0, None)] * (2 * n), method="highs")
     assert res.status == 0, res.message
     return res.fun
+
+
+# Pairwise oracles of the omega kernel: the Sigma-cosine of one pair and a
+# Monte-Carlo omega under N(mu, sigma), which check ``weight_matrix`` from
+# outside its closed forms.
+
+def varrho(z_i, z_j, sigma) -> float:
+    """Sigma-weighted cosine between two grouping rows, clamped to [-1, 1]."""
+    z_i = np.asarray(z_i, float)
+    z_j = np.asarray(z_j, float)
+    sigma = np.asarray(sigma, float)
+    si = z_i @ sigma @ z_i
+    sj = z_j @ sigma @ z_j
+    if si <= 0 or sj <= 0:
+        raise DegenerateVectorError("grouping row has zero Sigma-norm")
+    rho = (z_i @ sigma @ z_j) / np.sqrt(si * sj)
+    return float(np.clip(rho, -1.0, 1.0))
+
+
+
+def omega_gaussian_mc(z_i, z_j, mu, sigma, n_draws: int | None = None,
+                      rng=None, draws: np.ndarray | None = None) -> float:
+    """Monte-Carlo omega_ij for a general Gaussian prior N(mu, sigma).
+
+    Averages Phi((a_i - rho z) / sqrt(1 - rho^2)) over standard-normal draws z
+    restricted to z <= a_j, where a_k = Z_k' mu / ||Z_k||_Sigma.  A shared
+    ``draws`` array may be passed to reuse one stream across pairs.
+    """
+    mu = np.asarray(mu, float)
+    sigma = np.asarray(sigma, float)
+    z_i = np.asarray(z_i, float)
+    z_j = np.asarray(z_j, float)
+    if draws is None:
+        check_counts(n_draws=n_draws)
+        rng = np.random.default_rng(rng)
+        draws = rng.standard_normal(n_draws)
+    from scipy.special import ndtr
+    rho = varrho(z_i, z_j, sigma)
+    a_i = (z_i @ mu) / np.sqrt(z_i @ sigma @ z_i)
+    a_j = (z_j @ mu) / np.sqrt(z_j @ sigma @ z_j)
+    inside = draws <= a_j
+    one_minus = 1.0 - rho * rho
+    if one_minus <= _ENDPOINT_EPS:
+        # Degenerate correlation: the conditional CDF is a step function.
+        if rho > 0:
+            vals = (draws <= a_i).astype(float)
+        else:
+            vals = (-draws <= a_i).astype(float)
+    else:
+        vals = ndtr((a_i - rho * draws) / np.sqrt(one_minus))
+    return float(np.mean(vals * inside))
+
+
 
 
 def check_loss(y, x, alpha, tau):

@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from changeplane import (FamilyKind, PlaneBlock, Scenario, fit_null, generate,
-                         omega_closed_form, omega_gaussian_mc, run_size,
-                         score_psi0, score_test_at, sst_derivatives,
-                         standard_gaussian, varrho, wast_multi_statistic,
-                         wast_statistic, weight_matrix)
+from changeplane import (FamilyKind, PlaneBlock, Scenario, ThetaGrid, fit_null, generate,
+                         run_size, score_psi0, sst_derivatives, sst_statistic,
+                         standard_gaussian, wast_multi_statistic, wast_statistic,
+                         weight_matrix)
 from changeplane.families import NullFit
 from changeplane.rng import child_rng
+
+from conftest import omega_gaussian_mc
 
 ACCEPT_SEED = 20260823
 
@@ -37,7 +38,9 @@ def report(capsys):
 
 
 def test_criterion_1_mc_matches_closed_form(report):
-    """200 random pairs, q in {2,5,11}: |closed form - MC(N=1e6)| < 0.005."""
+    """200 random pairs, q in {2,5,11}: the omega of ``weight_matrix`` on the
+    two-row Z, the mu = 0 closed form, is within 0.005 of the Monte-Carlo
+    oracle's (N = 1e6)."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(ACCEPT_SEED)
     draws = rng.standard_normal(10**6)
@@ -48,7 +51,7 @@ def test_criterion_1_mc_matches_closed_form(report):
         for _ in range(count):
             z_i = rng.standard_normal(q)
             z_j = rng.standard_normal(q)
-            cf = omega_closed_form(varrho(z_i, z_j, sigma))
+            cf = weight_matrix(np.stack([z_i, z_j]))[0, 1]
             mc = omega_gaussian_mc(z_i, z_j, mu, sigma, draws=draws)
             worst = max(worst, abs(cf - mc))
     elapsed = time.perf_counter() - t0
@@ -58,7 +61,9 @@ def test_criterion_1_mc_matches_closed_form(report):
 
 
 def test_criterion_2_quadrature_ground_truth(report):
-    """Closed form equals the bivariate-normal positive-quadrant integral."""
+    """The omega of ``weight_matrix`` on a two-row Z with cosine rho, the
+    mu = 0 closed form, equals the bivariate-normal positive-quadrant
+    integral."""
     worst = 0.0
     for rho in (-0.9, -0.5, 0.0, 0.5, 0.9):
         det = 1.0 - rho * rho
@@ -69,7 +74,8 @@ def test_criterion_2_quadrature_ground_truth(report):
 
         integral, _ = dblquad(density, 0.0, 8.0, 0.0, 8.0,
                               epsabs=1e-10, epsrel=1e-10)
-        worst = max(worst, abs(omega_closed_form(rho) - integral))
+        z = np.array([[1.0, 0.0], [rho, np.sqrt(det)]])
+        worst = max(worst, abs(weight_matrix(z)[0, 1] - integral))
     report(2, worst < 1e-4,
            f"max |closed-quadrature| = {worst:.2e} at rho in "
            "{-0.9,-0.5,0,0.5,0.9} (limit 1e-4)")
@@ -211,7 +217,8 @@ def test_criterion_5_wast_size_reproduction(report):
 
 
 def test_criterion_6_chi_square_mean(report):
-    """Fixed-theta score statistic under H0 has chi^2_p mean (Gaussian, n=400)."""
+    """Fixed-theta score statistic under H0 has chi^2_p mean (Gaussian, n=400):
+    ``sst_statistic`` on a grid of the one plane theta."""
     sc = Scenario(family=FamilyKind("gaussian"), dims=(2, 2, 3), n=400,
                   seed=ACCEPT_SEED + 6)
     fam = sc.family
@@ -221,7 +228,7 @@ def test_criterion_6_chi_square_mean(report):
         ds = generate(sc, child_rng(sc.seed, 0, rep))
         fit = fit_null(ds, fam)
         derivs = sst_derivatives(ds, fam, fit)
-        vals[rep] = score_test_at(ds, fam, fit, derivs, theta)
+        vals[rep] = sst_statistic(ds, fam, fit, derivs, ThetaGrid(theta[None]))
     p = 2
     band = 3.0 * np.sqrt(2.0 * p / 500.0)
     mean = float(vals.mean())

@@ -5,8 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from changeplane import (FamilyKind, Scenario, build_theta_grid, omega_gaussian_mc, run_power,
-                         sst_test, wast_test)
+from changeplane import FamilyKind, Scenario, build_theta_grid, run_power, sst_test, wast_test
 from changeplane import sim as sim_module
 from changeplane import sst as sst_module
 from changeplane import wast as wast_module
@@ -110,8 +109,6 @@ def count_entries():
         "run_power": (partial(run_power, sc, [0.0]), ("reps", "n_boot", "threads"), rows),
         "run_power_sst": (partial(run_power, sc, [0.0], methods=("sst",)),
                           ("k_directions", "grid_per_direction"), rows),
-        "omega_gaussian_mc": (partial(omega_gaussian_mc, [1.0, 0.2], [1.0, -0.4],
-                                      np.zeros(2), np.eye(2), rng=0), ("n_draws",), float),
     }
 
 

@@ -47,7 +47,12 @@ class TestScenario:
         ((2, 1.5, 3), "p must be an integer >= 1, got 1.5"),
         ((2, 1, 3.0), "q must be an integer >= 1, got 3.0"),
         ((2, True, 3), "p must be an integer >= 1, got True"),
-        ((0, 1, 3), "r must be an integer >= 1, got 0")])
+        ((0, 1, 3), "r must be an integer >= 1, got 0"),
+        # Checked before unpacking, which raised ValueError or TypeError.
+        ((2, 2), "dims must be three counts (r, p, q), got (2, 2)"),
+        ((2, 2, 3, 4), "dims must be three counts (r, p, q), got (2, 2, 3, 4)"),
+        (3, "dims must be three counts (r, p, q), got 3"),
+        ("2,2,3", "dims must be three counts (r, p, q), got '2,2,3'")])
     def test_dims_are_counts(self, dims, message):
         with pytest.raises(ParameterError, match=re.escape(message)):
             glm_scenario(dims=dims)

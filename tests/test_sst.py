@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from changeplane import (Dataset, FamilyKind, ThetaGrid, build_theta_grid, fit_null,
-                         score_psi0, score_test_at, sst_derivatives,
-                         sst_statistic, sst_test)
+                         score_psi0, sst_derivatives, sst_statistic, sst_test)
 from changeplane import cli
 from changeplane import sst as sst_module
 from changeplane.errors import NumericalError, ParameterError
@@ -199,19 +198,20 @@ class TestThetaGrid:
 
 
 class TestScoreTestAt:
+    """A fixed plane theta is scored as the grid ``ThetaGrid(theta[None])``
+    of that one plane, through the grid's kernel."""
+
     def test_nonnegative_and_finite(self, rng):
         ds = random_dataset(rng, n=80, family="binomial")
         fam = FamilyKind("binomial")
         fit = fit_null(ds, fam)
         derivs = sst_derivatives(ds, fam, fit)
         for theta in build_theta_grid(ds, k_directions=15, seed=0).thetas:
-            val = score_test_at(ds, fam, fit, derivs, theta)
+            val = sst_statistic(ds, fam, fit, derivs, ThetaGrid(theta[None]))
             assert np.isfinite(val) and val >= 0.0
-            # A fixed plane is a grid of one plane, through the same kernel.
-            assert val == sst_statistic(ds, fam, fit, derivs, ThetaGrid(theta[None]))
 
     def test_quadratic_form_by_hand(self, rng):
-        """score_test_at must equal n^-1 s' V^-1 s with s the summed
+        """A plane's statistic must equal n^-1 s' V^-1 s with s the summed
         half-space score and V the centered empirical covariance."""
         ds = random_dataset(rng, n=70, family="gaussian")
         fam = FamilyKind("gaussian")
@@ -225,7 +225,7 @@ class TestScoreTestAt:
         v = (psi_t - corr).T @ (psi_t - corr) / ds.n
         s = psi_t.sum(axis=0)
         expected = float(s @ np.linalg.solve(v, s)) / ds.n
-        got = score_test_at(ds, fam, fit, derivs, theta)
+        got = sst_statistic(ds, fam, fit, derivs, ThetaGrid(theta[None]))
         assert got == pytest.approx(expected, rel=1e-10)
 
     def test_statistic_is_supremum(self, rng):
@@ -234,7 +234,7 @@ class TestScoreTestAt:
         fit = fit_null(ds, fam)
         derivs = sst_derivatives(ds, fam, fit)
         grid = build_theta_grid(ds, k_directions=12, seed=5)
-        vals = [score_test_at(ds, fam, fit, derivs, t) for t in grid.thetas]
+        vals = [sst_statistic(ds, fam, fit, derivs, ThetaGrid(t[None])) for t in grid.thetas]
         assert sst_statistic(ds, fam, fit, derivs, grid) == pytest.approx(
             max(vals), rel=1e-12)
 
@@ -247,10 +247,6 @@ class TestScoreTestAt:
         thetas = np.resize([0.1, 0.8, -0.6, 0.2], shape)
         with pytest.raises(ParameterError, match="theta grid must be K x 3"):
             sst_statistic(ds, fam, fit, derivs, ThetaGrid(thetas))
-        # score_test_at makes a one-row grid of its theta; thetas[0] is a
-        # scalar, 2 or 4 long, or a 1 x 3 matrix.
-        with pytest.raises(ParameterError, match="theta grid must be K x 3"):
-            score_test_at(ds, fam, fit, derivs, thetas[0])
 
     @pytest.mark.parametrize("entry, value", [((0, 0), np.nan), ((1, 1), np.inf),
                                               ((2, 2), -np.inf)])
@@ -266,7 +262,7 @@ class TestScoreTestAt:
         with pytest.raises(ParameterError, match="non-finite"):
             sst_statistic(ds, fam, fit, derivs, ThetaGrid(thetas))
         with pytest.raises(ParameterError, match="non-finite"):
-            score_test_at(ds, fam, fit, derivs, thetas[entry[0]])
+            sst_statistic(ds, fam, fit, derivs, ThetaGrid(thetas[entry[0]][None]))
 
 
 class TestSstTest:

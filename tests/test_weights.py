@@ -7,16 +7,23 @@ from hypothesis import strategies as st
 from scipy.special import betainc, ndtr
 from scipy.stats import multivariate_normal, norm
 
-from changeplane import (Dataset, WeightSpec, beta_prior, gaussian, omega_closed_form,
-                         omega_gaussian_mc, standard_gaussian, univariate_gaussian,
-                         varrho, weight_matrix)
+from changeplane import (Dataset, WeightSpec, beta_prior, gaussian, standard_gaussian,
+                         univariate_gaussian, weight_matrix)
 from changeplane import weights as weights_module
 from changeplane.errors import DegenerateVectorError, ParameterError
+
+from conftest import omega_gaussian_mc, varrho
 
 SIGMA = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, -0.3], [0.1, -0.3, 1.5]])
 MU = np.array([0.0, 0.5, -0.75])
 # Specs whose omega comes from the Gaussian kernel, with mu = 0 and mu != 0.
 GAUSSIAN_SPECS = [standard_gaussian(), gaussian(np.zeros(3), SIGMA), gaussian(MU, SIGMA)]
+
+
+def closed_form(rho):
+    """The mu = 0 map ``_arcsin_map`` on cosines clipped to [-1, 1], as the
+    Gaussian kernel clips and maps a tile's Gram."""
+    return weights_module._arcsin_map(np.clip(np.array(rho, float, ndmin=1), -1.0, 1.0))
 
 
 class TestVarrho:
@@ -43,17 +50,17 @@ class TestVarrho:
 
 class TestClosedForm:
     def test_zero(self):
-        assert omega_closed_form(0.0) == pytest.approx(0.25)
+        assert closed_form(0.0) == pytest.approx(0.25)
 
     def test_plus_one(self):
-        assert omega_closed_form(1.0) == pytest.approx(0.5)
+        assert closed_form(1.0) == pytest.approx(0.5)
 
     def test_minus_one(self):
-        assert omega_closed_form(-1.0) == pytest.approx(0.0)
+        assert closed_form(-1.0) == pytest.approx(0.0)
 
     def test_half(self):
         # 0.25 + arcsin(0.5)/(2 pi) = 0.25 + (pi/6)/(2 pi) = 1/3
-        assert omega_closed_form(0.5) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert closed_form(0.5) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_dense_grid_against_arctan_form(self):
         # The arcsin form against the arctan form it replaced,
@@ -65,7 +72,7 @@ class TestClosedForm:
         rho = np.concatenate([uniform, 1.0 - np.geomspace(1e-16, 1e-3, 2001),
                               -1.0 + np.geomspace(1e-16, 1e-3, 2001)])
         rho.sort()
-        got = omega_closed_form(rho)
+        got = closed_form(rho)
         one_minus = 1.0 - rho * rho
         inner = one_minus > 1e-12
         old = 0.25 + np.arctan(rho[inner] / np.sqrt(one_minus[inner])) / (2.0 * np.pi)
@@ -75,20 +82,20 @@ class TestClosedForm:
         on_uniform = np.isin(rho[inner], uniform)
         assert np.max(gap[on_uniform]) <= 1e-15
         assert np.all(np.diff(got) >= 0.0)
-        assert omega_closed_form([-1.0, 0.0, 1.0]).tolist() == [0.0, 0.25, 0.5]
+        assert closed_form([-1.0, 0.0, 1.0]).tolist() == [0.0, 0.25, 0.5]
         # Cosines a rounding outside [-1, 1] are clipped to the limits.
-        edges = omega_closed_form([-1.0 - 1e-15, -np.nextafter(1.0, 2.0),
-                                   np.nextafter(1.0, 2.0), 1.0 + 1e-15])
+        edges = closed_form([-1.0 - 1e-15, -np.nextafter(1.0, 2.0),
+                             np.nextafter(1.0, 2.0), 1.0 + 1e-15])
         assert edges.tolist() == [0.0, 0.0, 0.5, 0.5]
 
     def test_near_endpoint_continuity(self):
-        assert omega_closed_form(1.0 - 1e-14) == pytest.approx(0.5, abs=1e-6)
+        assert closed_form(1.0 - 1e-14) == pytest.approx(0.5, abs=1e-6)
 
     @given(st.floats(-1.0, 1.0))
     def test_range_and_monotone(self, rho):
-        v = omega_closed_form(rho)
+        v = closed_form(rho)
         assert 0.0 <= v <= 0.5
-        assert omega_closed_form(min(rho + 0.01, 1.0)) >= v - 1e-12
+        assert closed_form(min(rho + 0.01, 1.0)) >= v - 1e-12
 
 
 class TestGaussianMC:
@@ -113,9 +120,9 @@ class TestGaussianMC:
 
     def test_antipodal_rows_take_the_step(self):
         """z_j = -z_i: rho = -1, the conditional CDF is a step and the two
-        half-spaces meet only at 0, so omega is the closed form's at -1."""
+        half-spaces meet only at 0, so omega is the kernel's at -1."""
         v = omega_gaussian_mc([1, 0], [-1, 0], np.zeros(2), np.eye(2), n_draws=1000, rng=9)
-        assert v == omega_closed_form(-1.0) == 0.0
+        assert v == weight_matrix(np.array([[1.0, 0.0], [-1.0, 0.0]]))[0, 1] == 0.0
 
     def test_invalid_draws(self):
         with pytest.raises(ParameterError):
@@ -228,7 +235,7 @@ class TestWeightMatrix:
             for rows, cols in weights_module.upper_tiles(31):
                 # The tile's cosines, the Gram of the unit rows, formed as
                 # the kernel forms them.
-                want[rows, cols] = omega_closed_form(unit[rows] @ unit[cols].T)
+                want[rows, cols] = closed_form(unit[rows] @ unit[cols].T)
                 want[cols, rows] = want[rows, cols].T
             got = weight_matrix(z, spec)
             np.testing.assert_array_equal(got, want)
@@ -388,10 +395,10 @@ class TestWeightMatrix:
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_closed_form_is_orthant_probability(seed):
-    # For random pairs, the closed form depends only on the cosine; check
+    # For random pairs, the kernel's omega depends only on the cosine; check
     # the trigonometric identity P = 1/4 + arcsin(rho)/(2 pi).
     rng = np.random.default_rng(seed)
     z_i, z_j = rng.standard_normal(3), rng.standard_normal(3)
     rho = varrho(z_i, z_j, np.eye(3))
-    assert omega_closed_form(rho) == pytest.approx(
+    assert weight_matrix(np.stack([z_i, z_j]))[0, 1] == pytest.approx(
         0.25 + np.arcsin(rho) / (2 * np.pi), abs=1e-12)
