@@ -35,8 +35,8 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 def check_seed(seed) -> None:
-    """The rule for a master seed: a non-negative integer."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    """The rule for a master seed: a non-negative integer, and not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
 
 

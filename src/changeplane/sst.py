@@ -13,9 +13,11 @@ perturbation resampling with standard-normal multipliers.
 grid of one.  A plane enters only through its membership, the rows
 inside it, and K planes have U <= K distinct memberships: the kernel finds
 them from bit-packed rows, keeps only the U packed rows, and gets their
-quantities through GEMMs of the indicator, unpacked ``UNPACK_BLOCK`` rows
-at a time, and one batched Cholesky.  Memory is O(PLANE_BUDGET + U n/8 +
-U p DRAW_BLOCK): no K x n or U x n float array is formed.
+quantities through GEMMs of the indicator, unpacked ``_unpack_rows(n)``
+rows at a time, and one batched Cholesky.  Memory is O(PLANE_BUDGET + K n/8
++ R n + (n + U) p DRAW_BLOCK), R = ``_unpack_rows(n)``: no K x n or U x n
+float array is formed, and from n of about 1000 up the R x n block of
+unpacked float rows is the largest array.
 
 A halving plane and its antipode split the rows into complementary halves,
 so at q = 3 with one median level and even n about 90 % of the distinct
@@ -46,8 +48,8 @@ __all__ = ["ThetaGrid", "build_theta_grid", "sst_statistic", "sst_test", "sst_bl
 RIDGE_SCALE = 1e-8
 
 # Multiplier draws resampled together through one product of the indicator
-# of the U distinct memberships with an n x p*DRAW_BLOCK matrix; the
-# U x p x DRAW_BLOCK result is the largest array of the resampling.
+# of the U distinct memberships with an n x p*DRAW_BLOCK matrix, into a
+# U x p x DRAW_BLOCK result.
 DRAW_BLOCK = 32
 
 # Projections formed together (``_plane_blocks``): max(1, PLANE_BUDGET // n)
@@ -56,10 +58,19 @@ DRAW_BLOCK = 32
 # definition, as BLAS rounds a product by its shape.
 PLANE_BUDGET = 2 ** 16
 
-# Indicator rows unpacked from bits together into each GEMM.  Not tied to
-# the plane blocks, so a grid cut into other plane blocks meets the same
+# Indicator rows unpacked from bits together into each GEMM
+# (``_unpack_rows``): UNPACK_BLOCK rows while they hold at most 1 MB of
+# floats (n <= 1024), so that a block and the n x p*DRAW_BLOCK draw matrix
+# share a core's 2 MB L2 cache, and twice as many at larger n, where neither
+# fits and the smaller block was slower in a fresh process.  Not tied to the
+# plane blocks, so a grid cut into other plane blocks meets the same
 # products.
-UNPACK_BLOCK = 256
+UNPACK_BLOCK = 128
+
+
+def _unpack_rows(n: int) -> int:
+    """Rows of an n-column indicator unpacked together into each GEMM."""
+    return UNPACK_BLOCK if UNPACK_BLOCK * n <= 2 ** 17 else 2 * UNPACK_BLOCK
 
 
 @dataclass(frozen=True)
@@ -175,14 +186,15 @@ def _fold(packed: np.ndarray, n: int):
 
 
 def _indicator_product(packed: np.ndarray, m: np.ndarray, folded: int = 0) -> np.ndarray:
-    """D m for the 0/1 indicator D whose rows ``packed`` holds as bits,
-    unpacking ``UNPACK_BLOCK`` rows of D at a time.  The last ``folded``
-    rows of D are the complements 1 - d of its first ``folded`` (``_fold``):
-    their products are 1'm - d m, with no row unpacked."""
+    """D m for the U x n 0/1 indicator D whose rows ``packed`` holds as
+    bits, unpacking ``_unpack_rows(n)`` rows of D at a time.  The last
+    ``folded`` rows of D are the complements 1 - d of its first ``folded``
+    (``_fold``): their products are 1'm - d m, with no row unpacked."""
     own = len(packed) - folded
+    size = _unpack_rows(m.shape[0])
     out = np.empty((len(packed), m.shape[1]))
-    for start in range(0, own, UNPACK_BLOCK):
-        rows = np.unpackbits(packed[start:min(start + UNPACK_BLOCK, own)], axis=1,
+    for start in range(0, own, size):
+        rows = np.unpackbits(packed[start:min(start + size, own)], axis=1,
                              count=m.shape[0])
         np.matmul(rows.astype(float), m, out=out[start:start + len(rows)])
     if folded:

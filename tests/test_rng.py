@@ -66,7 +66,7 @@ def test_keys_outside_one_word_are_rejected(keys):
         child_rngs(5, keys=keys)
 
 
-@pytest.mark.parametrize("seed", [-1, -3, 1.5, "7"])
+@pytest.mark.parametrize("seed", [-1, -3, 1.5, "7", True, False])
 def test_seed_rule(seed):
     with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
         check_seed(seed)
@@ -136,6 +136,19 @@ def test_numpy_integer_counts_accepted(entry):
     got, want = (numbers(call(**dict.fromkeys(names, count)))
                  for count in (np.int64(2), 2))
     assert got == want
+
+
+@pytest.mark.parametrize("seed", [True, False])
+def test_bool_seed_rejected_at_every_entry(seed):
+    # A bool is an int, so seed=True used to run as seed 1.
+    ds = random_dataset(np.random.default_rng(0), n=30)
+    calls = [lambda: wast_test(ds, GAUSS, n_boot=5, seed=seed),
+             lambda: sst_test(ds, GAUSS, k_directions=5, n_resample=5, seed=seed),
+             lambda: Scenario(GAUSS, (2, 2, 3), 50, seed=seed)]
+    for call in calls:
+        with pytest.raises(ParameterError,
+                           match=f"seed must be a non-negative integer, got {seed}"):
+            call()
 
 
 def test_negative_scenario_seed_rejected():

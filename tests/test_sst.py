@@ -446,6 +446,28 @@ class TestSstTest:
             tracemalloc.stop()
         assert peak < 6e6
 
+    def test_resampling_peak_follows_the_cost_model(self, rng):
+        # n = 1000, K = 5000, q = 3, p = 2, B = 200.  The test's peak is a
+        # draw block's product: its unpacked rows, at most 1 MB of floats
+        # and their bytes for n <= 1024 (_unpack_rows); the draw matrix m
+        # and the multipliers, n p w and n w floats (w = DRAW_BLOCK); the
+        # U p w result, with the previous block's U p w result and whitened
+        # scores still bound in the loop; and the U n/8 packed rows.  That
+        # is 3.8 MB at U = 1127, and the 20 % covers the O(n r + U p (p + r))
+        # arrays.  The grid passes peak at 2.3 MB.
+        n, w = 1000, sst_module.DRAW_BLOCK
+        ds = random_dataset(rng, n=n, q=3, family="gaussian")
+        tracemalloc.start()
+        try:
+            out = sst_test(ds, FamilyKind("gaussian"), k_directions=5000, n_resample=200,
+                           seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        u, p = out.diagnostics["grid_distinct"], ds.x_diff.shape[1]
+        model = 2 ** 20 * 9 / 8 + 8 * w * (n * p + n + 3 * u * p) + u * n / 8
+        assert peak < 1.2 * model
+
     def test_no_k_by_n_array(self, rng):
         # K = 3000 planes at n = 1000: a K x n float array alone would be
         # 24 MB, and at q = 4, where U is about K, so would a U x n float
@@ -466,18 +488,24 @@ class TestSstTest:
         assert out.diagnostics["grid_distinct"] > 0.9 * directions * levels
 
     @pytest.mark.parametrize("u", [255, 256, 300, 1163])
-    @pytest.mark.parametrize("n", [301, 1000, 1004])
+    @pytest.mark.parametrize("n", [301, 1000, 1004, 2000])
     def test_indicator_product_matches_float_gemm(self, u, n):
-        # Unpacked UNPACK_BLOCK rows at a time, the product is the whole
-        # float product bit for bit, tail blocks of 44 and 139 rows included.
-        # This pins the BLAS's rounding by product shape at its thread count.
+        # (a) Bit for bit the float products of the same _unpack_rows(n)-row
+        # blocks, tail blocks of 127, 44 and 11 rows (44 and 139 at n = 2000)
+        # included.  (b) Within 2 gamma_n (|D||m|) of the whole float product,
+        # gamma_n = n eps / (1 - n eps), the classical bound on each one's
+        # error: which BLAS kernel a block's shape takes may round it
+        # differently from the whole product's.
         rng = np.random.default_rng([u, n])
         packed = rng.integers(0, 256, (u, (n + 7) // 8), dtype=np.uint8)
         whole = np.unpackbits(packed, axis=1, count=n).astype(float)
+        eps = np.finfo(float).eps
+        gamma = n * eps / (1 - n * eps)
         for width in (24, 96):
             m = rng.standard_normal((n, width))
-            np.testing.assert_array_equal(sst_module._indicator_product(packed, m),
-                                          whole @ m)
+            blocked = sst_module._indicator_product(packed, m)
+            np.testing.assert_array_equal(blocked, self.unfolded_product(packed, m))
+            assert np.all(np.abs(blocked - whole @ m) <= 2 * gamma * (whole @ np.abs(m)))
 
     @staticmethod
     def direct_product(packed, m, folded=0):
@@ -486,13 +514,14 @@ class TestSstTest:
 
     @staticmethod
     def unfolded_product(packed, m, folded=0):
-        """``_indicator_product`` before the fold, UNPACK_BLOCK rows at a time."""
+        """``_indicator_product`` before the fold, ``_unpack_rows(n)`` rows at
+        a time."""
         assert folded == 0
+        size = sst_module._unpack_rows(m.shape[0])
         out = np.empty((len(packed), m.shape[1]))
-        for start in range(0, len(packed), sst_module.UNPACK_BLOCK):
-            rows = np.unpackbits(packed[start:start + sst_module.UNPACK_BLOCK], axis=1,
-                                 count=m.shape[0])
-            np.matmul(rows.astype(float), m, out=out[start:start + sst_module.UNPACK_BLOCK])
+        for start in range(0, len(packed), size):
+            rows = np.unpackbits(packed[start:start + size], axis=1, count=m.shape[0])
+            np.matmul(rows.astype(float), m, out=out[start:start + size])
         return out
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial", "quantile"])
