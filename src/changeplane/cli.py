@@ -39,14 +39,33 @@ def _family(args) -> FamilyKind:
     return FamilyKind(args.family, tau=getattr(args, "tau", 0.5))
 
 
+# The options of each scalar prior, with their values when not given.  The
+# prior options default to None, so that one the run does not read is
+# known to have been given.
+PRIOR_OPTIONS = {
+    "beta": {"beta_lambda1": 1.0, "beta_lambda2": 1.0},
+    "uni_gaussian": {"weight_mu": 0.0, "weight_sigma2": 1.0},
+}
+
+
 def _weight_spec(args):
-    name = args.weight
+    """WAST's prior from ``--weight`` and its options, None for SST.
+    ParameterError names a prior option given that the method or the prior
+    does not read."""
+    name = None if args.method == "sst" else args.weight or "std_gaussian"
+    options = PRIOR_OPTIONS.get(name, {})
+    reads = set() if name is None else {"weight", *options}
+    for option in ("weight", *PRIOR_OPTIONS["beta"], *PRIOR_OPTIONS["uni_gaussian"]):
+        if getattr(args, option) is not None and option not in reads:
+            used_by = "--method sst" if name is None else f"--weight {name}"
+            raise ParameterError(f"--{option.replace('_', '-')} is not used by {used_by}")
+    if name is None:
+        return None
     if name in ("std_gaussian", "gaussian"):  # gaussian is N(0, I), the standard prior
         return weights.standard_gaussian()
-    if name == "beta":
-        return weights.beta_prior(args.beta_lambda1, args.beta_lambda2)
-    # argparse's choices leave uni_gaussian as the only other name.
-    return weights.univariate_gaussian(args.weight_mu, args.weight_sigma2)
+    first, second = (options[o] if getattr(args, o) is None else getattr(args, o)
+                     for o in options)
+    return (weights.beta_prior if name == "beta" else weights.univariate_gaussian)(first, second)
 
 
 def _columns(raw: str | None) -> list[str]:
@@ -74,21 +93,23 @@ def _write_output(path: str, write) -> None:
 
 def cmd_test(args) -> int:
     check_level(args.level)
+    weight = _weight_spec(args)
+    # A scalar prior reads one grouping variable, so no intercept is added.
+    scalar_prior = weight is not None and weight.variant in PRIOR_OPTIONS
     spec = ColumnSpec(
         response=args.response,
         baseline=_columns(args.baseline),
         diff=_columns(args.diff),
         grouping=_columns(args.grouping),
         add_intercept_baseline=not args.no_intercept_baseline,
-        add_intercept_grouping=not args.no_intercept_grouping,
+        add_intercept_grouping=not (args.no_intercept_grouping or scalar_prior),
     )
     ds = load_csv(args.data, spec)
     family = _family(args)
     if args.output:
         _check_output(args.output)
     if args.method == "wast":
-        out = wast_test(ds, family, weight=_weight_spec(args),
-                        n_boot=args.boot, seed=args.seed)
+        out = wast_test(ds, family, weight=weight, n_boot=args.boot, seed=args.seed)
         grid_info = ""
     else:
         out = sst_test(ds, family, k_directions=args.grid_k,
@@ -225,11 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--grouping", default="", help="comma list of columns")
     p_test.add_argument("--no-intercept-baseline", action="store_true")
     p_test.add_argument("--no-intercept-grouping", action="store_true")
-    p_test.add_argument("--weight", default="std_gaussian", choices=weights.VARIANTS)
-    p_test.add_argument("--beta-lambda1", type=float, default=1.0)
-    p_test.add_argument("--beta-lambda2", type=float, default=1.0)
-    p_test.add_argument("--weight-mu", type=float, default=0.0)
-    p_test.add_argument("--weight-sigma2", type=float, default=1.0)
+    p_test.add_argument("--weight", choices=weights.VARIANTS,
+                        help="WAST prior (default std_gaussian)")
+    for variant, options in PRIOR_OPTIONS.items():
+        for name, default in options.items():
+            p_test.add_argument(f"--{name.replace('_', '-')}", type=float,
+                                help=f"{variant} prior only (default {default})")
     p_test.add_argument("--boot", type=int, default=1000)
     p_test.add_argument("--grid-k", type=int, default=1000)
     p_test.add_argument("--grid-per-direction", type=int, default=1)

@@ -14,9 +14,13 @@ arc-cosine kernel; otherwise Owen's (1956) T-function form gives it exactly.
 Scalar-threshold priors (beta, univariate Gaussian) reduce to CDF
 evaluations at min(Z_i, Z_j).
 
-Every prior gives omega through one generator, ``omega_tiles``, a square
-tile of the upper triangle at a time; ``weight_matrix`` assembles the n x n
-matrix from those tiles.
+Every prior gives omega through one private source, ``_omega_source``, as
+(shift, scale, tiles) with omega = shift + scale * tile, a square tile of
+the upper triangle at a time.  Sheppard's form gives (1/4, 1/(2 pi),
+arcsin tiles), so the WAST kernel reads arcsin(rho) alone and applies the
+two constants once per factor column; every other prior gives (0, 1, omega
+tiles).  ``omega_tiles`` composes the parts, times scale then plus shift,
+and ``weight_matrix`` assembles the n x n matrix from those tiles.
 
 scipy.special is imported inside the paths that need it (the scalar priors
 and mu != 0): its import costs more than the rest of the package, and the
@@ -117,12 +121,21 @@ def univariate_gaussian(mu: float, sigma2: float) -> WeightSpec:
     return WeightSpec("uni_gaussian", scalar_mu=mu, sigma2=sigma2)
 
 
+# Sheppard's omega = 1/4 + arcsin(rho)/(2 pi), as the (shift, scale) of
+# its arcsin tiles.
+_SHEPPARD = (0.25, 1.0 / (2.0 * np.pi))
+
+
+def _affine(tile: np.ndarray, shift: float, scale: float) -> np.ndarray:
+    """shift + scale * tile, in place: times scale, then plus shift."""
+    tile *= scale
+    tile += shift
+    return tile
+
+
 def _arcsin_map(rho: np.ndarray) -> np.ndarray:
     """1/4 + arcsin(rho)/(2 pi), in place on an array of cosines in [-1, 1]."""
-    np.arcsin(rho, out=rho)
-    rho *= 1.0 / (2.0 * np.pi)
-    rho += 0.25
-    return rho
+    return _affine(np.arcsin(rho, out=rho), *_SHEPPARD)
 
 
 def _orthant(h, k, rho):
@@ -166,18 +179,21 @@ def upper_tiles(n: int):
 
 
 def _gaussian_block(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
-    """omega(rows, cols) under the prior N(mu, sigma), one tile at a time.
+    """(shift, scale, block) under the prior N(mu, sigma), with
+    omega(rows, cols) = shift + scale * block(rows, cols), one tile at a time.
 
     With w = z L, Sigma = L L', the rows of w are divided by their norms
     once; a tile's Sigma-cosines are then the Gram wn[rows] wn[cols]' of the
     unit rows.  numpy forms a diagonal tile's by syrk, so that tile is
     exactly symmetric.  The cosines are clipped to [-1, 1] once and mapped
-    in place by the arcsin closed form at mu = 0, by ``_orthant`` otherwise.
+    in place, by arcsin at mu = 0 (Sheppard's constants are the shift and
+    scale) and by ``_orthant`` otherwise (shift 0, scale 1).
     A Gram of two equal unit rows is 1 - O(eps), which arcsin turns into an
     error of O(sqrt(eps)): at mu = 0, when rows repeat, each row's id among
     the distinct rows (one ``np.unique`` of z's rows as bytes, -0.0 made
-    0.0) sets the cosine of every tied pair to exactly 1, so omega is
-    exactly 1/2 there.  ``_orthant``'s endpoint guard is already exact.
+    0.0) sets the cosine of every tied pair to exactly 1, so arcsin is
+    exactly pi/2 there and ``omega_tiles``' omega exactly 1/2.
+    ``_orthant``'s endpoint guard is already exact.
     """
     w = z @ np.linalg.cholesky(sigma)
     norms = np.sqrt(np.einsum("ij,ij->i", w, w))
@@ -201,18 +217,21 @@ def _gaussian_block(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
             return _orthant(*np.broadcast_arrays(a[rows, None], a[None, cols]), rho)
         if ids is not None:
             rho[ids[rows, None] == ids[None, cols]] = 1.0
-        return _arcsin_map(rho)
+        return np.arcsin(rho, out=rho)
 
-    return block
+    shift, scale = _SHEPPARD if a is None else (0.0, 1.0)
+    return shift, scale, block
 
 
-def omega_tiles(ds_or_z, spec: WeightSpec | None = None):
-    """omega over the upper triangle, one tile at a time.
+def _omega_source(ds_or_z, spec: WeightSpec | None = None):
+    """(shift, scale, tiles): omega over the upper triangle as
+    shift + scale * tile, one tile at a time.
 
-    Returns an iterator of (rows, cols, tile) in ``upper_tiles`` order, with
-    tile = omega[rows, cols]; each pair is evaluated once.  Accepts either a
-    Dataset or the raw grouping matrix Z; the prior is checked against Z
-    here, before the first tile.
+    ``tiles`` is an iterator of (rows, cols, tile) in ``upper_tiles`` order;
+    each pair is evaluated once.  Sheppard's form (mu = 0) gives
+    (1/4, 1/(2 pi), arcsin(rho) tiles), every other prior (0, 1, omega
+    tiles).  Accepts either a Dataset or the raw grouping matrix Z; the
+    prior is checked against Z here, before the first tile.
     """
     if spec is None:
         spec = standard_gaussian()
@@ -220,11 +239,12 @@ def omega_tiles(ds_or_z, spec: WeightSpec | None = None):
     q = z.shape[1]
 
     if spec.variant == "std_gaussian":
-        block = _gaussian_block(z, np.zeros(q), np.eye(q))
+        shift, scale, block = _gaussian_block(z, np.zeros(q), np.eye(q))
     elif spec.variant == "gaussian":
         if np.shape(spec.mu) != (q,):
             raise ParameterError(f"mu/sigma shapes must match q={q}")
-        block = _gaussian_block(z, np.asarray(spec.mu, float), np.asarray(spec.sigma, float))
+        shift, scale, block = _gaussian_block(z, np.asarray(spec.mu, float),
+                                              np.asarray(spec.sigma, float))
     else:
         # Scalar-threshold priors need a single grouping variable.
         if q != 1:
@@ -241,7 +261,23 @@ def omega_tiles(ds_or_z, spec: WeightSpec | None = None):
         def block(rows, cols):
             return np.minimum.outer(cdf[rows], cdf[cols])
 
-    return ((rows, cols, block(rows, cols)) for rows, cols in upper_tiles(len(z)))
+        shift, scale = 0.0, 1.0
+    return shift, scale, ((rows, cols, block(rows, cols)) for rows, cols in upper_tiles(len(z)))
+
+
+def omega_tiles(ds_or_z, spec: WeightSpec | None = None):
+    """omega over the upper triangle, one tile at a time.
+
+    Returns an iterator of (rows, cols, tile) in ``upper_tiles`` order, with
+    tile = omega[rows, cols]: ``_omega_source``'s tiles, times its scale
+    and then plus its shift, in place.  Accepts either a Dataset or the raw
+    grouping matrix Z; the prior is checked against Z here, before the
+    first tile.
+    """
+    shift, scale, tiles = _omega_source(ds_or_z, spec)
+    if (shift, scale) == (0.0, 1.0):
+        return tiles
+    return ((rows, cols, _affine(tile, shift, scale)) for rows, cols, tile in tiles)
 
 
 def weight_matrix(ds_or_z, spec: WeightSpec | None = None) -> np.ndarray:
@@ -249,7 +285,9 @@ def weight_matrix(ds_or_z, spec: WeightSpec | None = None) -> np.ndarray:
 
     Accepts either a Dataset or the raw grouping matrix Z.  It is assembled
     from the tiles of ``omega_tiles``, each written to both triangles; the
-    WAST kernel consumes the same tiles without ever storing this matrix.
+    WAST kernel reads ``_omega_source``'s tiles without ever storing this
+    matrix.  At mu = 0 tied grouping rows get exactly 1/2 here, as
+    1/4 + (pi/2)/(2 pi) rounds to it.
     """
     z = _grouping(ds_or_z)
     out = np.empty((len(z), len(z)))

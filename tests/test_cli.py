@@ -176,6 +176,38 @@ class TestTestCommand:
         assert "p_value=" in out
 
     @pytest.mark.parametrize("flags", [
+        ["--weight", "beta"], ["--weight", "beta", "--beta-lambda1", "2"],
+        ["--weight", "uni_gaussian", "--weight-mu", "0.4", "--weight-sigma2", "0.1"],
+    ])
+    def test_scalar_prior_adds_no_intercept_grouping(self, tmp_path, capsys, flags):
+        # A scalar prior reads one grouping column, so --no-intercept-grouping
+        # is implied: the same bytes with or without it.
+        argv = self.scalar_grouping_argv(tmp_path) + flags
+        outs = [run_cli(argv, capsys), run_cli(
+            [a for a in argv if a != "--no-intercept-grouping"], capsys)]
+        assert outs[0][0] == 0 and "p_value=" in outs[0][1]
+        assert outs[1] == outs[0]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--weight", "gaussian", "--weight-mu", "0.5"],
+         "--weight-mu is not used by --weight gaussian"),
+        (["--beta-lambda1", "2"], "--beta-lambda1 is not used by --weight std_gaussian"),
+        (["--weight", "uni_gaussian", "--beta-lambda2", "2"],
+         "--beta-lambda2 is not used by --weight uni_gaussian"),
+        (["--weight", "beta", "--weight-sigma2", "2"],
+         "--weight-sigma2 is not used by --weight beta"),
+        (["--method", "sst", "--weight", "std_gaussian"], "--weight is not used by --method sst"),
+        (["--method", "sst", "--weight-mu", "0"], "--weight-mu is not used by --method sst"),
+    ])
+    def test_unused_prior_option_usage_exit(self, glm_csv, capsys, flags, message):
+        # A prior option the run would ignore is named before any work.
+        code, out, err = run_cli(
+            ["test", str(glm_csv), "--family", "binomial", "--response", "y",
+             "--baseline", "x1", "--diff", "x1", "--grouping", "z1,z2", "--boot", "20",
+             "--grid-k", "20", *flags], capsys)
+        assert (code, out, err) == (USAGE_EXIT, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("flags", [
         ["--weight", "beta", "--beta-lambda1", "nan"],
         ["--weight", "beta", "--beta-lambda2", "inf"],
         ["--weight", "uni_gaussian", "--weight-mu", "nan"],

@@ -1,5 +1,7 @@
 from dataclasses import replace
 
+import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -540,6 +542,44 @@ class TestObservedStatistic:
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
+class TestOmegaConstant:
+    """``diagnostics["omega_constant"]`` is the part of T_n that omega's
+    constant carries: 1/4 sum_{i != j} psi_i'psi_j / (n(n-1)) under
+    Sheppard's form, 0.0 under every other prior."""
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial", "semiparametric"])
+    @pytest.mark.parametrize("n", [8, 40])
+    def test_is_a_quarter_of_the_unweighted_pair_sum(self, family, n):
+        ds = family_dataset(np.random.default_rng([47, n]), n, family)
+        fam = FamilyKind(family)
+        psi = score_psi0(ds, fam, fit_null(ds, fam))
+        terms = [psi[i] @ psi[j] for i in range(n) for j in range(n) if i != j]
+        want = 0.25 * math.fsum(terms) / (n * (n - 1))
+        # Relative to the magnitudes on both sides of the rank-one identity
+        # sum_{i != j} psi_i'psi_j = |sum_i psi_i|^2 - sum_i |psi_i|^2.
+        scale = 0.25 * (sum(map(abs, terms)) + np.sum(psi * psi)) / (n * (n - 1))
+        out = wast_test(ds, fam, n_boot=3, seed=1)
+        assert abs(out.diagnostics["omega_constant"] - want) <= 1e-12 * scale
+
+    def test_no_constant_under_other_priors(self, rng):
+        ds = random_dataset(rng, n=60)
+        fam = FamilyKind("gaussian")
+        out = wast_test(ds, fam, gaussian([0.0, 0.5, -0.75], np.eye(3)), n_boot=3, seed=1)
+        assert out.diagnostics["omega_constant"] == 0.0
+        ds = replace(ds, z_group=rng.random((60, 1)))
+        for spec in (beta_prior(2.0, 2.0), univariate_gaussian(0.5, 0.2)):
+            assert wast_test(ds, fam, spec, n_boot=3, seed=1).diagnostics["omega_constant"] == 0.0
+
+    def test_carries_most_of_the_statistic_at_large_q(self):
+        # At q = 500 the cosines are O(q^-1/2), so omega is nearly 1/4, and
+        # the null's scores sum to ~0: the constant's part is -1/4 sum |psi_i|^2
+        # / (n(n-1)), most of T_n.
+        fam = FamilyKind("gaussian")
+        ds = generate(Scenario(family=fam, dims=(2, 2, 500), n=300, seed=21))
+        out = wast_test(ds, fam, n_boot=1, seed=21)
+        assert out.diagnostics["omega_constant"] / out.statistic > 0.9
+
+
 def imhof_upper_tail(lam: np.ndarray, x: float) -> float:
     """P(sum_k lam_k chi2_1 >= x) by Imhof's (1961) integral
     1/2 + (1/pi) int_0^inf sin(theta(u)) / (u rho(u)) du, with
@@ -617,18 +657,21 @@ class TestTileKernel:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_kernel_matches_double_loop(self, rng, monkeypatch, p):
         """Column b of the kernel, over chunks of 1 and 3 columns, is the
-        literal sum_{i != j} omega_ij (d_i'd_j) s_ib s_jb / (n(n-1)), here at
-        a tile side of 5, so n <= 12 spans diagonal and off-diagonal tiles.  The
-        tolerance is relative to the sum of the terms' magnitudes."""
+        literal sum_{i != j} omega_ij (d_i'd_j) s_ib s_jb / (n(n-1)) with
+        omega = shift + scale * t over tiles t, the shift carried by the
+        rank-one term, here at a tile side of 5, so n <= 12 spans diagonal
+        and off-diagonal tiles.  The tolerance is relative to the sum of the
+        terms' magnitudes."""
         monkeypatch.setattr(weights_module, "_TILE", 5)
-        for n in range(2, 13):
+        for (shift, scale), n in itertools.product(
+                [(0.0, 1.0), weights_module._SHEPPARD, (-0.6, 2.5)], range(2, 13)):
             d, s = rng.standard_normal((n, p)), rng.standard_normal((n, 4))
-            omega = rng.random((n, n))
-            omega = (omega + omega.T) / 2
-            tiles = ((rows, cols, omega[rows, cols])
-                     for rows, cols in weights_module.upper_tiles(n))
-            got = np.concatenate(wast_module._pair_sums(wast_module._weighted_tiles(tiles, d),
-                                                        [s[:, :1], s[:, 1:]]))
+            t = rng.random((n, n))
+            t = (t + t.T) / 2
+            omega = shift + scale * t
+            tiles = ((rows, cols, t[rows, cols]) for rows, cols in weights_module.upper_tiles(n))
+            got = np.concatenate(wast_module._pair_sums(
+                wast_module._weighted_tiles((shift, scale, tiles), d), [s[:, :1], s[:, 1:]]))
             for b in range(4):
                 terms = [omega[i, j] * (d[i] @ d[j]) * s[i, b] * s[j, b]
                          for i in range(n) for j in range(n) if i != j]
@@ -663,17 +706,23 @@ class TestTileKernel:
         ds = random_dataset(rng, n=n)
         fam = FamilyKind("gaussian")
         evaluated, weighted = [], []
-        omega_tiles, weighted_tiles = wast_module.omega_tiles, wast_module._weighted_tiles
+        omega_source, weighted_tiles = wast_module._omega_source, wast_module._weighted_tiles
 
-        def counting(source, seen):
-            def counted(*args):
-                for rows, cols, tile in source(*args):
-                    seen.append((rows.start, cols.start))
-                    yield rows, cols, tile
-            return counted
+        def counted(tiles, seen):
+            for rows, cols, tile in tiles:
+                seen.append((rows.start, cols.start))
+                yield rows, cols, tile
 
-        monkeypatch.setattr(wast_module, "omega_tiles", counting(omega_tiles, evaluated))
-        monkeypatch.setattr(wast_module, "_weighted_tiles", counting(weighted_tiles, weighted))
+        def counted_source(*args):
+            shift, scale, tiles = omega_source(*args)
+            return shift, scale, counted(tiles, evaluated)
+
+        def counted_kernel(*args):
+            kernel = weighted_tiles(*args)
+            return kernel._replace(tiles=counted(kernel.tiles, weighted))
+
+        monkeypatch.setattr(wast_module, "_omega_source", counted_source)
+        monkeypatch.setattr(wast_module, "_weighted_tiles", counted_kernel)
         upper = [(rows.start, cols.start) for rows, cols in weights_module.upper_tiles(n)]
         assert len(upper) == 6
         wast_test(ds, fam, n_boot=200, seed=4)

@@ -242,6 +242,37 @@ class TestWeightMatrix:
             # A cosine an ulp inside +-1 moves arcsin by ~1.5e-8.
             assert abs(got[1, 3] - 0.5) <= 1e-8 and abs(got[1, 4]) <= 1e-8
 
+    @pytest.mark.parametrize("spec", GAUSSIAN_SPECS)
+    def test_gaussian_priors_keep_their_formula_bits(self, rng, monkeypatch, spec):
+        """``weight_matrix`` gives, bit for bit, omega as written out per
+        tile: at mu = 0 arcsin of the clipped cosines, times 1/(2 pi), then
+        plus 1/4, in place, with tied rows' cosines set to 1; Owen's T form
+        at mu != 0.  (The scalar priors' bits are
+        ``test_scalar_prior_is_cdf_at_pairwise_min``'s.)  7-row tiles leave
+        a short last tile at n = 31."""
+        monkeypatch.setattr(weights_module, "_TILE", 7)
+        n = 31
+        z = np.hstack([np.ones((n, 1)), np.round(rng.standard_normal((n, 2)), 1)])
+        z[3], z[9] = z[1], 2.0 * z[1]
+        w = z @ np.linalg.cholesky(SIGMA if spec.variant == "gaussian" else np.eye(3))
+        norms = np.sqrt(np.einsum("ij,ij->i", w, w))
+        unit = w / norms[:, None]
+        a = (z @ spec.mu) / norms if spec.variant == "gaussian" else np.zeros(n)
+        want = np.empty((n, n))
+        for rows, cols in weights_module.upper_tiles(n):
+            tile = np.clip(unit[rows] @ unit[cols].T, -1.0, 1.0)
+            if np.any(a):
+                tile = weights_module._orthant(
+                    *np.broadcast_arrays(a[rows, None], a[None, cols]), tile)
+            else:
+                tile[(z[rows, None] == z[None, cols]).all(axis=2)] = 1.0
+                np.arcsin(tile, out=tile)
+                tile *= 1.0 / (2.0 * np.pi)
+                tile += 0.25
+            want[rows, cols] = tile
+            want[cols, rows] = tile.T
+        np.testing.assert_array_equal(weight_matrix(z, spec), want)
+
     def test_nonzero_mean_is_bivariate_normal_cdf(self, rng):
         # Rows 0 and 1 have Z'mu = 0 (a_k = 0); row 2 is parallel and row 3
         # opposed to row 4 (rho = +-1).
