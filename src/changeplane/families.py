@@ -329,10 +329,13 @@ def _newton(family: FamilyKind, y, x, tol, max_iter):
     its iterations; a column still live after max_iter steps is evaluated
     once more and stops there.  Returns alpha, iterations, and per column
     the gradient norm max|X's|/n and score factor s of the evaluation that
-    stopped it.  The live responses are gathered only when a column stops."""
+    stopped it.  When every column stops at the same evaluation, its s is
+    returned as computed; otherwise the factors are gathered into one n x B
+    array, made at the first stop, and the live responses are compacted
+    (C-ordered, by ``np.compress``) only when a column stops."""
     n, r = x.shape
     xx = (x[:, :, None] * x[:, None, :]).reshape(n, r * r)
-    alpha, s_out = np.zeros((r, y.shape[1])), np.empty(y.shape)
+    alpha, s_out = np.zeros((r, y.shape[1])), None
     iterations, gnorm = np.full(y.shape[1], max_iter), np.empty(y.shape[1])
     live = np.arange(y.shape[1])
     for it in range(1, max_iter + 2):
@@ -343,11 +346,16 @@ def _newton(family: FamilyKind, y, x, tol, max_iter):
         stop = (norm <= tol) | ~np.isfinite(norm) | (it > max_iter)
         if stop.any():
             done, keep = live[stop], ~stop
-            iterations[done], gnorm[done], s_out[:, done] = min(it, max_iter), norm[stop], s[:, stop]
+            iterations[done], gnorm[done] = min(it, max_iter), norm[stop]
+            if s_out is None:
+                if not keep.any():
+                    return alpha, iterations, gnorm, s
+                s_out = np.empty((n, iterations.size))
+            s_out[:, done] = s[:, stop]
             live = live[keep]
             if not live.size:
                 break
-            y, w, score = y[:, keep], w[:, keep], score[:, keep]
+            y, w, score = (np.compress(keep, a, axis=1) for a in (y, w, score))
         alpha[:, live] += _solve_spd(xx, w, score)
         del s, w  # before the next evaluation forms its own
     return alpha, iterations, gnorm, s_out

@@ -108,7 +108,7 @@ class _Kernel(NamedTuple):
 def _weighted_tiles(source, d: np.ndarray) -> _Kernel:
     """The kernel of a (shift, scale, tiles) source and the rows d: each
     tile (rows, cols, tile) of the upper triangle weighted by
-    d[rows] d[cols]' and, on the diagonal, cut to its strict upper
+    d[rows] d[cols]' and, on the diagonal, cut in place to its strict upper
     triangle, the tiles ``_pair_sums`` reads."""
     shift, scale, tiles = source
 
@@ -116,7 +116,7 @@ def _weighted_tiles(source, d: np.ndarray) -> _Kernel:
         for rows, cols, tile in tiles:
             tile = tile * (d[rows] @ d[cols].T)
             if rows == cols:
-                tile = np.triu(tile, 1)
+                tile[np.tri(len(tile), dtype=bool)] = 0.0
             yield rows, cols, tile
 
     return _Kernel(shift, scale, d, weighted())
@@ -216,7 +216,8 @@ def _refit_blocks(ds: Dataset, family: FamilyKind, fit, n_boot: int, seed: int):
     and refit by one ``refit_null`` call.  The B streams' states are derived
     once (``child_rngs``), and a block's generators are built when it runs,
     so a caller that stops early builds no other.  Yields
-    the n x m score factors of the block's converged refits, and the
+    the n x m score factors of the block's converged refits, C-ordered and,
+    when none failed, ``refit_null``'s array itself, and the
     block's iterations and counts of refits stopped unconverged at the cap,
     degenerate and failed.  Raises after the first block that takes the
     failed refits past ``MAX_FAILED_FRACTION`` of n_boot.
@@ -233,7 +234,7 @@ def _refit_blocks(ds: Dataset, family: FamilyKind, fit, n_boot: int, seed: int):
         n_failed += failed
         if n_failed > MAX_FAILED_FRACTION * n_boot:
             raise NumericalError(f"{n_failed}/{n_boot} bootstrap refits failed to converge")
-        yield (s[:, converged], its,
+        yield (s if not failed else np.compress(converged, s, axis=1), its,
                int(np.count_nonzero(~converged & (its >= DEFAULT_MAX_ITER))),
                int(np.count_nonzero(met)), failed)
         start = stop

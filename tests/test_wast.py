@@ -19,8 +19,8 @@ from changeplane import cli
 from changeplane import families as families_module
 from changeplane import wast as wast_module
 from changeplane import weights as weights_module
-from changeplane.families import (DEFAULT_MAX_ITER, DEFAULT_TOL, _fit, bootstrap_sampler,
-                                  refit_null, score_factor)
+from changeplane.families import (DEFAULT_MAX_ITER, DEFAULT_TOL, _fit, _newton,
+                                  bootstrap_sampler, refit_null, score_factor)
 from changeplane.sim import Scenario, generate
 from changeplane.errors import DataError, NumericalError, ParameterError
 from changeplane.rng import child_rng
@@ -491,6 +491,58 @@ def family_dataset(rng, n, family):
     if family == "semiparametric":
         return semiparametric_dataset(rng, n)
     return random_dataset(rng, n=n, family=family)
+
+
+class TestRefitChunks:
+    """The refit loop hands each block's score factors to the tile pass as
+    ``refit_null`` computed them: C-ordered, and not copied at all when
+    every column stops at one Newton evaluation and none fails."""
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial", "poisson", "probit",
+                                        "quantile", "semiparametric"])
+    @pytest.mark.parametrize("failed", [(), (3, 40)])
+    def test_chunks_are_c_contiguous(self, monkeypatch, family, failed):
+        ds = family_dataset(np.random.default_rng([37, len(failed)]), 90, family)
+        fam = FamilyKind(family)
+        flaky_refits(monkeypatch, failed)
+        chunks = [chunk for chunk, *_ in
+                  wast_module._refit_blocks(ds, fam, fit_null(ds, fam), 70, 5)]
+        assert sum(chunk.shape[1] for chunk in chunks) == 70 - len(failed)
+        assert all(chunk.flags.c_contiguous for chunk in chunks)
+
+    def test_blocks_that_stop_together_are_not_copied(self, monkeypatch):
+        """A logistic null on a binary baseline at n = 2000: every refit of
+        the 16, 16, 32 and 64-column blocks stops at its fourth evaluation.
+        Each chunk is refit_null's factor array itself, and a 64-column
+        Newton loop holds at most 2.5 n x 64 float arrays at once."""
+        n = 2000
+        rng = np.random.default_rng(41)
+        b = (rng.random((n, 2)) < 0.5).astype(float)
+        x = np.column_stack([np.ones(n), b[:, 0]])
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(0.5 - 0.3 * b[:, 0]))).astype(float)
+        ds = Dataset(y, x, np.column_stack([np.ones(n), b[:, 1]]),
+                     np.column_stack([np.ones(n), rng.standard_normal((n, 2))]))
+        fam = FamilyKind("binomial")
+        calls = []
+
+        def refit(ds, family, fit, y):
+            calls.append((y, refit_null(ds, family, fit, y)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(wast_module, "refit_null", refit)
+        blocks = list(wast_module._refit_blocks(ds, fam, fit_null(ds, fam), 128, 9))
+        assert [y.shape[1] for y, _ in calls] == [16, 16, 32, 64]
+        for (chunk, its, *_), (_, (s, *_)) in zip(blocks, calls):
+            np.testing.assert_array_equal(its, 4)
+            assert np.shares_memory(chunk, s)
+        y = calls[-1][0]
+        tracemalloc.start()
+        try:
+            _newton(fam, y, x, DEFAULT_TOL, DEFAULT_MAX_ITER)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * n * 64
 
 
 class TestObservedStatistic:
