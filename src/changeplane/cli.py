@@ -61,11 +61,9 @@ def _weight_spec(args):
             raise ParameterError(f"--{option.replace('_', '-')} is not used by {used_by}")
     if name is None:
         return None
-    if name in ("std_gaussian", "gaussian"):  # gaussian is N(0, I), the standard prior
-        return weights.standard_gaussian()
-    first, second = (options[o] if getattr(args, o) is None else getattr(args, o)
-                     for o in options)
-    return (weights.beta_prior if name == "beta" else weights.univariate_gaussian)(first, second)
+    # gaussian is N(0, I), the standard prior.
+    return weights.WeightSpec("std_gaussian" if name == "gaussian" else name, tuple(
+        options[o] if getattr(args, o) is None else getattr(args, o) for o in options))
 
 
 def _columns(raw: str | None) -> list[str]:

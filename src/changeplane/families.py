@@ -400,10 +400,11 @@ def _fit_family(family: FamilyKind) -> FamilyKind:
 # public API
 # --------------------------------------------------------------------------
 
-def fit_null(ds: Dataset, family: FamilyKind, tol: float = DEFAULT_TOL,
-             max_iter: int = DEFAULT_MAX_ITER) -> NullFit:
-    """Solve the nuisance estimating equation Psi_1n(alpha) = 0 for beta = 0."""
+def fit_null(ds: Dataset, family: FamilyKind) -> NullFit:
+    """Solve the nuisance estimating equation Psi_1n(alpha) = 0 for beta = 0,
+    stopping at ``DEFAULT_TOL`` or ``DEFAULT_MAX_ITER``, as every refit does."""
     validate(ds, family.name)
+    tol, max_iter = DEFAULT_TOL, DEFAULT_MAX_ITER
     if family.name != "semiparametric":
         fits = [_fit(family, ds.y[:, None], ds.x_base, tol, max_iter)]
     else:  # working logistic propensity A ~ Z and working linear baseline Y ~ x_base

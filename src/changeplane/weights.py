@@ -14,13 +14,16 @@ arc-cosine kernel; otherwise Owen's (1956) T-function form gives it exactly.
 Scalar-threshold priors (beta, univariate Gaussian) reduce to CDF
 evaluations at min(Z_i, Z_j).
 
+A prior is a ``WeightSpec(variant, params)``, params holding exactly what
+the variant reads, as its factory (``gaussian(mu, sigma)`` and so on) names.
+
 Every prior gives omega through one private source, ``_omega_source``, as
 (shift, scale, tiles) with omega = shift + scale * tile, a square tile of
 the upper triangle at a time.  Sheppard's form gives (1/4, 1/(2 pi),
 arcsin tiles), so the WAST kernel reads arcsin(rho) alone and applies the
 two constants once per factor column; every other prior gives (0, 1, omega
-tiles).  ``omega_tiles`` composes the parts, times scale then plus shift,
-and ``weight_matrix`` assembles the n x n matrix from those tiles.
+tiles).  ``weight_matrix`` composes the parts, times scale then plus
+shift, and assembles the n x n matrix from the tiles.
 
 scipy.special is imported inside the paths that need it (the scalar priors
 and mu != 0): its import costs more than the rest of the package, and the
@@ -37,7 +40,7 @@ from .errors import DegenerateVectorError, ParameterError
 
 __all__ = [
     "VARIANTS", "WeightSpec", "standard_gaussian", "gaussian", "beta_prior",
-    "univariate_gaussian", "omega_tiles", "upper_tiles", "weight_matrix",
+    "univariate_gaussian", "upper_tiles", "weight_matrix",
 ]
 
 # Endpoint guard of the Owen's T path, which divides by sqrt(1 - rho^2):
@@ -49,33 +52,34 @@ _ENDPOINT_EPS = 1e-12
 # _TILE x _TILE tile at a time, so its temporaries stay O(_TILE^2).
 _TILE = 256
 
-VARIANTS = ("std_gaussian", "gaussian", "beta", "uni_gaussian")  # of WeightSpec
+# The parameters each WeightSpec variant reads, in the order of its params.
+_PARAMS = {"std_gaussian": (), "gaussian": ("mu", "sigma"),
+           "beta": ("lambda1", "lambda2"), "uni_gaussian": ("mu", "sigma2")}
+VARIANTS = tuple(_PARAMS)  # of WeightSpec
 
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Prior selection for omega_ij.
+    """Prior selection for omega_ij: variant, and params as it reads them.
 
-    variant is one of:
-      "std_gaussian"   closed form, mu = 0, Sigma = I (the default elsewhere)
-      "gaussian"       general (mu, sigma), exact via Owen's T function
-      "beta"           scalar threshold prior Beta(lambda1, lambda2); q must be 1
-      "uni_gaussian"   scalar threshold prior N(mu, sigma2); q must be 1
+      "std_gaussian", ()            closed form, mu = 0, Sigma = I (the default)
+      "gaussian", (mu, sigma)       general N(mu, sigma), exact via Owen's T function
+      "beta", (lambda1, lambda2)    scalar threshold prior Beta(lambda1, lambda2); q = 1
+      "uni_gaussian", (mu, sigma2)  scalar threshold prior N(mu, sigma2); q = 1
     """
 
     variant: str
-    mu: np.ndarray | None = None
-    sigma: np.ndarray | None = None
-    lambda1: float = 1.0
-    lambda2: float = 1.0
-    scalar_mu: float = 0.0
-    sigma2: float = 1.0
+    params: tuple = ()
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        names = _PARAMS.get(self.variant)
+        if names is None:
             raise ParameterError(f"unknown weight variant {self.variant!r}")
+        if len(self.params) != len(names):
+            raise ParameterError(f"{self.variant} prior takes params ({', '.join(names)}), "
+                                 f"got {len(self.params)}")
         if self.variant == "gaussian":
-            mu, sigma = np.asarray(self.mu, float), np.asarray(self.sigma, float)
+            mu, sigma = (np.asarray(v, float) for v in self.params)
             if mu.ndim != 1 or not np.all(np.isfinite(mu)):
                 raise ParameterError("mu must be a finite vector")
             # cholesky reads one triangle only and does not reject inf or
@@ -87,22 +91,17 @@ class WeightSpec:
                 np.linalg.cholesky(sigma)
             except np.linalg.LinAlgError as exc:
                 raise ParameterError("sigma must be positive definite") from exc
+            object.__setattr__(self, "params", (mu, sigma))
         # 0 < x < inf is False for NaN too, which passes a plain x <= 0 test.
-        if self.variant == "beta" and not (0 < self.lambda1 < np.inf
-                                           and 0 < self.lambda2 < np.inf):
+        if self.variant == "beta" and not all(0 < v < np.inf for v in self.params):
             raise ParameterError("beta shape parameters must be finite and positive")
-        if self.variant == "uni_gaussian" and not (np.isfinite(self.scalar_mu)
-                                                   and 0 < self.sigma2 < np.inf):
+        if self.variant == "uni_gaussian" and not (np.isfinite(self.params[0])
+                                                   and 0 < self.params[1] < np.inf):
             raise ParameterError("mu must be finite and sigma2 finite and positive")
 
     def describe(self) -> str:
-        if self.variant == "gaussian":
-            return f"gaussian({np.asarray(self.mu).tolist()},{np.asarray(self.sigma).tolist()})"
-        if self.variant == "beta":
-            return f"beta({self.lambda1},{self.lambda2})"
-        if self.variant == "uni_gaussian":
-            return f"uni_gaussian({self.scalar_mu},{self.sigma2})"
-        return "std_gaussian"
+        return self.variant + (f"({','.join(str(np.asarray(v).tolist()) for v in self.params)})"
+                               if self.params else "")
 
 
 def standard_gaussian() -> WeightSpec:
@@ -110,15 +109,15 @@ def standard_gaussian() -> WeightSpec:
 
 
 def gaussian(mu, sigma) -> WeightSpec:
-    return WeightSpec("gaussian", mu=np.asarray(mu, float), sigma=np.asarray(sigma, float))
+    return WeightSpec("gaussian", (mu, sigma))
 
 
 def beta_prior(lambda1: float, lambda2: float) -> WeightSpec:
-    return WeightSpec("beta", lambda1=lambda1, lambda2=lambda2)
+    return WeightSpec("beta", (lambda1, lambda2))
 
 
 def univariate_gaussian(mu: float, sigma2: float) -> WeightSpec:
-    return WeightSpec("uni_gaussian", scalar_mu=mu, sigma2=sigma2)
+    return WeightSpec("uni_gaussian", (mu, sigma2))
 
 
 # Sheppard's omega = 1/4 + arcsin(rho)/(2 pi), as the (shift, scale) of
@@ -126,16 +125,12 @@ def univariate_gaussian(mu: float, sigma2: float) -> WeightSpec:
 _SHEPPARD = (0.25, 1.0 / (2.0 * np.pi))
 
 
-def _affine(tile: np.ndarray, shift: float, scale: float) -> np.ndarray:
-    """shift + scale * tile, in place: times scale, then plus shift."""
-    tile *= scale
-    tile += shift
-    return tile
-
-
 def _arcsin_map(rho: np.ndarray) -> np.ndarray:
     """1/4 + arcsin(rho)/(2 pi), in place on an array of cosines in [-1, 1]."""
-    return _affine(np.arcsin(rho, out=rho), *_SHEPPARD)
+    np.arcsin(rho, out=rho)
+    rho *= _SHEPPARD[1]
+    rho += _SHEPPARD[0]
+    return rho
 
 
 def _orthant(h, k, rho):
@@ -192,7 +187,7 @@ def _gaussian_block(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
     error of O(sqrt(eps)): at mu = 0, when rows repeat, each row's id among
     the distinct rows (one ``np.unique`` of z's rows as bytes, -0.0 made
     0.0) sets the cosine of every tied pair to exactly 1, so arcsin is
-    exactly pi/2 there and ``omega_tiles``' omega exactly 1/2.
+    exactly pi/2 there and ``weight_matrix``'s omega exactly 1/2.
     ``_orthant``'s endpoint guard is already exact.
     """
     w = z @ np.linalg.cholesky(sigma)
@@ -223,7 +218,7 @@ def _gaussian_block(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
     return shift, scale, block
 
 
-def _omega_source(ds_or_z, spec: WeightSpec | None = None):
+def _omega_source(ds_or_z, spec: WeightSpec):
     """(shift, scale, tiles): omega over the upper triangle as
     shift + scale * tile, one tile at a time.
 
@@ -233,18 +228,14 @@ def _omega_source(ds_or_z, spec: WeightSpec | None = None):
     tiles).  Accepts either a Dataset or the raw grouping matrix Z; the
     prior is checked against Z here, before the first tile.
     """
-    if spec is None:
-        spec = standard_gaussian()
     z = _grouping(ds_or_z)
     q = z.shape[1]
 
-    if spec.variant == "std_gaussian":
-        shift, scale, block = _gaussian_block(z, np.zeros(q), np.eye(q))
-    elif spec.variant == "gaussian":
-        if np.shape(spec.mu) != (q,):
+    if spec.variant in ("std_gaussian", "gaussian"):
+        mu, sigma = spec.params or (np.zeros(q), np.eye(q))
+        if mu.shape != (q,):
             raise ParameterError(f"mu/sigma shapes must match q={q}")
-        shift, scale, block = _gaussian_block(z, np.asarray(spec.mu, float),
-                                              np.asarray(spec.sigma, float))
+        shift, scale, block = _gaussian_block(z, mu, sigma)
     else:
         # Scalar-threshold priors need a single grouping variable.
         if q != 1:
@@ -254,9 +245,10 @@ def _omega_source(ds_or_z, spec: WeightSpec | None = None):
         from scipy.special import betainc, ndtr
         zv = z[:, 0]
         if spec.variant == "beta":
-            cdf = betainc(spec.lambda1, spec.lambda2, np.clip(zv, 0.0, 1.0))
+            cdf = betainc(*spec.params, np.clip(zv, 0.0, 1.0))
         else:
-            cdf = ndtr((zv - spec.scalar_mu) / np.sqrt(spec.sigma2))
+            mu, sigma2 = spec.params
+            cdf = ndtr((zv - mu) / np.sqrt(sigma2))
 
         def block(rows, cols):
             return np.minimum.outer(cdf[rows], cdf[cols])
@@ -265,33 +257,22 @@ def _omega_source(ds_or_z, spec: WeightSpec | None = None):
     return shift, scale, ((rows, cols, block(rows, cols)) for rows, cols in upper_tiles(len(z)))
 
 
-def omega_tiles(ds_or_z, spec: WeightSpec | None = None):
-    """omega over the upper triangle, one tile at a time.
-
-    Returns an iterator of (rows, cols, tile) in ``upper_tiles`` order, with
-    tile = omega[rows, cols]: ``_omega_source``'s tiles, times its scale
-    and then plus its shift, in place.  Accepts either a Dataset or the raw
-    grouping matrix Z; the prior is checked against Z here, before the
-    first tile.
-    """
-    shift, scale, tiles = _omega_source(ds_or_z, spec)
-    if (shift, scale) == (0.0, 1.0):
-        return tiles
-    return ((rows, cols, _affine(tile, shift, scale)) for rows, cols, tile in tiles)
-
-
 def weight_matrix(ds_or_z, spec: WeightSpec | None = None) -> np.ndarray:
     """n x n exactly symmetric matrix of omega_ij; diagonal filled but unused upstream.
 
-    Accepts either a Dataset or the raw grouping matrix Z.  It is assembled
-    from the tiles of ``omega_tiles``, each written to both triangles; the
-    WAST kernel reads ``_omega_source``'s tiles without ever storing this
-    matrix.  At mu = 0 tied grouping rows get exactly 1/2 here, as
-    1/4 + (pi/2)/(2 pi) rounds to it.
+    Accepts either a Dataset or the raw grouping matrix Z, and the standard
+    Gaussian prior when ``spec`` is None.  Each of ``_omega_source``'s
+    tiles is multiplied by its scale, then its shift added, in place, and
+    written to both triangles; the WAST kernel reads the tiles without
+    ever storing this matrix.  At mu = 0 tied grouping rows get exactly
+    1/2 here, as 1/4 + (pi/2)/(2 pi) rounds to it.
     """
     z = _grouping(ds_or_z)
+    shift, scale, tiles = _omega_source(z, spec or standard_gaussian())
     out = np.empty((len(z), len(z)))
-    for rows, cols, tile in omega_tiles(z, spec):
+    for rows, cols, tile in tiles:
+        tile *= scale
+        tile += shift
         out[rows, cols] = tile
         out[cols, rows] = tile.T
     return out

@@ -157,7 +157,7 @@ def test_criterion_4_null_fits_and_k_derivative(report):
         name = families[i % len(families)]
         ds = _random_design(rng, name)
         fam = FamilyKind(name, tau=0.5)
-        fit = fit_null(ds, fam, tol=tol)
+        fit = fit_null(ds, fam)
         if name == "quantile":
             resid = ds.y - ds.x_base @ fit.alpha_hat
             sub = ds.x_base.T @ (np.where(resid <= 0, 1.0, 0.0) - 0.5)

@@ -94,9 +94,10 @@ class TestFitNull:
         assert fit.gradient_norm <= 1e-8
 
     @pytest.mark.parametrize("family", ["binomial", "poisson", "probit"])
-    def test_iteration_cap_returns_unconverged_fit(self, rng, family):
+    def test_iteration_cap_returns_unconverged_fit(self, rng, monkeypatch, family):
         ds = random_dataset(rng, n=200, family=family)
-        fit = fit_null(ds, FamilyKind(family), max_iter=1)
+        monkeypatch.setattr(families_module, "DEFAULT_MAX_ITER", 1)
+        fit = fit_null(ds, FamilyKind(family))
         assert not fit.converged and fit.iterations == 1
         assert np.any(fit.alpha_hat != 0)  # one step taken from alpha = 0
         eta = ds.x_base @ fit.alpha_hat

@@ -383,7 +383,9 @@ class TestWastTest:
 
     def test_refits_at_the_pivot_cap_are_counted_and_dropped(self, rng, monkeypatch):
         # With the cap at one pivot, a refit that needs more stops
-        # uncertified: it counts as at the cap and as failed.
+        # uncertified: it counts as at the cap and as failed.  The null fit
+        # reads the cap too, so the test is handed the one fitted at the
+        # default cap.
         ds = random_dataset(rng, n=300, family="quantile")
         fam = FamilyKind("quantile")
         fit = fit_null(ds, fam)
@@ -392,6 +394,7 @@ class TestWastTest:
         assert 0 < np.count_nonzero(~converged) < 64
         for module in (families_module, wast_module):
             monkeypatch.setattr(module, "DEFAULT_MAX_ITER", 1)
+        monkeypatch.setattr(wast_module, "fit_null", lambda ds, family: fit)
         monkeypatch.setattr(wast_module, "MAX_FAILED_FRACTION", 1.0)
         out = wast_test(ds, fam, n_boot=64, seed=6)
         assert out.n_failed == np.count_nonzero(~converged)

@@ -171,10 +171,10 @@ class TestScalarPriors:
         lambda v: beta_prior(1.0, v),
         lambda v: univariate_gaussian(v, 1.0),
         lambda v: univariate_gaussian(0.0, v),
-        lambda v: pair_omega(0.3, 0.8, WeightSpec("beta", lambda1=v)),
-        lambda v: pair_omega(0.3, 0.8, WeightSpec("beta", lambda2=v)),
-        lambda v: pair_omega(0.3, 0.8, WeightSpec("uni_gaussian", scalar_mu=v)),
-        lambda v: pair_omega(0.3, 0.8, WeightSpec("uni_gaussian", sigma2=v)),
+        lambda v: pair_omega(0.3, 0.8, WeightSpec("beta", (v, 1.0))),
+        lambda v: pair_omega(0.3, 0.8, WeightSpec("beta", (1.0, v))),
+        lambda v: pair_omega(0.3, 0.8, WeightSpec("uni_gaussian", (v, 1.0))),
+        lambda v: pair_omega(0.3, 0.8, WeightSpec("uni_gaussian", (0.0, v))),
     ], ids=["lambda1", "lambda2", "scalar_mu", "sigma2", "omega_beta_lambda1",
             "omega_beta_lambda2", "omega_uni_mu", "omega_uni_sigma2"])
     def test_non_finite_parameters_rejected(self, make, bad):
@@ -257,7 +257,7 @@ class TestWeightMatrix:
         w = z @ np.linalg.cholesky(SIGMA if spec.variant == "gaussian" else np.eye(3))
         norms = np.sqrt(np.einsum("ij,ij->i", w, w))
         unit = w / norms[:, None]
-        a = (z @ spec.mu) / norms if spec.variant == "gaussian" else np.zeros(n)
+        a = (z @ spec.params[0]) / norms if spec.variant == "gaussian" else np.zeros(n)
         want = np.empty((n, n))
         for rows, cols in weights_module.upper_tiles(n):
             tile = np.clip(unit[rows] @ unit[cols].T, -1.0, 1.0)
@@ -365,11 +365,19 @@ class TestWeightMatrix:
         with pytest.raises(ParameterError):
             gaussian(mu, sigma)
         with pytest.raises(ParameterError):
-            WeightSpec("gaussian", mu=mu, sigma=sigma)
+            WeightSpec("gaussian", (mu, sigma))
 
     def test_unknown_variant(self):
         with pytest.raises(ParameterError, match="unknown weight variant"):
             WeightSpec("laplace")
+
+    @pytest.mark.parametrize("variant, params", [
+        ("beta", ()), ("std_gaussian", (0.0,)), ("gaussian", (np.zeros(2),)),
+        ("uni_gaussian", (0.0, 1.0, 2.0))])
+    def test_params_of_wrong_length_rejected(self, variant, params):
+        # No variant fills in a missing parameter: WeightSpec("beta") is not Beta(1, 1).
+        with pytest.raises(ParameterError, match=f"{variant} prior takes params"):
+            WeightSpec(variant, params)
 
     def test_mu_length_must_match_grouping(self, rng):
         z = np.hstack([np.ones((5, 1)), rng.standard_normal((5, 2))])
@@ -408,10 +416,11 @@ class TestWeightMatrix:
                             rng.uniform(-0.5, 1.5, 200)])
         m = np.minimum.outer(z, z)
         if spec.variant == "beta":
-            want = np.clip(betainc(spec.lambda1, spec.lambda2, np.clip(m, 0.0, 1.0)),
+            want = np.clip(betainc(*spec.params, np.clip(m, 0.0, 1.0)),
                            0.0, 1.0)
         else:
-            want = ndtr((m - spec.scalar_mu) / np.sqrt(spec.sigma2))
+            mu, sigma2 = spec.params
+            want = ndtr((m - mu) / np.sqrt(sigma2))
         np.testing.assert_array_equal(weight_matrix(z[:, None], spec), want)
 
     def test_dataset_argument(self, rng):
