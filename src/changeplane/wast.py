@@ -7,8 +7,12 @@ The statistic is the pairwise U-statistic
 with omega the prior weights from :mod:`changeplane.weights`.  As psi0_i =
 s_i d_i (``score_factor``), T_n sums omega_ij (d_i'd_j) s_i s_j: the one
 kernel, ``_pair_sums``, scores any number of factor columns against omega's
-upper tiles weighted by d_i'd_j (``_weighted_tiles``).  The weights come as
-omega = shift + scale * tile (``weights._omega_source``): the tiles carry
+upper tiles weighted by d_i'd_j (``_weighted_tiles``).  The tiles are
+``weights.upper_tiles``': side ``_TILE`` off the diagonal and half that on
+it, where each tile is evaluated whole and its lower half zeroed, so a pass
+evaluates about n^2/2 + n _TILE/4 entries for the n(n-1)/2 pairs.  The
+weights come as omega = shift + scale * tile (``weights._omega_source``):
+the tiles carry
 arcsin(rho) alone under Sheppard's form, and the kernel applies scale to
 each column's tile sum and adds shift's part, the rank-one
 shift (|sum_i s_i d_i|^2 - sum_i s_i^2 |d_i|^2) / (n(n-1)), in O(n p) per
@@ -281,8 +285,8 @@ def wast_blocks(ds: Dataset, family: FamilyKind, weight: WeightSpec | None = Non
     """``wast_test``'s calibration one ``BOOT_BLOCKS`` block at a time, for a
     caller that may stop early.  Returns (statistic, blocks): the null fit,
     omega's upper tiles, evaluated and weighted by d_i'd_j once and kept
-    (about n^2/2 floats), and the statistic are formed by the call, and
-    ``blocks`` lazily yields (the block's kept replicate statistics, refits
+    (about n^2/2 + n _TILE/4 floats), and the statistic are formed by the
+    call, and ``blocks`` lazily yields (the block's kept replicate statistics, refits
     the block ran), each block scored by its own pass over the kept tiles.
     Every statistic is bit-identical to ``wast_test``'s, and the failed
     refits meet the same cap after each block.

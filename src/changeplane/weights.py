@@ -19,7 +19,8 @@ the variant reads, as its factory (``gaussian(mu, sigma)`` and so on) names.
 
 Every prior gives omega through one private source, ``_omega_source``, as
 (shift, scale, tiles) with omega = shift + scale * tile, a square tile of
-the upper triangle at a time.  Sheppard's form gives (1/4, 1/(2 pi),
+the upper triangle at a time (``upper_tiles``: side ``_TILE`` off the
+diagonal, half that on it).  Sheppard's form gives (1/4, 1/(2 pi),
 arcsin tiles), so the WAST kernel reads arcsin(rho) alone and applies the
 two constants once per factor column; every other prior gives (0, 1, omega
 tiles).  ``weight_matrix`` composes the parts, times scale then plus
@@ -48,8 +49,9 @@ __all__ = [
 # arcsin closed form needs no guard.
 _ENDPOINT_EPS = 1e-12
 
-# Side of the square omega tiles: every consumer of omega takes it one
-# _TILE x _TILE tile at a time, so its temporaries stay O(_TILE^2).
+# Side of the square off-diagonal omega tiles (``upper_tiles`` halves it on
+# the diagonal): every consumer of omega takes it one tile at a time, so its
+# temporaries stay O(_TILE^2).
 _TILE = 256
 
 # The parameters each WeightSpec variant reads, in the order of its params.
@@ -58,7 +60,7 @@ _PARAMS = {"std_gaussian": (), "gaussian": ("mu", "sigma"),
 VARIANTS = tuple(_PARAMS)  # of WeightSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightSpec:
     """Prior selection for omega_ij: variant, and params as it reads them.
 
@@ -66,6 +68,9 @@ class WeightSpec:
       "gaussian", (mu, sigma)       general N(mu, sigma), exact via Owen's T function
       "beta", (lambda1, lambda2)    scalar threshold prior Beta(lambda1, lambda2); q = 1
       "uni_gaussian", (mu, sigma2)  scalar threshold prior N(mu, sigma2); q = 1
+
+    A spec is a value: two compare equal, and hash alike, when their
+    variants match and their params hold the same numbers in the same shapes.
     """
 
     variant: str
@@ -98,6 +103,18 @@ class WeightSpec:
         if self.variant == "uni_gaussian" and not (np.isfinite(self.params[0])
                                                    and 0 < self.params[1] < np.inf):
             raise ParameterError("mu must be finite and sigma2 finite and positive")
+
+    def _key(self):
+        return self.variant, tuple((np.shape(v), tuple(np.asarray(v, float).ravel().tolist()))
+                                   for v in self.params)
+
+    def __eq__(self, other):
+        if not isinstance(other, WeightSpec):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def describe(self) -> str:
         return self.variant + (f"({','.join(str(np.asarray(v).tolist()) for v in self.params)})"
@@ -166,11 +183,24 @@ def _grouping(ds_or_z) -> np.ndarray:
 
 
 def upper_tiles(n: int):
-    """(rows, cols) slice pairs of side ``_TILE`` covering the upper triangle
-    of an n x n matrix, diagonal tiles (rows == cols) included."""
+    """(rows, cols) slice pairs covering the upper triangle of an n x n
+    matrix once, diagonal tiles (rows == cols) included, row strip by row
+    strip.
+
+    Off the diagonal the tiles have side ``_TILE``.  Each diagonal
+    ``_TILE`` block is covered by the upper tiles of side
+    h = max(1, _TILE // 2) within it, cut at its own end, so a consumer
+    that evaluates whole diagonal tiles evaluates at most n h / 2 entries
+    below the diagonal.
+    """
+    h = max(1, _TILE // 2)
     for s in range(0, n, _TILE):
-        for t in range(s, n, _TILE):
-            yield slice(s, min(s + _TILE, n)), slice(t, min(t + _TILE, n))
+        end = min(s + _TILE, n)
+        for a in range(s, end, h):
+            for b in range(a, end, h):
+                yield slice(a, min(a + h, end)), slice(b, min(b + h, end))
+        for t in range(end, n, _TILE):
+            yield slice(s, end), slice(t, min(t + _TILE, n))
 
 
 def _gaussian_block(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray):

@@ -779,7 +779,9 @@ class TestTileKernel:
         monkeypatch.setattr(wast_module, "_omega_source", counted_source)
         monkeypatch.setattr(wast_module, "_weighted_tiles", counted_kernel)
         upper = [(rows.start, cols.start) for rows, cols in weights_module.upper_tiles(n)]
-        assert len(upper) == 6
+        # Diagonal tiles of 256, 256 and 88 rows, cut into 3 + 3 + 1 half-side
+        # tiles, and the 3 off-diagonal tiles.
+        assert len(upper) == 10
         wast_test(ds, fam, n_boot=200, seed=4)
         assert evaluated == weighted == upper
         evaluated.clear()

@@ -392,6 +392,29 @@ class TestWeightMatrix:
     def test_describe(self, spec, text):
         assert spec.describe() == text
 
+    @pytest.mark.parametrize("make, args, other", [
+        (standard_gaussian, (), None),
+        (gaussian, ([0, 1], np.eye(2)), ([0.0, 1.5], np.eye(2))),
+        (gaussian, ([0, 1], np.eye(2)), ([0.0, 1.0], [[2.0, 0.0], [0.0, 1.0]])),
+        (gaussian, ([0], np.eye(1)), ([0.0, 0.0], np.eye(2))),
+        (beta_prior, (2, 3), (3.0, 2.0)),
+        (univariate_gaussian, (0.5, 2), (0.5, 1.0))])
+    def test_specs_are_values(self, make, args, other):
+        """Two specs of the same variant and params compare equal and hash
+        alike, whatever form the numbers came in; any other spec compares
+        unequal.  Neither comparison nor hash raises, so a spec can key a
+        dict."""
+        a, b = make(*args), make(*(np.asarray(v, float).tolist() for v in args))
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert a != a.variant
+        if other is not None:
+            c = make(*other)
+            assert a != c and not a == c
+            assert len({a, b, c}) == 2
+        # The same numbers under another variant are another prior.
+        assert beta_prior(1.0, 1.0) != univariate_gaussian(1.0, 1.0)
+
     def test_range_standard_gaussian(self, rng):
         z = np.hstack([np.ones((25, 1)), rng.standard_normal((25, 3))])
         w = weight_matrix(z, standard_gaussian())
@@ -430,6 +453,29 @@ class TestWeightMatrix:
                                         rng.standard_normal((4, 1))]))
         w = weight_matrix(ds)
         assert w.shape == (4, 4)
+
+
+@pytest.mark.parametrize("side", [1, 2, 5, 7, 256])
+def test_upper_tiles_cover_the_upper_triangle_once(monkeypatch, side):
+    """Every pair i <= j lies in exactly one tile, no tile starts below the
+    diagonal, and each diagonal tile has side at most h = max(1, side // 2),
+    so whole diagonal tiles evaluate at most n h / 2 entries below it."""
+    monkeypatch.setattr(weights_module, "_TILE", side)
+    h = max(1, side // 2)
+    for n in [*range(1, 3 * side + 3), 2000]:
+        r0, r1, c0, c1 = np.array([(rows.start, rows.stop, cols.start, cols.stop)
+                                   for rows, cols in weights_module.upper_tiles(n)]).T
+        assert np.all(r0 <= c0)
+        diagonal = (r0 == c0) & (r1 == c1)
+        assert np.all(r1[diagonal] - r0[diagonal] <= h)
+        # Each tile's count, added at its corners and summed along both axes.
+        count = np.zeros((n + 1, n + 1), int)
+        for rows, cols, sign in ((r0, c0, 1), (r0, c1, -1), (r1, c0, -1), (r1, c1, 1)):
+            np.add.at(count, (rows, cols), sign)
+        np.cumsum(count, axis=0, out=count)
+        np.cumsum(count, axis=1, out=count)
+        np.testing.assert_array_equal(count[:n, :n][~np.tri(n, k=-1, dtype=bool)], 1)
+        assert np.sum((r1 - r0) * (c1 - c0)) <= n * (n + 1) / 2 + n * h / 2
 
 
 @settings(max_examples=25, deadline=None)
